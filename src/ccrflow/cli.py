@@ -448,6 +448,11 @@ def _cmd_pathint(args) -> int:
         value = getattr(args, name, None)
         if value is not None:
             params[name] = value
+    for coeff in force.coeffs.values():
+        try:
+            coeff.evaluate(params)
+        except KeyError as exc:
+            raise ValueError(f"force has {exc.args[0]}; only m, omega, F0 bind") from None
     psi = _packet(args, grid)
     if args.convergence:
         n_list = [int(part) for part in args.convergence.split(",") if part.strip()]
@@ -455,15 +460,14 @@ def _cmd_pathint(args) -> int:
             raise ValueError("--convergence needs at least one step count")
         report = convergence_study(force, args.m, psi, args.t_total, n_list, params)
         _write_lines(report_csv_lines(report), args.report_output)
-        steps = n_list[-1]
+        out = report.finest
     else:
         if args.steps is None:
             raise ValueError("need --steps or --convergence")
         if args.steps < 1:
             raise ValueError("--steps must be at least 1")
-        steps = args.steps
-    kernel = short_time_matrix(force, args.m, args.t_total / steps, grid, params)
-    out = propagate(kernel, psi, steps)
+        kernel = short_time_matrix(force, args.m, args.t_total / args.steps, grid, params)
+        out = propagate(kernel, psi, args.steps)
     _write_lines(wavefunction_csv_lines(out), args.output)
     return 0
 

@@ -8,9 +8,9 @@ One slice of duration dt uses the kernel
 where W(x) = int F dx with zero constant term.  The symmetric endpoint
 average of W makes each slice a second-order (Strang-type) step, so chaining
 N slices converges to the exact evolution at O(dt^2) with Richardson ratio 4
-under step doubling.  Everything is dense and deterministic; matrix rows may
-be built in parallel (capped by the CCR_THREADS environment variable) but the
-result is independent of the thread count.
+under step doubling.  K = diag(e^{i dt W/2}) T diag(e^{i dt W/2}) with T
+Toeplitz, so a slice is one deterministic FFT convolution: O(n log n) time,
+O(n) memory.  CCR_THREADS is validated, but results do not depend on it.
 """
 
 from __future__ import annotations
@@ -18,20 +18,20 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .opalg import Polynomial
 from .propagator import (
-    EDGE_SAMPLES,
     AffineFlowExact,
     BoundaryLeak,
     GridTooCoarse,
     UniformGrid,
     WaveFunction,
+    _chirp_operator,
     evolve_exact,
     gaussian_kernel,
 )
@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 EDGE_LEAK_WARN = 1e-6
-_BUILD_BLOCK = 256
 
 
 def antiderivative(force: Polynomial) -> Polynomial:
@@ -56,33 +55,32 @@ def antiderivative(force: Polynomial) -> Polynomial:
     return force.antiderivative()
 
 
-def _worker_count() -> int:
-    """Parallelism for matrix construction, capped by CCR_THREADS."""
-    default = min(4, os.cpu_count() or 1)
-    raw = os.environ.get("CCR_THREADS")
-    if raw is None:
-        return default
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"CCR_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise ValueError(f"CCR_THREADS must be a positive integer, got {raw!r}")
-    return min(default, cap)
-
-
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Dense one-slice propagator including the quadrature weight dx.
+    """One slice K_ij = amp exp{i (kin (x_i - x_j)^2 + pot_i + pot_j)}, where
+    amp = (m/(2 pi i dt))^(1/2) dx, kin = m/(2 dt) and pot = (dt/2) W(x)."""
 
-    Bitwise symmetric: displacements enter squared and W enters as
-    W(x_i) + W(x_j).
-    """
-
-    matrix: np.ndarray
     grid: UniformGrid
     dt: float
     m: float
+    pot: np.ndarray
+
+    def _amp_kin(self) -> tuple[complex, float]:
+        amp = np.sqrt(self.m / (2j * math.pi * self.dt)) * self.grid.dx
+        return amp, self.m / (2 * self.dt)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense n x n view, built on first access; bitwise symmetric."""
+        amp, kin = self._amp_kin()
+        diff = self.grid.points()[:, None] - self.grid.points()
+        return amp * np.exp(1j * (kin * diff * diff + (self.pot[:, None] + self.pot)))
+
+    def operator(self):
+        """psi -> K psi by FFT: K = amp diag(e^{i pot}) T diag(e^{i pot}), T Toeplitz."""
+        amp, kin = self._amp_kin()
+        diag = np.exp(1j * self.pot)
+        return _chirp_operator(amp * diag, kin, self.grid.dx, diag)
 
 
 def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
@@ -97,12 +95,19 @@ def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
         raise ValueError("dt must be positive")
     if not m > 0:
         raise ValueError("mass must be positive")
+    raw = os.environ.get("CCR_THREADS")  # validated only; results do not depend on it
+    try:
+        valid = raw is None or int(raw) >= 1
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ValueError(f"CCR_THREADS must be a positive integer, got {raw!r}")
     x = grid.points()
-    f_vals = np.array([force.evaluate(xi, params) for xi in x])
+    # a constant polynomial evaluates to a scalar
+    f_vals = np.broadcast_to(force.evaluate(x, params), x.shape)
     if np.max(np.abs(f_vals.imag)) > 1e-12 * max(1.0, float(np.max(np.abs(f_vals)))):
         raise ValueError("force evaluated to complex values; check parameters")
-    w_poly = antiderivative(force)
-    w_vals = np.array([w_poly.evaluate(xi, params) for xi in x]).real
+    w_vals = np.broadcast_to(antiderivative(force).evaluate(x, params), x.shape).real
 
     phase_step = grid.dx * (2 * m * grid.abs_max / dt
                             + (dt / 2) * float(np.max(np.abs(f_vals.real))))
@@ -113,49 +118,27 @@ def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
             "or enlarge dt"
         )
 
-    amp = np.sqrt(m / (2j * math.pi * dt)) * grid.dx
-    kin = m / (2 * dt)
-    pot = (dt / 2) * w_vals
-    matrix = np.empty((grid.n, grid.n), dtype=complex)
-
-    def build_rows(start: int) -> None:
-        stop = min(start + _BUILD_BLOCK, grid.n)
-        diff = x[start:stop, None] - x[None, :]
-        phase = kin * diff * diff + (pot[start:stop, None] + pot[None, :])
-        matrix[start:stop] = amp * np.exp(1j * phase)
-
-    starts = range(0, grid.n, _BUILD_BLOCK)
-    workers = _worker_count()
-    if workers > 1 and grid.n > _BUILD_BLOCK:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(build_rows, starts))
-    else:
-        for start in starts:
-            build_rows(start)
-    return KernelMatrix(matrix=matrix, grid=grid, dt=dt, m=m)
+    return KernelMatrix(grid=grid, dt=dt, m=m, pot=(dt / 2) * w_vals)
 
 
 def propagate(kernel: KernelMatrix, psi0: WaveFunction, steps: int) -> WaveFunction:
-    """psi_N = K^N psi_0 by N matrix-vector products; warns on edge leakage."""
+    """psi_N = K^N psi_0 by N FFT applications of K; warns on edge leakage."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if psi0.grid != kernel.grid:
         raise ValueError("wavefunction grid does not match the kernel grid")
-    psi = psi0.samples.copy()
+    apply = kernel.operator()
+    psi = WaveFunction(psi0.samples.copy(), psi0.x_min, psi0.dx)
     warned = False
     for _ in range(steps):
-        psi = kernel.matrix @ psi
-        if not warned:
-            prob = np.abs(psi) ** 2
-            total = float(np.sum(prob))
-            edge = float(np.sum(prob[:EDGE_SAMPLES]) + np.sum(prob[-EDGE_SAMPLES:]))
-            if total > 0 and edge / total > EDGE_LEAK_WARN:
-                warnings.warn(
-                    f"edge mass fraction {edge / total:.2e} exceeds "
-                    f"{EDGE_LEAK_WARN:.0e}; results near the boundary are "
-                    "unreliable", BoundaryLeak, stacklevel=2)
-                warned = True
-    return WaveFunction(psi, psi0.x_min, psi0.dx)
+        psi = WaveFunction(apply(psi.samples), psi.x_min, psi.dx)
+        if not warned and psi.edge_mass_fraction() > EDGE_LEAK_WARN:
+            warnings.warn(
+                f"edge mass fraction {psi.edge_mass_fraction():.2e} exceeds "
+                f"{EDGE_LEAK_WARN:.0e}; results near the boundary are "
+                "unreliable", BoundaryLeak, stacklevel=2)
+            warned = True
+    return psi
 
 
 class ConvergenceRow(NamedTuple):
@@ -167,10 +150,11 @@ class ConvergenceRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Per-N errors of the chained kernel against a reference evolution."""
+    """Per-N errors against a reference evolution, and the finest-N state."""
 
     model: str
     rows: tuple
+    finest: WaveFunction
 
     def final_error(self) -> float:
         return self.rows[-1].l2_error
@@ -255,4 +239,4 @@ def convergence_study(force: Polynomial, m: float, psi0: WaveFunction,
         ratio = prev / err if (prev is not None and err > 0) else math.nan
         rows.append(ConvergenceRow(n, t_total / n, err, ratio))
         prev = err
-    return ConvergenceReport(model=model, rows=tuple(rows))
+    return ConvergenceReport(model=model, rows=tuple(rows), finest=results[steps[-1]])

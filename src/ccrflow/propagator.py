@@ -45,7 +45,6 @@ __all__ = [
 CAUSTIC_EPS = 1e-12
 EDGE_SAMPLES = 5
 EDGE_MASS_FLAG = 1e-10
-_EVOLVE_BLOCK = 512
 
 
 class CausticSingularity(ValueError):
@@ -326,21 +325,31 @@ def check_grid_resolution(kernel: GaussianKernel, grid: UniformGrid) -> None:
         )
 
 
+def _chirp_operator(left: np.ndarray, kappa: float, dx: float, right: np.ndarray):
+    """v -> diag(left) T diag(right) v, Toeplitz T_ij = exp{i kappa ((i-j) dx)^2}.
+
+    T is embedded in a circulant of power-of-two length L >= 2n - 1, where the
+    lags -(n-1)..n-1 stay distinct mod L, so one application is one zero-padded
+    FFT convolution (Bluestein's chirp-z identity): O(n log n), deterministic.
+    """
+    n = left.size
+    size = 1 << (2 * n - 2).bit_length()
+    lag = dx * np.arange(n)
+    col = np.exp(1j * kappa * lag * lag)
+    spectrum = np.fft.fft(np.concatenate([col, np.zeros(size - 2 * n + 1), col[:0:-1]]))
+    return lambda v: left * np.fft.ifft(spectrum * np.fft.fft(right * v, size))[:n]
+
+
 def evolve_exact(kernel: GaussianKernel, psi: WaveFunction) -> WaveFunction:
     """Apply the kernel by trapezoid quadrature: psi_out(x_b) = sum_a U psi dx.
 
-    Output samples are computed in fixed blocks with a single deterministic
-    matrix-vector product per block, so repeated runs are bit-identical.
+    With b x_b x_a = (b/2)(x_b^2 + x_a^2 - (x_b - x_a)^2), U is chirp * Toeplitz
+    * chirp on the grid, applied by FFT with no n x n array; deterministic.
     """
-    grid = psi.grid
-    check_grid_resolution(kernel, grid)
+    check_grid_resolution(kernel, psi.grid)
     x = psi.points()
-    col = np.exp(1j * (kernel.c * x * x + kernel.e * x)) * psi.samples * psi.weights()
-    out = np.empty(psi.n, dtype=complex)
-    for start in range(0, psi.n, _EVOLVE_BLOCK):
-        xb = x[start:start + _EVOLVE_BLOCK]
-        block = np.exp(1j * kernel.b * np.outer(xb, x)) @ col
-        out[start:start + _EVOLVE_BLOCK] = block * np.exp(
-            1j * (kernel.a * xb * xb + kernel.d * xb)
-        )
-    return WaveFunction(kernel.A * out, psi.x_min, psi.dx)
+    half_b = kernel.b / 2
+    left = kernel.A * np.exp(1j * ((kernel.a + half_b) * x * x + kernel.d * x))
+    right = np.exp(1j * ((kernel.c + half_b) * x * x + kernel.e * x))
+    apply = _chirp_operator(left, -half_b, psi.dx, right)
+    return WaveFunction(apply(psi.samples * psi.weights()), psi.x_min, psi.dx)

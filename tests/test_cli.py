@@ -174,6 +174,26 @@ def test_pathint_command_with_convergence(tmp_path):
     assert len(psi_csv.read_text().splitlines()) == 897
 
 
+def test_pathint_convergence_writes_finest_state(tmp_path):
+    common = ["pathint", "--force=-4*X-X^3", "--m", "4", "--t-total", "3",
+              "--x-min", "-2.55", "--x-max", "2.55", "--n", "256",
+              "--x0", "0.3", "--sigma", "0.5"]
+    study, single = tmp_path / "study.csv", tmp_path / "single.csv"
+    assert main(common + ["--convergence", "5,10", "--output", str(study),
+                          "--report-output", str(tmp_path / "report.csv")]) == 0
+    assert main(common + ["--steps", "10", "--output", str(single)]) == 0
+    assert study.read_bytes() == single.read_bytes()
+
+
+def test_unbound_force_parameter_is_usage_error(capsys):
+    assert main(["pathint", "--force=-k*X", "--m", "1", "--t-total", "1",
+                 "--steps", "2", "--x-min", "-6", "--x-max", "6",
+                 "--n", "256"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "'k'" in err
+
+
 def test_exit_code_usage_errors(capsys):
     assert main(["normord", "X^-1"]) == 2
     assert main(["kernel", "--model", "free", "--t", "1",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,38 @@ def test_boundary_leak_warning():
     kernel = short_time_matrix(Polynomial.zero(), 1.0, 0.05, grid)
     with pytest.warns(BoundaryLeak):
         propagate(kernel, psi, 10)
+
+
+@pytest.mark.filterwarnings("ignore::ccrflow.propagator.BoundaryLeak")
+@pytest.mark.parametrize("n", [2, 3, 97, 896])
+def test_propagate_matches_dense_chain(n):
+    # cubic force, so the diagonal factors are not a pure chirp; dt puts the
+    # kinetic phase step at 1 rad per cell on every grid
+    force = Polynomial.from_list([0, Fraction(-1, 16), 0, Fraction(-1, 32)])
+    m, steps = 1.0, 5
+    grid = UniformGrid.from_bounds(-1, 1, n)
+    psi = WaveFunction.gaussian_packet(grid, center=0.1, width=0.3, momentum=0.5)
+    kernel = short_time_matrix(force, m, 2 * m * grid.abs_max * grid.dx, grid)
+    dense = psi.samples
+    for _ in range(steps):
+        dense = kernel.matrix @ dense
+    got = propagate(kernel, psi, steps).samples
+    assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_large_grid_allocates_no_dense_matrix():
+    # the dense slice matrix at n = 16384 would take 16 n^2 bytes = 4.3 GB
+    grid = UniformGrid.from_bounds(-6, 6, 16384)
+    psi = WaveFunction.gaussian_packet(grid, center=0.5)
+    tracemalloc.start()
+    try:
+        kernel = short_time_matrix(harmonic_force(1.0, 1.0), 1.0, 0.05, grid)
+        out = propagate(kernel, psi, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert abs(out.norm() - 1.0) < 1e-6
 
 
 def test_discrete_ehrenfest_harmonic():

@@ -268,6 +268,21 @@ def test_delta_limit_small_time():
     assert out.l2_distance(psi) < 1e-3
 
 
+@pytest.mark.parametrize("kernel", [
+    gaussian_kernel(AffineFlowExact.free(1.0), 0.8),
+    gaussian_kernel(AffineFlowExact.harmonic(1.3, 0.9), 1.1),
+    gaussian_kernel(AffineFlowExact.linear(0.7, -1.2), 0.6),
+    GaussianKernel(a=0.3, b=-1.1, c=-0.2, d=0.4, e=-0.7, A=0.5 - 0.2j),
+], ids=["free", "harmonic", "linear", "asymmetric"])
+def test_evolve_matches_dense_quadrature(kernel):
+    grid = UniformGrid.from_bounds(-5, 4, 900)
+    psi = WaveFunction.gaussian_packet(grid, center=-0.4, width=0.9, momentum=0.6)
+    x = psi.points()
+    dense = kernel(x[:, None], x[None, :]) @ (psi.samples * psi.weights())
+    got = evolve_exact(kernel, psi).samples
+    assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
 def test_evolution_is_deterministic():
     grid = UniformGrid.from_bounds(-6, 6, 512)
     psi = WaveFunction.gaussian_packet(grid, center=0.2, momentum=0.4)
