@@ -41,7 +41,6 @@ from .pathint import (
     ConvergenceReport,
     ConvergenceRow,
     KernelMatrix,
-    antiderivative,
     convergence_study,
     propagate,
     short_time_matrix,

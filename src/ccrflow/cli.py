@@ -17,12 +17,13 @@ X and P names a real parameter.
 CSV convention: header row; complex values as two columns ``re``, ``im``;
 17 significant digits in scientific notation; '.' decimal separator; LF line
 endings.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 domain error (caustic, grid too coarse, non-affine flow).
+3 domain error (caustic, grid too coarse, non-affine flow, float overflow).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -295,11 +296,22 @@ def report_csv_lines(report: ConvergenceReport) -> list[str]:
 # configuration
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """float(text) for flags and config values; NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 _CONFIG_KEYS = {
-    "model": str, "m": float, "omega": float, "F0": float,
-    "x_min": float, "x_max": float, "n": int,
-    "t": float, "t_total": float, "steps": int, "order": int,
-    "x0": float, "p0": float, "sigma": float,
+    "model": str, "m": _finite_float, "omega": _finite_float, "F0": _finite_float,
+    "x_min": _finite_float, "x_max": _finite_float, "n": int,
+    "t": _finite_float, "t_total": _finite_float, "steps": int, "order": int,
+    "x0": _finite_float, "p0": _finite_float, "sigma": _finite_float,
     "force": str, "convergence": str, "output": str,
 }
 
@@ -318,7 +330,10 @@ def _read_config_file(path: str) -> dict:
             val = val.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONFIG_KEYS[key](val)
+            try:
+                values[key] = _CONFIG_KEYS[key](val)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -350,20 +365,23 @@ def _validated_grid(args: argparse.Namespace) -> UniformGrid:
     return UniformGrid.from_bounds(args.x_min, args.x_max, args.n)
 
 
+_FLOWS = {  # --model alias -> (flow constructor, flags it needs besides --m)
+    "free": (AffineFlowExact.free, ()),
+    "harmonic": (AffineFlowExact.harmonic, ("omega",)),
+    "linear": (AffineFlowExact.linear, ("F0",)),
+}
+
+
 def _flow_from_args(args: argparse.Namespace) -> AffineFlowExact:
     if args.m is None or not args.m > 0:
         raise ValueError("mass must be given and positive (--m)")
-    if args.model == "free":
-        return AffineFlowExact.free(args.m)
-    if args.model == "harmonic":
-        if args.omega is None:
-            raise ValueError("harmonic model needs --omega")
-        return AffineFlowExact.harmonic(args.m, args.omega)
-    if args.model == "linear":
-        if args.F0 is None:
-            raise ValueError("linear model needs --F0")
-        return AffineFlowExact.linear(args.m, args.F0)
-    raise ValueError(f"unknown model {args.model!r}")
+    if args.model not in _FLOWS:
+        raise ValueError(f"unknown model {args.model!r}")
+    make, flags = _FLOWS[args.model]
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise ValueError(f"{args.model} model needs --{flag}")
+    return make(args.m, *(getattr(args, flag) for flag in flags))
 
 
 def _packet(args: argparse.Namespace, grid: UniformGrid) -> WaveFunction:
@@ -482,27 +500,34 @@ def _cmd_verify(args) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors end in main as one 'ccrflow: error:' line and exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _add_common_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=("free", "harmonic", "linear"))
-    p.add_argument("--m", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--F0", type=float)
+    p.add_argument("--model", choices=tuple(_FLOWS))
+    p.add_argument("--m", type=_finite_float)
+    p.add_argument("--omega", type=_finite_float)
+    p.add_argument("--F0", type=_finite_float)
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x-min", dest="x_min", type=float)
-    p.add_argument("--x-max", dest="x_max", type=float)
+    p.add_argument("--x-min", dest="x_min", type=_finite_float)
+    p.add_argument("--x-max", dest="x_max", type=_finite_float)
     p.add_argument("--n", type=int)
 
 
 def _add_packet_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x0", type=float)
-    p.add_argument("--p0", type=float)
-    p.add_argument("--sigma", type=float)
+    p.add_argument("--x0", type=_finite_float)
+    p.add_argument("--p0", type=_finite_float)
+    p.add_argument("--sigma", type=_finite_float)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ccrflow",
         description="Operator algebra over [X,P]=i, operator flows, Gaussian "
                     "propagators, and a time-sliced grid path integral.")
@@ -520,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_comm)
 
     p = sub.add_parser("series", help="print operator Taylor series X(t), P(t)")
-    p.add_argument("--model", choices=("free", "harmonic", "linear"))
+    p.add_argument("--model", choices=tuple(_FLOWS))
     p.add_argument("--order", type=int)
     p.add_argument("--config")
     p.add_argument("--output")
@@ -529,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="CSV of the propagator on a grid")
     _add_common_model_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--t", type=float)
+    p.add_argument("--t", type=_finite_float)
     p.add_argument("--coefficients", action="store_true",
                    help="emit the 6 complex kernel coefficients instead")
     p.add_argument("--config")
@@ -540,19 +565,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_model_flags(p)
     _add_grid_flags(p)
     _add_packet_flags(p)
-    p.add_argument("--t", type=float)
+    p.add_argument("--t", type=_finite_float)
     p.add_argument("--config")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("pathint", help="CSV of a packet evolved by kernel chaining")
     p.add_argument("--force", help="force polynomial in X, e.g. \"-4*X\"")
-    p.add_argument("--m", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--F0", type=float)
+    p.add_argument("--m", type=_finite_float)
+    p.add_argument("--omega", type=_finite_float)
+    p.add_argument("--F0", type=_finite_float)
     _add_grid_flags(p)
     _add_packet_flags(p)
-    p.add_argument("--t-total", dest="t_total", type=float)
+    p.add_argument("--t-total", dest="t_total", type=_finite_float)
     p.add_argument("--steps", type=int)
     p.add_argument("--convergence", help="comma-separated step counts")
     p.add_argument("--report-output", dest="report_output")
@@ -568,11 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CausticSingularity, GridTooCoarse, NonAffineFlow) as exc:
+    except (CausticSingularity, GridTooCoarse, NonAffineFlow, OverflowError) as exc:
         print(f"ccrflow: domain error: {exc}", file=sys.stderr)
         return 3
     except (ExpressionError, ValueError, OSError) as exc:

@@ -40,7 +40,6 @@ __all__ = [
     "KernelMatrix",
     "ConvergenceRow",
     "ConvergenceReport",
-    "antiderivative",
     "short_time_matrix",
     "propagate",
     "convergence_study",
@@ -48,11 +47,6 @@ __all__ = [
 ]
 
 EDGE_LEAK_WARN = 1e-6
-
-
-def antiderivative(force: Polynomial) -> Polynomial:
-    """W(x) = int F dx with W(0) = 0, exactly (W' = F term by term)."""
-    return force.antiderivative()
 
 
 @dataclass(frozen=True)
@@ -107,7 +101,7 @@ def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
     f_vals = np.broadcast_to(force.evaluate(x, params), x.shape)
     if np.max(np.abs(f_vals.imag)) > 1e-12 * max(1.0, float(np.max(np.abs(f_vals)))):
         raise ValueError("force evaluated to complex values; check parameters")
-    w_vals = np.broadcast_to(antiderivative(force).evaluate(x, params), x.shape).real
+    w_vals = np.broadcast_to(force.antiderivative().evaluate(x, params), x.shape).real
 
     phase_step = grid.dx * (2 * m * grid.abs_max / dt
                             + (dt / 2) * float(np.max(np.abs(f_vals.real))))
@@ -150,9 +144,10 @@ class ConvergenceRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Per-N errors against a reference evolution, and the finest-N state."""
+    """Per-N errors against a reference evolution, and the finest-N state;
+    flow is the closed-form reference's, None when the finest N is the reference."""
 
-    model: str
+    flow: AffineFlowExact | None
     rows: tuple
     finest: WaveFunction
 
@@ -160,53 +155,16 @@ class ConvergenceReport:
         return self.rows[-1].l2_error
 
 
-def _classify(force: Polynomial, m: float,
-              params: Mapping[str, float] | None) -> tuple[str, dict]:
-    numeric = {k: complex(c.evaluate(params)) for k, c in force.coeffs.items()}
-    if any(abs(v.imag) > 1e-12 for v in numeric.values()):
-        return "general", {}
-    degree = max(numeric, default=0)
-    c0 = numeric.get(0, 0j).real
-    c1 = numeric.get(1, 0j).real
-    if degree == 0:
-        if c0 == 0.0:
-            return "free", {}
-        return "linear", {"F0": c0}
-    if degree == 1 and c1 < 0 and c0 == 0.0:
-        return "harmonic", {"omega": math.sqrt(-c1 / m)}
-    return "general", {}
-
-
-def _reference_state(model: str, extras: dict, m: float, psi0: WaveFunction,
-                     t_total: float) -> WaveFunction:
-    if model == "free":
-        flow = AffineFlowExact.free(m)
-    elif model == "harmonic":
-        flow = AffineFlowExact.harmonic(m, extras["omega"])
-    else:
-        flow = AffineFlowExact.linear(m, extras["F0"])
-    ref = evolve_exact(gaussian_kernel(flow, t_total), psi0)
-    if model == "linear":
-        # The quadratic-form kernel fixes the amplitude phase only up to a
-        # spatially constant factor; the time-sliced chain converges to the
-        # evolution that carries the constant action phase -F0^2 t^3/(24 m).
-        # Fold it into the reference so the study measures discretization
-        # error rather than a fixed phase offset.
-        F0 = extras["F0"]
-        ref = WaveFunction(
-            ref.samples * np.exp(-1j * F0 * F0 * t_total ** 3 / (24 * m)),
-            ref.x_min, ref.dx)
-    return ref
-
-
 def convergence_study(force: Polynomial, m: float, psi0: WaveFunction,
                       t_total: float, n_list: Sequence[int],
                       params: Mapping[str, float] | None = None) -> ConvergenceReport:
     """Chain K^N for each N and report L2 errors against a reference.
 
-    For the free, harmonic and linear force models the reference is the
-    closed-form evolution; for anything else it is the finest-N run itself
-    (which is then omitted from the report).  Every N must satisfy the slice
+    For every force F0 + m kappa X the reference is the closed-form evolution
+    of AffineFlowExact.from_force, times exp{i flow.phase(t)}: the chained
+    slices carry that constant action phase, so the errors measure
+    discretization alone.  For any other force it is the finest-N run itself
+    (then omitted from the report).  Every N must satisfy the slice
     oscillation rule on psi0's grid.
     """
     steps = sorted(set(int(n) for n in n_list))
@@ -218,18 +176,22 @@ def convergence_study(force: Polynomial, m: float, psi0: WaveFunction,
         raise ValueError("step counts must be positive")
     if not t_total > 0:
         raise ValueError("t_total must be positive")
+    if not m > 0:
+        raise ValueError("mass must be positive")
 
-    model, extras = _classify(force, m, params)
+    flow = AffineFlowExact.from_force(force, m, params)
     results = {}
     for n in steps:
         kernel = short_time_matrix(force, m, t_total / n, psi0.grid, params)
         results[n] = propagate(kernel, psi0, n)
 
-    if model == "general":
+    if flow is None:
         reference = results[steps[-1]]
         reported = steps[:-1]
     else:
-        reference = _reference_state(model, extras, m, psi0, t_total)
+        exact = evolve_exact(gaussian_kernel(flow, t_total), psi0)
+        reference = WaveFunction(exact.samples * np.exp(1j * flow.phase(t_total)),
+                                 exact.x_min, exact.dx)
         reported = steps
 
     rows = []
@@ -239,4 +201,4 @@ def convergence_study(force: Polynomial, m: float, psi0: WaveFunction,
         ratio = prev / err if (prev is not None and err > 0) else math.nan
         rows.append(ConvergenceRow(n, t_total / n, err, ratio))
         prev = err
-    return ConvergenceReport(model=model, rows=tuple(rows), finest=results[steps[-1]])
+    return ConvergenceReport(flow=flow, rows=tuple(rows), finest=results[steps[-1]])

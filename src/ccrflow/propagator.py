@@ -25,6 +25,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from .opalg import Polynomial
+
 __all__ = [
     "CausticSingularity",
     "GridTooCoarse",
@@ -88,52 +90,83 @@ class UniformGrid(NamedTuple):
 
 @dataclass(frozen=True)
 class AffineFlowExact:
-    """Closed-form alpha, beta, gamma for the three solvable force models.
+    """Closed-form flow X(t) = alpha X + beta P + gamma of the force
+    F = F0 + m kappa X, the forces whose propagator is Gaussian.
 
-    free:      alpha = 1,            beta = t/m,               gamma = 0
-    harmonic:  alpha = cos(omega t), beta = sin(omega t)/(m omega), gamma = 0
-    linear:    alpha = 1,            beta = t/m,               gamma = F0 t^2/(2m)
+    kappa < 0, w = sqrt(-kappa): cos wt, sin wt/(m w), 2 F0 sin^2(wt/2)/(m w^2)
+    kappa > 0, w = sqrt(kappa):  the same with cosh and sinh
+    kappa = 0:                   1, t/m, F0 t^2/(2m)
+
+    free, harmonic (kappa = -omega^2) and linear are the paper's three cases;
+    shifted and inverted oscillators need no other code.
     """
 
-    model: str
     m: float
-    omega: float = 0.0
+    kappa: float = 0.0
     F0: float = 0.0
 
     def __post_init__(self):
-        if self.model not in ("free", "harmonic", "linear"):
-            raise ValueError(f"unknown model {self.model!r}")
-        if not self.m > 0:
-            raise ValueError("mass must be positive")
-        if self.model == "harmonic" and not self.omega > 0:
-            raise ValueError("harmonic flow needs omega > 0")
+        if not (self.m > 0 and all(map(math.isfinite, (self.m, self.kappa, self.F0)))):
+            raise ValueError("m must be positive, and m, kappa and F0 finite")
 
     @classmethod
     def free(cls, m: float) -> "AffineFlowExact":
-        return cls("free", m)
+        return cls(m)
 
     @classmethod
     def harmonic(cls, m: float, omega: float) -> "AffineFlowExact":
-        return cls("harmonic", m, omega=omega)
+        if not omega > 0:
+            raise ValueError("harmonic flow needs omega > 0")
+        return cls(m, kappa=-omega * omega)  # sqrt(omega^2) == omega exactly
 
     @classmethod
     def linear(cls, m: float, F0: float) -> "AffineFlowExact":
-        return cls("linear", m, F0=F0)
+        return cls(m, F0=F0)
+
+    @classmethod
+    def from_force(cls, force: Polynomial, m: float,
+                   params: Mapping[str, float] | None = None) -> "AffineFlowExact | None":
+        """The flow of F = c0 + c1 X; None for a higher degree or a non-real c_k."""
+        numeric = {k: complex(c.evaluate(params)) for k, c in force.coeffs.items()}
+        if max(numeric, default=0) > 1 or any(abs(v.imag) > 1e-12 for v in numeric.values()):
+            return None
+        return cls(m, kappa=numeric.get(1, 0j).real / m, F0=numeric.get(0, 0j).real)
+
+    def _flow(self, t: float) -> tuple[float, float, float]:
+        if self.kappa == 0:
+            return 1.0, t / self.m, self.F0 * t * t / (2 * self.m)
+        w = math.sqrt(abs(self.kappa))
+        if self.kappa > 0 and w * abs(t) > 710:
+            raise OverflowError(f"cosh({w * abs(t):.4g}) is beyond the float range")
+        cos, sin = (math.cos, math.sin) if self.kappa < 0 else (math.cosh, math.sinh)
+        return (cos(w * t), sin(w * t) / (self.m * w),
+                2 * self.F0 * sin(w * t / 2) ** 2 / (self.m * w * w))
 
     def alpha(self, t: float) -> float:
-        if self.model == "harmonic":
-            return math.cos(self.omega * t)
-        return 1.0
+        return self._flow(t)[0]
 
     def beta(self, t: float) -> float:
-        if self.model == "harmonic":
-            return math.sin(self.omega * t) / (self.m * self.omega)
-        return t / self.m
+        return self._flow(t)[1]
 
     def gamma(self, t: float) -> float:
-        if self.model == "linear":
-            return self.F0 * t * t / (2 * self.m)
-        return 0.0
+        return self._flow(t)[2]
+
+    def phase(self, t: float) -> float:
+        """The constant action phase the kernel omits (V(0) = 0):
+        -F0^2 t^3/(24 m) g(s), s = kappa t^2, with g = 24 (tan(u/2) - u/2)/u^3
+        for s = -u^2 and 24 (u/2 - tanh(u/2))/u^3 for s = u^2.  Both cancel
+        catastrophically near s = 0, where g = 1 - s/10 + 17 s^2/1680 (relative
+        error below 3e-12); g = 1 at kappa = 0, the constant-force phase."""
+        s = self.kappa * t * t
+        if abs(s) < 1e-3:
+            g = 1 - s / 10 + 17 * s * s / 1680
+        elif s < 0:
+            u = math.sqrt(-s)
+            g = 24 * (math.tan(u / 2) - u / 2) / u ** 3
+        else:
+            u = math.sqrt(s)
+            g = 24 * (u / 2 - math.tanh(u / 2)) / u ** 3
+        return -self.F0 * self.F0 * t ** 3 / (24 * self.m) * g
 
 
 @dataclass(frozen=True)
@@ -159,15 +192,19 @@ class GaussianKernel:
         )
 
 
+def _at_caustic(beta: float, m: float, t: float) -> bool:
+    return abs(beta) * m <= CAUSTIC_EPS * abs(t)
+
+
 def gaussian_kernel(flow: AffineFlowExact, t: float) -> GaussianKernel:
     """Kernel coefficients from the affine flow at time t.
 
-    Raises CausticSingularity when |beta(t)| <= 1e-12; that covers t = 0 and,
-    for the harmonic flow, omega t = n pi.  No phase continuation is applied
-    past a caustic.
+    Raises CausticSingularity where |beta| m <= CAUSTIC_EPS |t| (beta m/t is 1
+    for the free flow): t = 0 and omega t = n pi.  A is on the principal branch,
+    with no phase continuation past a caustic; flow.phase(t) is not included.
     """
     beta = flow.beta(t)
-    if abs(beta) <= CAUSTIC_EPS:
+    if _at_caustic(beta, flow.m, t):
         raise CausticSingularity(
             f"beta({t}) = {beta:.3e}; the kernel is singular at this time"
         )
@@ -197,14 +234,14 @@ def closed_form_kernel(model: str, params: Mapping[str, float], t: float,
     """
     m = params["m"]
     if model == "free":
-        if abs(t / m) <= CAUSTIC_EPS:
+        if _at_caustic(t / m, m, t):
             raise CausticSingularity("free kernel is singular at t = 0")
         amp = cmath.sqrt(m / (2j * math.pi * t))
         return amp * cmath.exp(1j * m * (x_b - x_a) ** 2 / (2 * t))
     if model == "harmonic":
         omega = params["omega"]
         s = math.sin(omega * t)
-        if abs(s / (m * omega)) <= CAUSTIC_EPS:
+        if _at_caustic(s / (m * omega), m, t):
             raise CausticSingularity("harmonic kernel is singular at omega t = n pi")
         amp = cmath.sqrt(m * omega / (2j * math.pi * s))
         phase = m * omega * ((x_b * x_b + x_a * x_a) * math.cos(omega * t)
@@ -212,7 +249,7 @@ def closed_form_kernel(model: str, params: Mapping[str, float], t: float,
         return amp * cmath.exp(1j * phase)
     if model == "linear":
         F0 = params["F0"]
-        if abs(t / m) <= CAUSTIC_EPS:
+        if _at_caustic(t / m, m, t):
             raise CausticSingularity("linear kernel is singular at t = 0")
         amp = cmath.sqrt(m / (2j * math.pi * t))
         phase = (m / (2 * t)) * ((x_b - x_a) ** 2 + F0 * t * t * (x_b + x_a) / m)

@@ -212,7 +212,7 @@ def test_criterion_7_pathint_convergence():
         for row in report.rows[1:]:
             assert 3.2 <= row.ratio <= 4.8
         assert report.final_error() < 1e-3
-        details.append(f"{report.model} final {report.final_error():.1e}")
+        details.append(f"{report.flow} final {report.final_error():.1e}")
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     _report("criterion 7 pathint-convergence",

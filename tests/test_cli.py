@@ -213,6 +213,50 @@ def test_exit_code_domain_errors(capsys):
     capsys.readouterr()
 
 
+def test_caustic_test_is_scale_free(capsys):
+    # beta = 1e-13 for a heavy free particle, but beta m / t = 1
+    assert main(["kernel", "--model", "free", "--m", "1e13", "--t", "1",
+                 "--x-min", "-1", "--x-max", "1", "--n", "4", "--coefficients"]) == 0
+    # a light oscillator at omega t = pi has |beta| = 1.2e-10, still a caustic
+    assert main(["kernel", "--model", "harmonic", "--m", "1e-6", "--omega", "1",
+                 "--t", str(math.pi), "--x-min", "-1", "--x-max", "1",
+                 "--n", "4", "--coefficients"]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value", [("--t", "inf"), ("--x-max", "inf"),
+                                         ("--m", "nan"), ("--t", "Infinity")])
+def test_non_finite_flag_is_usage_error(flag, value, capsys):
+    args = {"--model": "free", "--m": "1", "--t": "1", "--x-min": "-1",
+            "--x-max": "1", "--n": "4"}
+    args[flag] = value
+    assert main(["kernel"] + [part for item in args.items() for part in item]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert flag in captured.err and value in captured.err
+
+
+def test_non_finite_config_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = free\nm = 1\nt = inf\nx_min = -1\nx_max = 1\nn = 4\n")
+    assert main(["kernel", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "run.cfg:3: t:" in captured.err and "'inf'" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore::ccrflow.propagator.BoundaryLeak")
+def test_flow_beyond_float_range_is_domain_error(capsys):
+    # an inverted oscillator with sqrt(kappa) t = 1000: cosh overflows
+    assert main(["pathint", "--force=1000000*X", "--m", "1", "--t-total", "1",
+                 "--x-min", "-0.001", "--x-max", "0.001", "--n", "64",
+                 "--convergence", "1,2", "--output", "/dev/null"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cosh(1000)" in err
+
+
 def test_invalid_ccr_threads_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("CCR_THREADS", "-3")
     assert main(["pathint", "--force", "0", "--m", "1", "--t-total", "1",

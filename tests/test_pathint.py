@@ -10,7 +10,6 @@ from ccrflow.opalg import Polynomial, ScalarCoeff
 from ccrflow.pathint import (
     BoundaryLeak,
     ConvergenceReport,
-    antiderivative,
     convergence_study,
     propagate,
     short_time_matrix,
@@ -36,21 +35,21 @@ def constant_force(F0):
 # ---- antiderivative ----
 
 def test_antiderivative_constant_force():
-    w = antiderivative(Polynomial.monomial(0, ScalarCoeff.param("F0")))
+    w = Polynomial.monomial(0, ScalarCoeff.param("F0")).antiderivative()
     assert w == Polynomial.monomial(1, ScalarCoeff.param("F0"))
 
 
 def test_antiderivative_harmonic_force():
     c = -(ScalarCoeff.param("m") * ScalarCoeff.param("omega", 2))
-    w = antiderivative(Polynomial.monomial(1, c))
+    w = Polynomial.monomial(1, c).antiderivative()
     assert w == Polynomial.monomial(2, c * Fraction(1, 2))
 
 
 def test_antiderivative_zero():
-    assert antiderivative(Polynomial.zero()) == Polynomial.zero()
+    assert Polynomial.zero().antiderivative() == Polynomial.zero()
     # W' = F exactly, W(0) = 0
     f = Polynomial.from_list([1, Fraction(-2, 3), 0, 5])
-    w = antiderivative(f)
+    w = f.antiderivative()
     assert w.derivative() == f
     assert 0 not in w.coeffs
 
@@ -253,7 +252,7 @@ def test_harmonic_convergence():
     grid = UniformGrid.from_bounds(-2.55, 2.55, 896)
     psi = WaveFunction.gaussian_packet(grid, center=0.3, width=0.5)
     report = convergence_study(harmonic_force(), 4.0, psi, 3.0, [5, 10, 20, 40])
-    assert report.model == "harmonic"
+    assert report.flow == AffineFlowExact.harmonic(4.0, 1.0)
     errors = [row.l2_error for row in report.rows]
     assert all(b < a for a, b in zip(errors, errors[1:]))
     for row in report.rows[1:]:
@@ -265,7 +264,7 @@ def test_linear_convergence():
     grid = UniformGrid.from_bounds(-6, 6, 768)
     psi = WaveFunction.gaussian_packet(grid, center=0.1, width=1.0, momentum=-0.4)
     report = convergence_study(constant_force(0.8), 1.0, psi, 1.0, [1, 2, 4, 8])
-    assert report.model == "linear"
+    assert report.flow == AffineFlowExact.linear(1.0, 0.8)
     errors = [row.l2_error for row in report.rows]
     assert all(b < a for a, b in zip(errors, errors[1:]))
     for row in report.rows[1:]:
@@ -281,9 +280,30 @@ def test_free_chain_error_is_quadrature_dominated():
     grid = UniformGrid.from_bounds(-6, 6, 768)
     psi = WaveFunction.gaussian_packet(grid)
     report = convergence_study(Polynomial.zero(), 1.0, psi, 1.0, [1, 2, 4, 8])
-    assert report.model == "free"
+    assert report.flow == AffineFlowExact.free(1.0)
     for row in report.rows:
         assert row.l2_error < 1e-4
+
+
+@pytest.mark.parametrize("coeffs, m, box, n, t_total, packet, n_list", [
+    # shifted oscillator -4*X+1: centre 1/4, phase -3.2 rad at t = 3
+    ([1, -4], 4.0, 2.55, 896, 3.0, (0.3, 0.5, 0.0), [5, 10, 20, 40]),
+    # inverted oscillator X/2, and with a constant force added
+    ([0, Fraction(1, 2)], 1.0, 6.0, 768, 1.0, (0.1, 1.0, -0.4), [1, 2, 4, 8]),
+    ([Fraction(3, 10), Fraction(1, 2)], 1.0, 6.0, 768, 1.0, (0.1, 1.0, -0.4), [1, 2, 4, 8]),
+], ids=["shifted", "inverted", "inverted-shifted"])
+def test_affine_force_convergence_against_closed_form(coeffs, m, box, n, t_total,
+                                                      packet, n_list):
+    force = Polynomial.from_list(coeffs)
+    grid = UniformGrid.from_bounds(-box, box, n)
+    center, width, momentum = packet
+    psi = WaveFunction.gaussian_packet(grid, center=center, width=width, momentum=momentum)
+    report = convergence_study(force, m, psi, t_total, n_list)
+    assert report.flow is not None
+    assert [row.steps for row in report.rows] == n_list
+    for row in report.rows[1:]:
+        assert 3.2 <= row.ratio <= 4.8
+    assert report.final_error() < 2e-3
 
 
 def test_general_force_self_convergence():
@@ -291,7 +311,7 @@ def test_general_force_self_convergence():
     grid = UniformGrid.from_bounds(-4, 4, 640)
     psi = WaveFunction.gaussian_packet(grid, center=0.5, width=0.8)
     report = convergence_study(force, 1.0, psi, 0.6, [2, 4, 8])
-    assert report.model == "general"
+    assert report.flow is None
     # the finest run is the reference, so it is not reported
     assert [row.steps for row in report.rows] == [2, 4]
     errors = [row.l2_error for row in report.rows]

@@ -1,10 +1,13 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ccrflow.heisenberg import ForceLaw, extract_affine, generator, newtonian_velocity, taylor_flow
+from ccrflow.opalg import Polynomial, ScalarCoeff, X
 from ccrflow.propagator import (
     AffineFlowExact,
     CausticSingularity,
@@ -55,8 +58,8 @@ def test_amplitude_magnitude_invariant():
     for flow in flows:
         for _ in range(25):
             t = rng.uniform(0.05, 4.0)
-            if flow.model == "harmonic":
-                t = rng.uniform(0.1, 3.0) / flow.omega
+            if flow.kappa < 0:
+                t = rng.uniform(0.1, 3.0) / math.sqrt(-flow.kappa)
             k = gaussian_kernel(flow, t)
             want = (2 * math.pi * abs(flow.beta(t))) ** -0.5
             assert abs(abs(k.A) - want) < 1e-14 * want
@@ -70,13 +73,92 @@ def test_caustic_detection():
         gaussian_kernel(AffineFlowExact.free(1.0), 0.0)
 
 
+def test_scale_free_caustic_test():
+    # beta = t/m is tiny for a heavy particle, but beta m / t = 1: no caustic
+    k = gaussian_kernel(AffineFlowExact.free(1e13), 1.0)
+    assert k.b == -1e13
+    assert closed_form_kernel("free", {"m": 1e13}, 1.0, 0.0, 0.0) != 0
+    assert closed_form_kernel("linear", {"m": 1e13, "F0": 1.0}, 1.0, 0.0, 0.0) != 0
+    # a light oscillator at omega t = pi has |beta| = 1.2e-10, still a caustic
+    with pytest.raises(CausticSingularity):
+        gaussian_kernel(AffineFlowExact.harmonic(1e-6, 1.0), math.pi)
+    with pytest.raises(CausticSingularity):
+        closed_form_kernel("harmonic", {"m": 1e-6, "omega": 1.0}, math.pi, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("coeffs, m", [
+    ([1, -4], 1.0),                         # shifted oscillator -4*X+1
+    ([0, Fraction(1, 2)], 1.0),             # inverted oscillator X/2
+    ([Fraction(3, 10), Fraction(1, 2)], 1.3),  # inverted, shifted
+], ids=["shifted", "inverted", "inverted-shifted"])
+def test_affine_flow_matches_taylor_route(coeffs, m):
+    # the paper's route: X(t) as an operator Taylor series from dO/dt = i[G, O]
+    force = Polynomial.from_list(coeffs)
+    series = extract_affine(taylor_flow(X, generator(ForceLaw(force), newtonian_velocity()), 24))
+    flow = AffineFlowExact.from_force(force, m)
+    for t in (0.05, 0.3, 0.7, 1.0):
+        want = series.evaluate(t, {"m": m})
+        got = (flow.alpha(t), flow.beta(t), flow.gamma(t))
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+
+
+def test_from_force_rejects_non_affine_forces():
+    assert AffineFlowExact.from_force(Polynomial.from_list([0, 0, 1]), 1.0) is None
+    assert AffineFlowExact.from_force(Polynomial.monomial(0, ScalarCoeff.imag_unit()), 1.0) is None
+    assert AffineFlowExact.from_force(Polynomial.from_list([2, -3]), 1.5) == \
+        AffineFlowExact(1.5, kappa=-2.0, F0=2.0)
+
+
+def _with_phase(flow, t, xb, xa):
+    return gaussian_kernel(flow, t)(xb, xa) * cmath.exp(1j * flow.phase(t))
+
+
+def _composed(flow, t1, t2, xb, xa):
+    """int U(t1)(x_b, y) U(t2)(y, x_a) dy by the Gaussian integral
+    int exp{i (q y^2 + l y)} dy = (i pi/q)^(1/2) exp{-i l^2/(4 q)}, q real."""
+    k1, k2 = gaussian_kernel(flow, t1), gaussian_kernel(flow, t2)
+    q = k1.c + k2.a
+    lin = k1.b * xb + k1.e + k2.b * xa + k2.d
+    outer = k1.a * xb * xb + k1.d * xb + k2.c * xa * xa + k2.e * xa
+    return (k1.A * k2.A * cmath.sqrt(1j * math.pi / q)
+            * cmath.exp(1j * (flow.phase(t1) + flow.phase(t2) + outer - lin * lin / (4 * q))))
+
+
+@pytest.mark.parametrize("kappa", [-1.3, 0.0, 0.7])
+def test_group_law_with_phase(kappa):
+    # U(t1) U(t2) = U(t1 + t2) exactly once the constant phase is carried
+    flow = AffineFlowExact(1.7, kappa=kappa, F0=0.9)
+    for t1, t2 in ((0.4, 0.7), (1.1, 0.3)):
+        for xb, xa in ((0.3, -1.2), (-1.5, 0.8), (0.0, 2.0)):
+            want = _with_phase(flow, t1 + t2, xb, xa)
+            assert abs(_composed(flow, t1, t2, xb, xa) - want) < 1e-12 * abs(want)
+
+
+def test_affine_flow_continuous_at_kappa_zero_and_phase_series_switch():
+    m, F0, t = 1.3, 0.7, 1.0
+
+    def values(kappa):
+        flow = AffineFlowExact(m, kappa=kappa, F0=F0)
+        return np.array([flow.alpha(t), flow.beta(t), flow.gamma(t), flow.phase(t)])
+
+    at_zero = values(0.0)
+    for kappa in (-1e-12, 1e-12):
+        assert np.allclose(values(kappa), at_zero, rtol=1e-11, atol=0)
+    # phase() switches from its closed forms to the series at |kappa t^2| = 1e-3
+    for edge in (-1e-3, 1e-3):
+        inside, outside = values(edge * (1 - 1e-9)), values(edge * (1 + 1e-9))
+        assert np.allclose(inside, outside, rtol=1e-11, atol=0)
+
+
 def test_flow_validation():
     with pytest.raises(ValueError):
         AffineFlowExact.free(-1.0)
     with pytest.raises(ValueError):
         AffineFlowExact.harmonic(1.0, 0.0)
     with pytest.raises(ValueError):
-        AffineFlowExact("quartic", 1.0)
+        AffineFlowExact(1.0, kappa=math.inf)
+    with pytest.raises(ValueError):
+        AffineFlowExact.linear(1.0, math.nan)
 
 
 # ---- printed kernels ----
