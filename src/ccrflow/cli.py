@@ -12,7 +12,9 @@ Grammar for operator expressions (whitespace-insensitive)::
 Products are left-associative and preserve noncommutative order.  Negative
 exponents are accepted only on scalar parameter factors (so ``m^-1`` is the
 inverse mass); ``X^-1`` and ``P^-1`` are rejected.  Any identifier other than
-X and P names a real parameter.
+X and P names a real parameter.  Parentheses nest at most 100 deep, and a
+power may not build a word longer than 4096 letters (|exponent| at most 4096
+on a scalar base).
 
 CSV convention: header row; complex values as two columns ``re``, ``im``;
 17 significant digits in scientific notation; '.' decimal separator; LF line
@@ -24,8 +26,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
+import warnings
 from fractions import Fraction
+
+import numpy as np
 
 from . import verify as verify_mod
 from .heisenberg import (
@@ -64,6 +70,8 @@ class ExpressionError(ValueError):
 # ---------------------------------------------------------------------------
 
 _SYMBOLS = set("+-*/^(),")
+_MAX_DEPTH = 100  # nested parentheses; each level costs four Python frames
+_MAX_POWER_LENGTH = 4096  # |exponent| times the longest word (at least 1) of the base
 
 
 class _Token:
@@ -110,6 +118,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -158,6 +167,10 @@ class _Parser:
             if self.peek().kind in ("+", "-"):
                 sign = -1 if self.advance().kind == "-" else 1
             exponent = sign * self.expect("int").value
+            if abs(exponent) * max(1, base.max_word_length()) > _MAX_POWER_LENGTH:
+                raise ExpressionError(
+                    f"power too large: |exponent| times word length exceeds "
+                    f"{_MAX_POWER_LENGTH}", caret.offset)
             if exponent >= 0:
                 return base ** exponent
             scalar = _as_scalar_monomial(base)
@@ -179,6 +192,9 @@ class _Parser:
                 return P
             return OpExpr.scalar(ScalarCoeff.param(tok.value))
         if tok.kind == "(":
+            if self.depth == _MAX_DEPTH:
+                raise ExpressionError(
+                    f"parentheses nested deeper than {_MAX_DEPTH}", tok.offset)
             self.advance()
             saved = self.pos
             try:
@@ -191,7 +207,9 @@ class _Parser:
             except ExpressionError:
                 pass
             self.pos = saved
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect(")")
             return inner
         raise ExpressionError("expected a coefficient, X, P, or '('", tok.offset)
@@ -240,9 +258,24 @@ def _force_polynomial(e: OpExpr) -> Polynomial:
 # CSV output
 # ---------------------------------------------------------------------------
 
+_FLOAT_FORMAT = "%.16e"
+
+
 def format_float(x: float) -> str:
     """17 significant digits, scientific notation."""
-    return f"{x:.16e}"
+    return _FLOAT_FORMAT % x
+
+
+def _format_columns(*columns) -> list[str]:
+    """One CSV line per index, each column through the format_float spec.
+
+    A single ``%`` over the whole block keeps Python's per-value work to the
+    float formatting itself; the bytes equal joining format_float per row.
+    The value tuple is a temporary, freed before the text is split.
+    """
+    template = ",".join([_FLOAT_FORMAT] * len(columns)) + "\n"
+    return ((template * len(columns[0]))
+            % tuple(np.column_stack(columns).ravel().tolist())).splitlines()
 
 
 def _write_lines(lines, path: str | None) -> None:
@@ -256,12 +289,13 @@ def _write_lines(lines, path: str | None) -> None:
 
 def kernel_csv_lines(kernel, grid: UniformGrid) -> list[str]:
     x = grid.points()
+    x_text = _format_columns(x)
     lines = ["x_b,x_a,re,im"]
-    for xb in x:
+    # Row by row: a 2-D broadcast kernel(x[:, None], x) differs in the last bit.
+    for xb, xb_text in zip(x, x_text):
         row = kernel(xb, x)
-        for xa, val in zip(x, row):
-            lines.append(",".join((format_float(xb), format_float(xa),
-                                   format_float(val.real), format_float(val.imag))))
+        lines += [f"{xb_text},{xa_text},{value}"
+                  for xa_text, value in zip(x_text, _format_columns(row.real, row.imag))]
     return lines
 
 
@@ -277,11 +311,7 @@ def kernel_coefficient_lines(kernel) -> list[str]:
 
 
 def wavefunction_csv_lines(psi: WaveFunction) -> list[str]:
-    lines = ["x,re,im"]
-    for xv, val in zip(psi.points(), psi.samples):
-        lines.append(",".join((format_float(xv), format_float(val.real),
-                               format_float(val.imag))))
-    return lines
+    return ["x,re,im"] + _format_columns(psi.points(), psi.samples.real, psi.samples.imag)
 
 
 def report_csv_lines(report: ConvergenceReport) -> list[str]:
@@ -501,7 +531,17 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors end in main as one 'ccrflow: error:' line and exit 2."""
+    """Usage errors end in main as one 'ccrflow: error:' line and exit 2.
+
+    Negative numbers in exponent form (``--x-min -1e1``) are values, not
+    options; argparse's own pattern accepts only ``-1`` and ``-1.5``.
+    Subparsers are built from this class, so every subcommand inherits both.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(?:[eE][-+]?\d+)?$|^-\d*\.\d+(?:[eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ValueError(message)
@@ -592,16 +632,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"ccrflow: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (CausticSingularity, GridTooCoarse, NonAffineFlow, OverflowError) as exc:
-        print(f"ccrflow: domain error: {exc}", file=sys.stderr)
-        return 3
-    except (ExpressionError, ValueError, OSError) as exc:
-        print(f"ccrflow: error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # the library warns with the source line; the CLI prints one line each
+        warnings.showwarning = _show_warning
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except (CausticSingularity, GridTooCoarse, NonAffineFlow, OverflowError) as exc:
+            print(f"ccrflow: domain error: {exc}", file=sys.stderr)
+            return 3
+        except (ExpressionError, ValueError, OSError) as exc:
+            print(f"ccrflow: error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

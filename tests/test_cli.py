@@ -1,16 +1,21 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ccrflow.cli import (
     ExpressionError,
     format_float,
+    kernel_csv_lines,
     main,
     parse_expression,
+    wavefunction_csv_lines,
 )
 from ccrflow.opalg import OpExpr, P, ScalarCoeff, X
+from ccrflow.propagator import AffineFlowExact, UniformGrid, WaveFunction, gaussian_kernel
 
 
 # ---- expression parsing ----
@@ -76,6 +81,24 @@ def test_parse_errors_carry_byte_offsets():
         parse_expression("1/0")
 
 
+def test_parser_caps_nesting_and_power_length(capsys):
+    # 400 levels used to end in a RecursionError traceback; X^1000000000
+    # would build a 1 GB word before any check ran
+    for text, offset in (("(" * 400 + "X" + ")" * 400, 100), ("X^1000000000", 1),
+                         ("(X*P)^2049", 5)):
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(text)
+        assert err.value.offset == offset
+        assert main(["normord", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("ccrflow: error:")
+        assert f"(byte {offset})" in captured.err
+    assert parse_expression("(" * 100 + "X" + ")" * 100) == X
+    assert parse_expression("(X*P)^2048").max_word_length() == 4096
+
+
 def test_round_trip_random_expressions():
     rng = random.Random(41)
     for _ in range(200):
@@ -98,6 +121,45 @@ def test_format_float_has_17_significant_digits():
     assert format_float(0.28209479177387814) == "2.8209479177387814e-01"
     assert format_float(-1.0) == "-1.0000000000000000e+00"
     assert float(format_float(math.pi)) == math.pi
+
+
+def _reference_lines(rows) -> list[str]:
+    return [",".join(f"{v:.16e}" for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("flow", [AffineFlowExact.free(1.0),
+                                  AffineFlowExact.harmonic(1.5, 0.8),
+                                  AffineFlowExact.linear(2.0, 3.0)])
+@pytest.mark.parametrize("n", [2, 3, 384])
+def test_kernel_csv_lines_match_per_row_formatting(flow, n):
+    kernel = gaussian_kernel(flow, 0.9)
+    grid = UniformGrid.from_bounds(-4.0, 3.0, n)
+    x = grid.points()
+    rows = [(xb, xa, val.real, val.imag)
+            for xb in x for xa, val in zip(x, kernel(xb, x))]
+    lines = kernel_csv_lines(kernel, grid)
+    assert lines[0] == "x_b,x_a,re,im"
+    assert len(lines) - 1 == n * n
+    assert lines[1:] == _reference_lines(rows)
+
+
+def test_wavefunction_csv_lines_match_per_row_formatting():
+    rng = np.random.default_rng(7)
+    extremes = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+    n = 500
+    signs = rng.choice([-1.0, 1.0], size=(2, n))
+    re, im = signs * 10.0 ** rng.uniform(-300, 300, size=(2, n))
+    re[:len(extremes)] = extremes
+    im[-len(extremes):] = extremes
+    samples = np.empty(n, dtype=complex)
+    samples.real, samples.imag = re, im
+    psi = WaveFunction(samples, -3.0, 0.0123)
+    lines = wavefunction_csv_lines(psi)
+    assert lines[0] == "x,re,im"
+    assert len(lines) - 1 == n
+    assert lines[1:] == _reference_lines(zip(psi.points(), re, im))
+    assert lines[1].split(",")[1] == "-0.0000000000000000e+00"
 
 
 # ---- subcommands ----
@@ -255,6 +317,37 @@ def test_flow_beyond_float_range_is_domain_error(capsys):
                  "--convergence", "1,2", "--output", "/dev/null"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "cosh(1000)" in err
+
+
+def test_negative_exponent_form_is_a_value(capsys):
+    args = ["evolve", "--model", "free", "--m", "1", "--t", "1",
+            "--x-max", "10", "--n", "512"]
+    for value in ("-1e1", "-1.0E+1", "-.1e2"):
+        assert main(args + [f"--x-min={value}"]) == 0
+        expected = capsys.readouterr().out
+        assert main(args + ["--x-min", value]) == 0
+        assert capsys.readouterr().out == expected
+    assert main(["kernel", "--model", "linear", "--m", "1", "--F0", "-2.5E-1",
+                 "--t", "1", "--x-min", "-1", "--x-max", "1", "--n", "2",
+                 "--coefficients"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[6] == "-1.2500000000000000e-01"
+
+
+def test_cli_warning_is_one_line(capsys):
+    # the packet runs into the box edge, so propagate warns BoundaryLeak
+    args = ["pathint", "--force=0", "--m", "1", "--t-total", "2", "--x-min", "-6",
+            "--x-max", "6", "--n", "256", "--x0", "2", "--p0", "2", "--steps", "2"]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("ccrflow: warning: edge mass fraction")
+    assert ".py:" not in captured.err
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(args) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    assert quiet.out == captured.out
 
 
 def test_invalid_ccr_threads_is_usage_error(capsys, monkeypatch):
