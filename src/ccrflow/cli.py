@@ -29,6 +29,7 @@ import math
 import re
 import sys
 import warnings
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
@@ -259,6 +260,7 @@ def _force_polynomial(e: OpExpr) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 _FLOAT_FORMAT = "%.16e"
+_WRITE_BLOCK = 4096  # lines per write
 
 
 def format_float(x: float) -> str:
@@ -279,12 +281,11 @@ def _format_columns(*columns) -> list[str]:
 
 
 def _write_lines(lines, path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+    """Write LF-terminated lines (no lines: one LF), a block at a time so
+    the output's size does not set peak memory."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
+        for start in range(0, len(lines) or 1, _WRITE_BLOCK):
+            fh.write("\n".join(lines[start:start + _WRITE_BLOCK]) + "\n")
 
 
 def kernel_csv_lines(kernel, grid: UniformGrid) -> list[str]:

@@ -4,13 +4,15 @@ Elements are finite sums of scalar-coefficient words over the noncommuting
 generators X and P.  Scalars are exact: complex rationals times integer-power
 monomials in named real parameters (m, omega, F0, ...), so every identity in
 this module closes without floating point.  Normal ordering rewrites every
-word so that all X precede all P, using the single rule PX -> XP - i.
+word so that all X precede all P: one left fold over its letters, where
+appending X to X^a P^b gives X^(a+1) P^b - i b X^a P^(b-1), the CCR applied
+once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
     "ScalarCoeff",
@@ -255,36 +257,28 @@ def scalar_sign_split(c: ScalarCoeff) -> tuple[str, bool]:
 # normal ordering of bare words, with Gaussian-integer bookkeeping
 # ---------------------------------------------------------------------------
 
-_NF_CACHE: dict[str, dict[str, tuple[int, int]]] = {}
-
-
 def _normal_order_word(word: str) -> dict[str, tuple[int, int]]:
     """Expand a word into normal-ordered words with Gaussian-integer weights.
 
-    One rewrite PX -> XP - i strictly reduces either the inversion count or
-    the length, so the recursion terminates; results are memoized globally.
+    A left fold over the letters keeps the weight of each X^a P^b.  Appending
+    P raises b; appending X applies [X, P] = i once:
+    X^a P^b X = X^(a+1) P^b - i b X^a P^(b-1).
     """
-    cached = _NF_CACHE.get(word)
-    if cached is not None:
-        return cached
-    i = word.find("PX")
-    if i < 0:
-        result = {word: (1, 0)}
-    else:
-        swapped = word[:i] + "XP" + word[i + 2:]
-        dropped = word[:i] + word[i + 2:]
-        result = dict(_normal_order_word(swapped))
-        for w, (re, im) in _normal_order_word(dropped).items():
-            # multiply the weight by -i: (re + i*im)(-i) = im - i*re
-            dre, dim = im, -re
-            ore, oim = result.get(w, (0, 0))
-            re2, im2 = ore + dre, oim + dim
-            if re2 or im2:
-                result[w] = (re2, im2)
-            elif w in result:
-                del result[w]
-    _NF_CACHE[word] = result
-    return result
+    terms = {(0, 0): (1, 0)}
+    for letter in word:
+        if letter == "P":
+            terms = {(a, b + 1): w for (a, b), w in terms.items()}
+            continue
+        out: dict[tuple[int, int], tuple[int, int]] = {}
+        for (a, b), (re, im) in terms.items():
+            ore, oim = out.get((a + 1, b), (0, 0))
+            out[a + 1, b] = (ore + re, oim + im)
+            if b:
+                # times -i b: (re + i*im)(-i b) = b*im - i*b*re
+                ore, oim = out.get((a, b - 1), (0, 0))
+                out[a, b - 1] = (ore + b * im, oim - b * re)
+        terms = out
+    return {"X" * a + "P" * b: w for (a, b), w in terms.items()}
 
 
 class OpExpr:
@@ -501,25 +495,10 @@ def equals(a: OpExpr, b: OpExpr) -> bool:
     return a == b
 
 
-class InversePower(tuple):
-    """Closed form of [X^-n, P]: coefficient times a single power X^exponent.
-
-    Inverse powers never enter words; this schema is the only place they
-    appear.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, exponent: int, coeff: ScalarCoeff):
-        return super().__new__(cls, (exponent, coeff))
-
-    @property
-    def exponent(self) -> int:
-        return self[0]
-
-    @property
-    def coeff(self) -> ScalarCoeff:
-        return self[1]
+class InversePower(NamedTuple):
+    """[X^-n, P] as coeff * X^exponent; inverse powers never enter words."""
+    exponent: int
+    coeff: ScalarCoeff
 
 
 def inverse_power_rule(n: int) -> InversePower:

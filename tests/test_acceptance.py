@@ -5,6 +5,7 @@ per criterion.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import ccrflow
 from ccrflow.heisenberg import (
     force_for_model,
     generator,
@@ -221,8 +223,12 @@ def test_criterion_7_pathint_convergence():
 
 def test_criterion_8_verify_determinism():
     cmd = [sys.executable, "-m", "ccrflow.cli", "verify"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    # the child imports the ccrflow this process imported, PYTHONPATH set or not
+    src = os.path.dirname(os.path.dirname(ccrflow.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     assert first.returncode == 0
     assert second.returncode == 0
     assert first.stdout == second.stdout

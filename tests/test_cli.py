@@ -8,6 +8,7 @@ import pytest
 
 from ccrflow.cli import (
     ExpressionError,
+    _write_lines,
     format_float,
     kernel_csv_lines,
     main,
@@ -162,11 +163,30 @@ def test_wavefunction_csv_lines_match_per_row_formatting():
     assert lines[1].split(",")[1] == "-0.0000000000000000e+00"
 
 
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097])
+def test_write_lines_bytes_across_blocks(count, tmp_path, capsys):
+    lines = [f"{k},{k * k}" for k in range(count)]
+    expected = "\n".join(lines) + "\n"
+    _write_lines(lines, None)
+    assert capsys.readouterr().out == expected
+    path = tmp_path / "out.csv"
+    _write_lines(lines, str(path))
+    assert path.read_bytes() == expected.encode()
+
+
 # ---- subcommands ----
 
 def test_normord_command(capsys):
     assert main(["normord", "P*X"]) == 0
     assert capsys.readouterr().out == "X*P - (0,1)*1\n"
+
+
+def test_normord_long_word(capsys):
+    # the recursive normal ordering ended in a RecursionError here
+    assert main(["normord", "P^40*X^40"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("X^40*P^40 - (0,1600)*X^39*P^39 - 1216800*X^38*P^38 + ")
 
 
 def test_comm_command(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -29,10 +30,10 @@ def rnd_scalar(rng):
     return ScalarCoeff.rational(rnd_rational(rng), rnd_rational(rng))
 
 
-def rnd_opexpr(rng, max_words=3, max_len=4):
+def rnd_opexpr(rng, max_words=3, max_len=4, min_len=0):
     terms = {}
     for _ in range(rng.randint(1, max_words)):
-        w = "".join(rng.choice("XP") for _ in range(rng.randint(0, max_len)))
+        w = "".join(rng.choice("XP") for _ in range(rng.randint(min_len, max_len)))
         c = rnd_scalar(rng)
         terms[w] = terms[w] + c if w in terms else c
     return OpExpr(terms)
@@ -96,10 +97,24 @@ def test_normal_order_idempotent():
 
 def test_normal_order_preserves_element():
     rng = random.Random(6)
-    for _ in range(30):
-        e = rnd_opexpr(rng)
-        q = rnd_poly(rng, 6)
-        assert apply_to_polynomial(e, q) == apply_to_polynomial(normal_order(e), q)
+    for min_len, max_len, count in ((0, 4, 30), (10, 14, 20)):
+        for _ in range(count):
+            e = rnd_opexpr(rng, min_len=min_len, max_len=max_len)
+            q = rnd_poly(rng, max_len + 2)
+            assert apply_to_polynomial(e, q) == apply_to_polynomial(normal_order(e), q)
+
+
+@pytest.mark.parametrize("k", [32, 40, 400])
+def test_normal_order_pk_xk_closed_form(k):
+    # P^k X^k = sum_r C(k,r)^2 r! (-i)^r X^(k-r) P^(k-r)
+    # (Blasiak, Penson and Solomon, Phys. Lett. A 309, 198 (2003))
+    minus_i_pow = ((1, 0), (0, -1), (-1, 0), (0, 1))
+    expected = {}
+    for r in range(k + 1):
+        weight = math.comb(k, r) ** 2 * math.factorial(r)
+        re, im = minus_i_pow[r % 4]
+        expected["X" * (k - r) + "P" * (k - r)] = ScalarCoeff.rational(re * weight, im * weight)
+    assert normal_order(P ** k * X ** k).terms == expected
 
 
 # ---- commutator ----
