@@ -12,14 +12,16 @@ Grammar for operator expressions (whitespace-insensitive)::
 Products are left-associative and preserve noncommutative order.  Negative
 exponents are accepted only on scalar parameter factors (so ``m^-1`` is the
 inverse mass); ``X^-1`` and ``P^-1`` are rejected.  Any identifier other than
-X and P names a real parameter.  Parentheses nest at most 100 deep, and a
-power may not build a word longer than 4096 letters (|exponent| at most 4096
-on a scalar base).
+X and P names a real parameter.  Parentheses nest at most 100 deep.  Every
+product is normal-ordered as it is built, so before each '*' and each step of
+a '^' the parser bounds the ordered result: its degree, and the term products
+the whole expression has spent (see _Caps).
 
 CSV convention: header row; complex values as two columns ``re``, ``im``;
 17 significant digits in scientific notation; '.' decimal separator; LF line
 endings.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 domain error (caustic, grid too coarse, non-affine flow, float overflow).
+3 domain error (caustic, grid too coarse, non-affine flow, float overflow,
+a coefficient too long to print).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .heisenberg import (
     newtonian_velocity,
     taylor_flow,
 )
-from .opalg import OpExpr, P, Polynomial, ScalarCoeff, X, commutator
+from .opalg import ONE, OpExpr, P, Polynomial, ScalarCoeff, X, too_long_to_print
 from .pathint import ConvergenceReport, convergence_study, propagate, short_time_matrix
 from .propagator import (
     AffineFlowExact,
@@ -72,7 +74,10 @@ class ExpressionError(ValueError):
 
 _SYMBOLS = set("+-*/^(),")
 _MAX_DEPTH = 100  # nested parentheses; each level costs four Python frames
-_MAX_POWER_LENGTH = 4096  # |exponent| times the longest word (at least 1) of the base
+_MAX_DEGREE = 2048  # of any product: a + b of its X^a P^b
+_MAX_PRODUCTS = 65_536  # term products per expression
+_LIMB_BITS = 256  # a coefficient counts as one more term per this many bits
+_PRINT_BITS = 14286  # 2^14285 > 10^4300: a longer number has too many digits to print
 
 
 class _Token:
@@ -114,12 +119,59 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _shape(e: OpExpr) -> tuple[int, int, int, int]:
+    """(degree, highest X power, highest P power, size) of e.  The size counts
+    the scalar monomials of all coefficients, each once more for every
+    _LIMB_BITS bits of its longest numerator or denominator; it is at least
+    1, so that even a product with zero spends budget."""
+    degree = x_max = p_max = size = 0
+    for (a, b), coeff in e.terms.items():
+        degree, x_max, p_max = max(degree, a + b), max(x_max, a), max(p_max, b)
+        for bits in coeff.bit_lengths():
+            if bits >= _PRINT_BITS:
+                raise too_long_to_print()
+            size += 1 + bits // _LIMB_BITS
+    return degree, x_max, p_max, max(size, 1)
+
+
+class _Caps:
+    """Bounds the ordered result of each product before it is built.
+
+    Its degree may not exceed _MAX_DEGREE, and all products together may not
+    spend more than _MAX_PRODUCTS term products.  a * b spends
+    size(a) * size(b) * (1 + overlap) * (1 + weight_bits // _LIMB_BITS):
+    overlap = min(highest P power of a, highest X power of b) bounds the
+    extra terms the CCR adds per pair, and weight_bits, overlap times the
+    bit length of the larger of the two powers, scales with the longest CCR
+    weight C(b, r) c!/(c-r)!.  A factor with a coefficient too long to print
+    ends the parse as a domain error, the one its printing would raise.
+    """
+
+    def __init__(self):
+        self.spent = 0
+
+    def product(self, a: OpExpr, b: OpExpr, offset: int | None) -> OpExpr:
+        deg_a, _, p_a, size_a = _shape(a)
+        deg_b, x_b, _, size_b = _shape(b)
+        overlap = min(p_a, x_b)
+        weight_bits = overlap * max(p_a, x_b).bit_length()
+        self.spent += size_a * size_b * (1 + overlap) * (1 + weight_bits // _LIMB_BITS)
+        if deg_a + deg_b > _MAX_DEGREE:
+            message = f"product of degree {deg_a + deg_b} exceeds {_MAX_DEGREE}"
+        elif self.spent > _MAX_PRODUCTS:
+            message = f"more than {_MAX_PRODUCTS} term products"
+        else:
+            return a * b
+        raise ValueError(message) if offset is None else ExpressionError(message, offset)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.caps = _Caps()
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -156,30 +208,28 @@ class _Parser:
     def term(self) -> OpExpr:
         total = self.factor()
         while self.peek().kind == "*":
-            self.advance()
-            total = total * self.factor()
+            star = self.advance()
+            total = self.caps.product(total, self.factor(), star.offset)
         return total
 
     def factor(self) -> OpExpr:
         base = self.primary()
-        if self.peek().kind == "^":
-            caret = self.advance()
-            sign = 1
-            if self.peek().kind in ("+", "-"):
-                sign = -1 if self.advance().kind == "-" else 1
-            exponent = sign * self.expect("int").value
-            if abs(exponent) * max(1, base.max_word_length()) > _MAX_POWER_LENGTH:
-                raise ExpressionError(
-                    f"power too large: |exponent| times word length exceeds "
-                    f"{_MAX_POWER_LENGTH}", caret.offset)
-            if exponent >= 0:
-                return base ** exponent
+        if self.peek().kind != "^":
+            return base
+        caret = self.advance()
+        sign = 1
+        if self.peek().kind in ("+", "-"):
+            sign = -1 if self.advance().kind == "-" else 1
+        exponent = sign * self.expect("int").value
+        if exponent < 0:
             scalar = _as_scalar_monomial(base)
             if scalar is None:
-                raise ExpressionError(
-                    "negative powers unsupported in words", caret.offset)
-            return OpExpr.scalar(scalar ** exponent)
-        return base
+                raise ExpressionError("negative powers unsupported in words", caret.offset)
+            base = OpExpr.scalar(scalar.inverse())
+        power = ONE
+        for _ in range(abs(exponent)):
+            power = self.caps.product(power, base, caret.offset)
+        return power
 
     def primary(self) -> OpExpr:
         tok = self.peek()
@@ -233,8 +283,8 @@ class _Parser:
 
 
 def _as_scalar_monomial(e: OpExpr) -> ScalarCoeff | None:
-    if set(e.terms) <= {""}:
-        coeff = e.terms.get("", ScalarCoeff.zero())
+    if set(e.terms) <= {(0, 0)}:
+        coeff = e.terms.get((0, 0), ScalarCoeff.zero())
         if coeff.is_single_monomial():
             return coeff
     return None
@@ -248,10 +298,10 @@ def parse_expression(text: str) -> OpExpr:
 def _force_polynomial(e: OpExpr) -> Polynomial:
     """Interpret a parsed expression as a polynomial in X alone."""
     coeffs = {}
-    for word, coeff in e.normal_order().terms.items():
-        if "P" in word:
+    for (a, b), coeff in e.terms.items():
+        if b:
             raise ExpressionError("force must be a polynomial in X only", 0)
-        coeffs[len(word)] = coeff
+        coeffs[a] = coeff
     return Polynomial(coeffs)
 
 
@@ -433,7 +483,9 @@ def _cmd_normord(args) -> int:
 def _cmd_comm(args) -> int:
     a = parse_expression(args.expr_a)
     b = parse_expression(args.expr_b)
-    _write_lines([commutator(a, b).canonical_text()], args.output)
+    caps = _Caps()  # the commutator's two products, bounded like the parser's
+    _write_lines([(caps.product(a, b, None) - caps.product(b, a, None)).canonical_text()],
+                 args.output)
     return 0
 
 

@@ -110,23 +110,23 @@ def force_for_model(model: str) -> ForceLaw:
 
 
 def generator(force: ForceLaw, velocity: VelocityLaw) -> Generator:
-    g = velocity.V.antiderivative().as_opexpr("P") - force.F.antiderivative().as_opexpr("X")
-    return Generator(g.normal_order())
+    return Generator(velocity.V.antiderivative().as_opexpr("P")
+                     - force.F.antiderivative().as_opexpr("X"))
 
 
 def time_derivative(op: OpExpr, gen: Generator) -> OpExpr:
-    """dO/dt = i[G, O], normal-ordered.
+    """dO/dt = i[G, O].
 
     With G = P^2/2m - int F dX this reproduces dX/dt = P/m and dP/dt = F(X).
     """
-    return (_I * commutator(gen.G, op)).normal_order()
+    return _I * commutator(gen.G, op)
 
 
 class OperatorTimeSeries:
     """Truncated operator Taylor series sum_k c_k t^k / k!.
 
-    Coefficients are normal-ordered OpExprs; ``order`` is the truncation K
-    and len(coeffs) == K + 1.
+    Coefficients are OpExprs; ``order`` is the truncation K and
+    len(coeffs) == K + 1.
     """
 
     __slots__ = ("coeffs",)
@@ -134,7 +134,7 @@ class OperatorTimeSeries:
     def __init__(self, coeffs: Sequence[OpExpr]):
         if not coeffs:
             raise ValueError("a series needs at least the order-0 coefficient")
-        self.coeffs = tuple(c.normal_order() for c in coeffs)
+        self.coeffs = tuple(coeffs)
 
     @property
     def order(self) -> int:
@@ -176,13 +176,13 @@ def taylor_flow(op0: OpExpr, gen: Generator, order: int) -> OperatorTimeSeries:
     """Iterate c_{k+1} = i[G, c_k] starting from c_0 = op0."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    coeffs = [op0.normal_order()]
+    coeffs = [op0]
     for _ in range(order):
         coeffs.append(time_derivative(coeffs[-1], gen))
     return OperatorTimeSeries(coeffs)
 
 
-_AFFINE_WORDS = ("X", "P", "")
+_AFFINE_WORDS = ((1, 0), (0, 1), (0, 0))  # X, P, 1
 
 
 @dataclass(frozen=True)
@@ -223,12 +223,12 @@ def extract_affine(series: OperatorTimeSeries) -> AffineFlow:
     for k, c in enumerate(series.coeffs):
         bad = [w for w in c.terms if w not in _AFFINE_WORDS]
         if bad:
-            offender = sorted(bad, key=word_sort_key)[0]
+            a, b = min(bad, key=word_sort_key)
             raise NonAffineFlow(
-                f"order-{k} coefficient contains the word {offender!r}; "
+                f"order-{k} coefficient contains the word {'X' * a + 'P' * b!r}; "
                 "the flow is not affine in (X, P, 1)"
             )
-        alpha.append(c.terms.get("X", ScalarCoeff.zero()))
-        beta.append(c.terms.get("P", ScalarCoeff.zero()))
-        gamma.append(c.terms.get("", ScalarCoeff.zero()))
+        alpha.append(c.terms.get((1, 0), ScalarCoeff.zero()))
+        beta.append(c.terms.get((0, 1), ScalarCoeff.zero()))
+        gamma.append(c.terms.get((0, 0), ScalarCoeff.zero()))
     return AffineFlow(tuple(alpha), tuple(beta), tuple(gamma))

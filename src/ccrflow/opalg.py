@@ -1,16 +1,22 @@
 """Exact algebra of the Weyl pair X, P with [X, P] = i.
 
-Elements are finite sums of scalar-coefficient words over the noncommuting
-generators X and P.  Scalars are exact: complex rationals times integer-power
-monomials in named real parameters (m, omega, F0, ...), so every identity in
-this module closes without floating point.  Normal ordering rewrites every
-word so that all X precede all P: one left fold over its letters, where
-appending X to X^a P^b gives X^(a+1) P^b - i b X^a P^(b-1), the CCR applied
-once.
+Elements are finite sums of normal-ordered monomials X^a P^b (all X before
+all P), keyed by the exponent pair (a, b).  Scalars are exact: complex
+rationals times integer-power monomials in named real parameters (m, omega,
+F0, ...), so every identity in this module closes without floating point.
+Every product is normal-ordered as it is built, by the closed form that the
+CCR gives for two ordered monomials,
+
+    X^a P^b X^c P^d = sum_r C(b, r) c!/(c-r)! (-i)^r X^(a+c-r) P^(b+d-r),
+
+(Blasiak, Penson and Solomon, Phys. Lett. A 309, 198 (2003), read with
+a+ = X and a = iP), so there is no second representation to reduce.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
@@ -31,58 +37,74 @@ __all__ = [
     "word_sort_key",
 ]
 
-_Q0 = Fraction(0)
-_Q1 = Fraction(1)
 
-# deterministic word order for serialization: longer words first, then
-# lexicographic with X < P
-_WORD_ORD = str.maketrans("XP", "01")
-
-
-def word_sort_key(word: str) -> tuple[int, str]:
-    return (-len(word), word.translate(_WORD_ORD))
+def word_sort_key(word: tuple[int, int]) -> tuple[int, int]:
+    """Serialization order of X^a P^b: higher degree first, then more X first."""
+    a, b = word
+    return (-a - b, -a)
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
+# A complex rational is a tuple (p, q, d) of ints with the value (p + i q)/d,
+# d > 0 and gcd(p, q, d) = 1, so equal values are equal tuples.  Int
+# arithmetic with one gcd per operation is several times faster than
+# Fraction pairs.
+
+def _reduced(p: int, q: int, d: int) -> tuple[int, int, int]:
+    g = math.gcd(p, q, d)
+    return (p // g, q // g, d // g) if g > 1 else (p, q, d)
+
+
+def _c_add(x: tuple, y: tuple) -> tuple[int, int, int]:
+    (p, q, d), (r, s, e) = x, y
+    if d == e:
+        return _reduced(p + r, q + s, d)
+    return _reduced(p * e + r * d, q * e + s * d, d * e)
+
+
+def _c_mul(x: tuple, y: tuple) -> tuple[int, int, int]:
+    (p, q, d), (r, s, e) = x, y
+    return _reduced(p * r - q * s, p * s + q * r, d * e)
+
+
+def _complex_rational(re, im=0) -> tuple[int, int, int]:
+    """re + i im, each an int or a Fraction, as a complex rational."""
+    for v in (re, im):
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
+    return _reduced(re.numerator * im.denominator, im.numerator * re.denominator,
+                    re.denominator * im.denominator)
+
+
+def _minus_i_power(n: int, r: int) -> tuple[int, int, int]:
+    """n (-i)^r as a complex rational."""
+    return ((n, 0, 1), (0, -n, 1), (-n, 0, 1), (0, n, 1))[r % 4]
 
 
 class ScalarCoeff:
     """Exact scalar: a sum of parameter monomials with complex-rational weights.
 
     ``terms`` maps a monomial key -- a sorted tuple of (name, exponent) pairs
-    with nonzero integer exponents -- to a (real, imag) pair of Fractions.
-    The empty tuple is the constant monomial.  Sums and products of scalars
-    stay in this ring, so the representation is closed under all operations
-    used by the operator layer.
+    with nonzero integer exponents -- to a complex rational (p, q, d), the
+    weight (p + i q)/d in lowest terms.  The empty tuple is the constant
+    monomial.  Sums and products of scalars stay in this ring, so the
+    representation is closed under all operations used by the operator layer.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple, tuple[Fraction, Fraction]] | None = None):
-        clean = {}
-        if terms:
-            for mono, (re, im) in terms.items():
-                if re or im:
-                    clean[mono] = (re, im)
-        self.terms = clean
+    def __init__(self, terms: Mapping[tuple, tuple[int, int, int]] | None = None):
+        self.terms = {mono: w for mono, w in terms.items() if w[0] or w[1]} if terms else {}
 
     # -- constructors --
     @classmethod
     def rational(cls, re, im=0) -> "ScalarCoeff":
-        re = _as_fraction(re)
-        im = _as_fraction(im)
-        return cls({(): (re, im)})
+        return cls({(): _complex_rational(re, im)})
 
     @classmethod
     def param(cls, name: str, power: int = 1) -> "ScalarCoeff":
         if power == 0:
             return cls.rational(1)
-        return cls({((name, power),): (_Q1, _Q0)})
+        return cls({((name, power),): (1, 0, 1)})
 
     @classmethod
     def zero(cls) -> "ScalarCoeff":
@@ -100,21 +122,25 @@ class ScalarCoeff:
     def is_single_monomial(self) -> bool:
         return len(self.terms) == 1
 
+    def bit_lengths(self) -> list[int]:
+        """Bits of the longest integer in each monomial's weight."""
+        return [max(p.bit_length(), q.bit_length(), d.bit_length())
+                for p, q, d in self.terms.values()]
+
     # -- ring operations --
     def __add__(self, other) -> "ScalarCoeff":
         other = _coerce_scalar(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        for mono, (re, im) in other.terms.items():
-            ore, oim = out.get(mono, (_Q0, _Q0))
-            out[mono] = (ore + re, oim + im)
+        for mono, w in other.terms.items():
+            out[mono] = _c_add(out[mono], w) if mono in out else w
         return ScalarCoeff(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ScalarCoeff":
-        return ScalarCoeff({m: (-re, -im) for m, (re, im) in self.terms.items()})
+        return ScalarCoeff({m: (-p, -q, d) for m, (p, q, d) in self.terms.items()})
 
     def __sub__(self, other) -> "ScalarCoeff":
         other = _coerce_scalar(other)
@@ -126,26 +152,30 @@ class ScalarCoeff:
         return _coerce_scalar(other) + (-self)
 
     def __mul__(self, other) -> "ScalarCoeff":
-        other = _coerce_scalar(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(_complex_rational(other))
+        if not isinstance(other, ScalarCoeff):
             return NotImplemented
-        out: dict[tuple, tuple[Fraction, Fraction]] = {}
-        for m1, (a, b) in self.terms.items():
-            for m2, (c, d) in other.terms.items():
-                mono = _merge_monomials(m1, m2)
-                re = a * c - b * d
-                im = a * d + b * c
-                ore, oim = out.get(mono, (_Q0, _Q0))
-                out[mono] = (ore + re, oim + im)
+        out: dict[tuple, tuple[int, int, int]] = {}
+        for m1, w1 in self.terms.items():
+            for m2, w2 in other.terms.items():
+                mono = _merge_monomials(m1, m2) if m1 and m2 else m1 or m2
+                w = _c_mul(w1, w2)
+                out[mono] = _c_add(out[mono], w) if mono in out else w
         return ScalarCoeff(out)
 
     __rmul__ = __mul__
+
+    def _scaled(self, w: tuple[int, int, int]) -> "ScalarCoeff":
+        """Product with the constant complex rational w, such as an int or
+        a Gaussian integer: one product per monomial."""
+        return ScalarCoeff({m: _c_mul(v, w) for m, v in self.terms.items()})
 
     def __truediv__(self, other) -> "ScalarCoeff":
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("scalar division by zero")
-            return self * ScalarCoeff.rational(Fraction(1, 1) / Fraction(other))
+            return self._scaled(_complex_rational(1 / Fraction(other)))
         return NotImplemented
 
     def __pow__(self, n: int) -> "ScalarCoeff":
@@ -162,10 +192,9 @@ class ScalarCoeff:
         """Invert a single-monomial scalar; anything else has no inverse here."""
         if len(self.terms) != 1:
             raise ValueError("only single-monomial scalars are invertible")
-        (mono, (re, im)), = self.terms.items()
-        norm = re * re + im * im
+        (mono, (p, q, d)), = self.terms.items()
         inv_mono = tuple((name, -k) for name, k in mono)
-        return ScalarCoeff({inv_mono: (re / norm, -im / norm)})
+        return ScalarCoeff({inv_mono: _reduced(d * p, -d * q, p * p + q * q)})
 
     def __eq__(self, other) -> bool:
         other = _coerce_scalar(other)
@@ -180,13 +209,13 @@ class ScalarCoeff:
         """Numeric value with parameters bound to floats."""
         params = params or {}
         total = 0j
-        for mono, (re, im) in self.terms.items():
+        for mono, (p, q, d) in self.terms.items():
             factor = 1.0
             for name, k in mono:
                 if name not in params:
                     raise KeyError(f"unbound parameter {name!r}")
                 factor *= params[name] ** k
-            total += complex(float(re), float(im)) * factor
+            total += complex(p / d, q / d) * factor
         return total
 
     def text(self) -> str:
@@ -215,13 +244,30 @@ def _merge_monomials(m1: tuple, m2: tuple) -> tuple:
 
 
 def _rational_text(re: Fraction, im: Fraction) -> str:
-    if im == 0:
-        return str(re) if re.denominator == 1 else f"({re})"
-    return f"({re},{im})"
+    try:
+        if im == 0:
+            return str(re) if re.denominator == 1 else f"({re})"
+        return f"({re},{im})"
+    except ValueError:  # Python's cap on the digits of an int printed in decimal
+        raise too_long_to_print() from None
 
 
-def _monomial_factors(mono: tuple) -> list[str]:
-    return [name if k == 1 else f"{name}^{k}" for name, k in mono]
+def too_long_to_print() -> OverflowError:
+    return OverflowError(f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                         "digits, too many to print")
+
+
+def _signed_sum(parts: list[tuple[bool, str]]) -> str:
+    """Join (negative, text) terms as ``a - b + c``; a leading '+' is dropped."""
+    return " ".join(("- " if negative else "+ ") + text if i else
+                    ("-" if negative else "") + text
+                    for i, (negative, text) in enumerate(parts))
+
+
+def _term_text(coeff: "ScalarCoeff", unit: str) -> tuple[bool, str]:
+    """(negative, text) of coeff times a unit such as ``X^2*P`` or ``1``."""
+    body, negative = scalar_sign_split(coeff)
+    return negative, unit if body == "1" else body + "*" + unit
 
 
 def scalar_sign_split(c: ScalarCoeff) -> tuple[str, bool]:
@@ -229,89 +275,49 @@ def scalar_sign_split(c: ScalarCoeff) -> tuple[str, bool]:
     scalar is a single monomial.  Multi-term scalars render parenthesized."""
     if c.is_zero:
         return "0", False
-    items = sorted(c.terms.items(), key=lambda kv: kv[0])
-    if len(items) == 1:
-        mono, (re, im) = items[0]
-        negative = re < 0 or (re == 0 and im < 0)
-        if negative:
-            re, im = -re, -im
-        factors = _monomial_factors(mono)
-        if not (re == 1 and im == 0 and factors):
-            factors.insert(0, _rational_text(re, im))
-        return "*".join(factors), negative
     parts = []
-    for mono, (re, im) in items:
-        negative = re < 0 or (re == 0 and im < 0)
+    for mono, (p, q, d) in sorted(c.terms.items(), key=lambda kv: kv[0]):
+        negative = p < 0 or (p == 0 and q < 0)
         if negative:
-            re, im = -re, -im
-        factors = _monomial_factors(mono)
-        if not (re == 1 and im == 0 and factors):
-            factors.insert(0, _rational_text(re, im))
-        body = "*".join(factors)
-        parts.append(("- " if negative else "+ ") + body if parts else
-                     ("-" + body if negative else body))
-    return "(" + " ".join(parts) + ")", False
-
-
-# ---------------------------------------------------------------------------
-# normal ordering of bare words, with Gaussian-integer bookkeeping
-# ---------------------------------------------------------------------------
-
-def _normal_order_word(word: str) -> dict[str, tuple[int, int]]:
-    """Expand a word into normal-ordered words with Gaussian-integer weights.
-
-    A left fold over the letters keeps the weight of each X^a P^b.  Appending
-    P raises b; appending X applies [X, P] = i once:
-    X^a P^b X = X^(a+1) P^b - i b X^a P^(b-1).
-    """
-    terms = {(0, 0): (1, 0)}
-    for letter in word:
-        if letter == "P":
-            terms = {(a, b + 1): w for (a, b), w in terms.items()}
-            continue
-        out: dict[tuple[int, int], tuple[int, int]] = {}
-        for (a, b), (re, im) in terms.items():
-            ore, oim = out.get((a + 1, b), (0, 0))
-            out[a + 1, b] = (ore + re, oim + im)
-            if b:
-                # times -i b: (re + i*im)(-i b) = b*im - i*b*re
-                ore, oim = out.get((a, b - 1), (0, 0))
-                out[a, b - 1] = (ore + b * im, oim - b * re)
-        terms = out
-    return {"X" * a + "P" * b: w for (a, b), w in terms.items()}
+            p, q = -p, -q
+        factors = [name if k == 1 else f"{name}^{k}" for name, k in mono]
+        if not (p == d and q == 0 and factors):
+            factors.insert(0, _rational_text(Fraction(p, d), Fraction(q, d)))
+        parts.append((negative, "*".join(factors)))
+    if len(parts) == 1:
+        negative, body = parts[0]
+        return body, negative
+    return "(" + _signed_sum(parts) + ")", False
 
 
 class OpExpr:
-    """Finite sum of scalar-coefficient words over {X, P}.
+    """Finite sum of normal-ordered monomials X^a P^b with scalar coefficients.
 
-    ``terms`` maps a word (a string over "X" and "P"; "" is the identity) to a
-    ScalarCoeff.  Values are immutable by convention: no method mutates an
-    existing instance, so sharing across threads is safe.  Equality compares
-    normal-ordered forms, which are unique.
+    ``terms`` maps an exponent pair (a, b) to the ScalarCoeff of X^a P^b;
+    (0, 0) is the identity.  Every element is built normal-ordered, so the
+    representation is unique and equality compares terms.  Values are
+    immutable by convention: no method mutates an existing instance.
     """
 
-    __slots__ = ("terms", "_nf")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[str, ScalarCoeff] | None = None):
-        clean = {}
-        if terms:
-            for word, coeff in terms.items():
-                if not coeff.is_zero:
-                    clean[word] = coeff
-        self.terms = clean
-        self._nf = None
+    def __init__(self, terms: Mapping[tuple[int, int], ScalarCoeff] | None = None):
+        self.terms = {w: c for w, c in terms.items() if not c.is_zero} if terms else {}
 
     # -- constructors --
     @classmethod
     def word(cls, word: str, coeff=1) -> "OpExpr":
+        """coeff times the product of the letters of word, e.g. "PXP"."""
         if any(g not in "XP" for g in word):
             raise ValueError(f"word may contain only X and P, got {word!r}")
-        c = _coerce_scalar(coeff)
-        return cls({word: c})
+        out = cls.scalar(coeff)
+        for g in word:
+            out = out * cls({(1, 0) if g == "X" else (0, 1): ScalarCoeff.rational(1)})
+        return out
 
     @classmethod
     def scalar(cls, value) -> "OpExpr":
-        return cls({"": _coerce_scalar(value)})
+        return cls({(0, 0): _coerce_scalar(value)})
 
     @classmethod
     def zero(cls) -> "OpExpr":
@@ -324,10 +330,7 @@ class OpExpr:
             return NotImplemented
         out = dict(self.terms)
         for word, coeff in other.terms.items():
-            if word in out:
-                out[word] = out[word] + coeff
-            else:
-                out[word] = coeff
+            out[word] = out[word] + coeff if word in out else coeff
         return OpExpr(out)
 
     __radd__ = __add__
@@ -345,22 +348,24 @@ class OpExpr:
         return _coerce_op(other) + (-self)
 
     def __mul__(self, other) -> "OpExpr":
-        """Operator product by word concatenation; the result is NOT
-        normal-ordered.  Scalars multiply coefficients in place."""
+        """Operator product, normal-ordered term by term with
+        X^a P^b X^c P^d = sum_r C(b, r) c!/(c-r)! (-i)^r X^(a+c-r) P^(b+d-r).
+        Scalars multiply coefficients in place."""
         if isinstance(other, (int, Fraction, ScalarCoeff)):
             c = _coerce_scalar(other)
             return OpExpr({w: cf * c for w, cf in self.terms.items()})
         if not isinstance(other, OpExpr):
             return NotImplemented
-        out: dict[str, ScalarCoeff] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                c = c1 * c2
-                if word in out:
-                    out[word] = out[word] + c
-                else:
-                    out[word] = c
+        out: dict[tuple[int, int], ScalarCoeff] = {}
+        for (a, b), c1 in self.terms.items():
+            for (c, d), c2 in other.terms.items():
+                coeff = c1 * c2
+                weight = 1  # C(b, r) c!/(c-r)!
+                for r in range(min(b, c) + 1):
+                    word = (a + c - r, b + d - r)
+                    term = coeff._scaled(_minus_i_power(weight, r)) if r else coeff
+                    out[word] = out[word] + term if word in out else term
+                    weight = weight * (b - r) * (c - r) // (r + 1)
         return OpExpr(out)
 
     def __rmul__(self, other) -> "OpExpr":
@@ -378,90 +383,38 @@ class OpExpr:
 
     # -- canonical form --
     def normal_order(self) -> "OpExpr":
-        """Rewrite every word with all X before all P via PX -> XP - i.
-
-        Idempotent; the result represents the same algebra element.
-        """
-        if self._nf is not None:
-            return self._nf
-        out: dict[str, ScalarCoeff] = {}
-        for word, coeff in self.terms.items():
-            for nw, (gre, gim) in _normal_order_word(word).items():
-                c = coeff * ScalarCoeff.rational(gre, gim)
-                if nw in out:
-                    out[nw] = out[nw] + c
-                else:
-                    out[nw] = c
-        nf = OpExpr(out)
-        nf._nf = nf
-        self._nf = nf
-        return nf
-
-    def is_normal_ordered(self) -> bool:
-        return all("PX" not in w for w in self.terms)
+        """The element itself: every OpExpr is normal-ordered when built."""
+        return self
 
     def __eq__(self, other) -> bool:
         other = _coerce_op(other)
         if other is NotImplemented:
             return NotImplemented
-        a = self.normal_order().terms
-        b = other.normal_order().terms
-        if a.keys() != b.keys():
-            return False
-        return all(a[w] == b[w] for w in a)
+        return self.terms == other.terms
 
     __hash__ = None
 
     @property
     def is_zero(self) -> bool:
-        return not self.normal_order().terms
-
-    def max_word_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
+        return not self.terms
 
     # -- display --
     def canonical_text(self) -> str:
         """Deterministic serialization, e.g. ``(3/2)*X^2*P - (0,1)*1``."""
-        nf = self.normal_order()
-        if not nf.terms:
+        if not self.terms:
             return "0"
-        parts = []
-        for word in sorted(nf.terms, key=word_sort_key):
-            body, negative = scalar_sign_split(nf.terms[word])
-            wtext = _word_text(word)
-            if body == "1":
-                text = wtext
-            elif wtext == "1":
-                text = body + "*1"
-            else:
-                text = body + "*" + wtext
-            if not parts:
-                parts.append("-" + text if negative else text)
-            else:
-                parts.append(("- " if negative else "+ ") + text)
-        return " ".join(parts)
+        return _signed_sum([
+            _term_text(self.terms[word], "*".join(
+                f"{g}^{k}" if k > 1 else g for g, k in zip("XP", word) if k) or "1")
+            for word in sorted(self.terms, key=word_sort_key)])
 
     def __repr__(self) -> str:
         return f"OpExpr({self.canonical_text()})"
 
-    def evaluate(self, params: Mapping[str, float] | None = None) -> dict[str, complex]:
-        """Numeric coefficient of each word, parameters bound to floats."""
+    def evaluate(self, params: Mapping[str, float] | None = None
+                 ) -> dict[tuple[int, int], complex]:
+        """Numeric coefficient of each X^a P^b, parameters bound to floats."""
         return {w: c.evaluate(params) for w, c in self.terms.items()}
-
-
-def _word_text(word: str) -> str:
-    if not word:
-        return "1"
-    factors = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        run = j - i
-        factors.append(word[i] if run == 1 else f"{word[i]}^{run}")
-        i = j
-    return "*".join(factors)
 
 
 def _coerce_op(v):
@@ -478,17 +431,18 @@ ONE = OpExpr.scalar(1)
 
 
 def normal_order(e: OpExpr) -> OpExpr:
+    """The element itself; kept as API, since products are already ordered."""
     return e.normal_order()
 
 
 def multiply(a: OpExpr, b: OpExpr) -> OpExpr:
-    """Free (concatenation) product, distributed over terms; not normal-ordered."""
+    """Normal-ordered product, distributed over terms."""
     return a * b
 
 
 def commutator(a: OpExpr, b: OpExpr) -> OpExpr:
-    """Normal-ordered [a, b] = ab - ba; bilinear and antisymmetric."""
-    return (a * b - b * a).normal_order()
+    """[a, b] = ab - ba; bilinear and antisymmetric."""
+    return a * b - b * a
 
 
 def equals(a: OpExpr, b: OpExpr) -> bool:
@@ -601,7 +555,8 @@ class Polynomial:
         """Substitute X or P for the commuting variable."""
         if generator not in ("X", "P"):
             raise ValueError("generator must be 'X' or 'P'")
-        return OpExpr({generator * k: c for k, c in self.coeffs.items()})
+        return OpExpr({(k, 0) if generator == "X" else (0, k): c
+                       for k, c in self.coeffs.items()})
 
     def evaluate(self, x, params: Mapping[str, float] | None = None) -> complex:
         total = 0j
@@ -612,40 +567,26 @@ class Polynomial:
     def text(self, var: str = "x") -> str:
         if not self.coeffs:
             return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            body, negative = scalar_sign_split(self.coeffs[k])
-            vtext = "1" if k == 0 else (var if k == 1 else f"{var}^{k}")
-            if body == "1":
-                text = vtext
-            elif vtext == "1":
-                text = body + "*1"
-            else:
-                text = body + "*" + vtext
-            if not parts:
-                parts.append("-" + text if negative else text)
-            else:
-                parts.append(("- " if negative else "+ ") + text)
-        return " ".join(parts)
+        return _signed_sum([
+            _term_text(self.coeffs[k], "1" if k == 0 else (var if k == 1 else f"{var}^{k}"))
+            for k in sorted(self.coeffs)])
 
     def __repr__(self) -> str:
         return f"Polynomial({self.text()})"
 
 
-_MINUS_I = ScalarCoeff.rational(0, -1)
-
-
 def apply_to_polynomial(e: OpExpr, q: Polynomial) -> Polynomial:
     """Realize e on polynomials: X multiplies by x, P applies -i d/dx.
 
-    Exact on this space, and an algebra homomorphism, so it serves as an
-    independent oracle for normal ordering: equivalent expressions act
-    identically on every polynomial.
+    X^a P^b sends c x^k to (-i)^b k!/(k-b)! c x^(k-b+a).  Exact on this
+    space, and an algebra homomorphism, so acting letter by letter on a word
+    is an independent oracle for the ordered product.
     """
-    total = Polynomial.zero()
-    for word, coeff in e.terms.items():
-        r = q
-        for gen in reversed(word):
-            r = r.shift_up() if gen == "X" else r.derivative() * _MINUS_I
-        total = total + r * coeff
-    return total
+    out: dict[int, ScalarCoeff] = {}
+    for (a, b), coeff in e.terms.items():
+        for k, c in q.coeffs.items():
+            if k >= b:
+                term = (coeff * c)._scaled(_minus_i_power(math.perm(k, b), b))
+                deg = k - b + a
+                out[deg] = out[deg] + term if deg in out else term
+    return Polynomial(out)

@@ -10,13 +10,12 @@ average of W makes each slice a second-order (Strang-type) step, so chaining
 N slices converges to the exact evolution at O(dt^2) with Richardson ratio 4
 under step doubling.  K = diag(e^{i dt W/2}) T diag(e^{i dt W/2}) with T
 Toeplitz, so a slice is one deterministic FFT convolution: O(n log n) time,
-O(n) memory.  CCR_THREADS is validated, but results do not depend on it.
+O(n) memory.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -89,13 +88,6 @@ def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
         raise ValueError("dt must be positive")
     if not m > 0:
         raise ValueError("mass must be positive")
-    raw = os.environ.get("CCR_THREADS")  # validated only; results do not depend on it
-    try:
-        valid = raw is None or int(raw) >= 1
-    except ValueError:
-        valid = False
-    if not valid:
-        raise ValueError(f"CCR_THREADS must be a positive integer, got {raw!r}")
     x = grid.points()
     # a constant polynomial evaluates to a scalar
     f_vals = np.broadcast_to(force.evaluate(x, params), x.shape)

@@ -65,14 +65,23 @@ def _random_polynomial(rng: random.Random, max_degree: int = 8) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def _random_opexpr(rng: random.Random, max_words: int = 4,
-                   max_len: int = 6) -> OpExpr:
-    terms = {}
-    for _ in range(rng.randint(1, max_words)):
-        word = "".join(rng.choice("XP") for _ in range(rng.randint(0, max_len)))
-        coeff = ScalarCoeff.rational(_random_rational(rng), _random_rational(rng))
-        terms[word] = terms[word] + coeff if word in terms else coeff
-    return OpExpr(terms)
+def _random_words(rng: random.Random, max_words: int = 4,
+                  max_len: int = 6) -> list[tuple[str, ScalarCoeff]]:
+    return [("".join(rng.choice("XP") for _ in range(rng.randint(0, max_len))),
+             ScalarCoeff.rational(_random_rational(rng), _random_rational(rng)))
+            for _ in range(rng.randint(1, max_words))]
+
+
+def _letter_action(words: list[tuple[str, ScalarCoeff]], q: Polynomial) -> Polynomial:
+    """Act with each word on q one letter at a time, rightmost first:
+    X multiplies by x, P applies -i d/dx."""
+    total = Polynomial.zero()
+    for word, coeff in words:
+        r = q
+        for letter in reversed(word):
+            r = r.shift_up() if letter == "X" else r.derivative() * -_I
+        total = total + r * coeff
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +106,15 @@ def _check_derivative_rules() -> tuple[bool, str]:
 
 
 def _check_oracle() -> tuple[bool, str]:
-    """Raw and normal-ordered forms act identically on polynomials."""
+    """Words acting letter by letter and their ordered product act alike."""
     rng = random.Random(1102)
     trials = 500
     for _ in range(trials):
-        e = _random_opexpr(rng)
+        words = _random_words(rng)
         q = _random_polynomial(rng)
-        if apply_to_polynomial(e, q) != apply_to_polynomial(e.normal_order(), q):
-            return False, "raw and normal-ordered actions differ"
+        e = sum((OpExpr.word(word, coeff) for word, coeff in words), OpExpr.zero())
+        if _letter_action(words, q) != apply_to_polynomial(e, q):
+            return False, "letter-by-letter and ordered actions differ"
     return True, f"{trials} expressions, action equality exact"
 
 
@@ -124,7 +134,7 @@ def _symmetrized_forms(n: int) -> tuple[OpExpr, OpExpr, OpExpr]:
     right = (((-_I) * (commutator(xn, P) * P)) - cross) * inv_m
     gen = generator(force_for_model("free"), newtonian_velocity())
     via_generator = time_derivative(xn, gen)
-    return left.normal_order(), right.normal_order(), via_generator
+    return left, right, via_generator
 
 
 def _check_symmetrization() -> tuple[bool, str]:

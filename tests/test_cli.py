@@ -1,5 +1,8 @@
+import json
 import math
+import pathlib
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -22,8 +25,9 @@ from ccrflow.propagator import AffineFlowExact, UniformGrid, WaveFunction, gauss
 # ---- expression parsing ----
 
 def test_parse_word_product():
+    # the product is ordered as it is parsed: P X = X P - i
     e = parse_expression("P*X")
-    assert e.terms == {"PX": ScalarCoeff.rational(1)}
+    assert e.terms == {(1, 1): ScalarCoeff.rational(1), (0, 0): -ScalarCoeff.imag_unit()}
 
 
 def test_parse_complex_coefficient():
@@ -60,8 +64,10 @@ def test_parse_parenthesized_sum_coefficient():
 
 
 def test_parse_preserves_noncommutative_order():
-    assert "PXP" in parse_expression("P*X*P").terms
-    assert "XPX" in parse_expression("X*P*X").terms
+    i = OpExpr.scalar(ScalarCoeff.imag_unit())
+    assert parse_expression("P*X*P") == X * P * P - i * P
+    assert parse_expression("X*P*X") == X * X * P - i * X
+    assert parse_expression("P*X*P") != parse_expression("X*P*P")
 
 
 def test_parse_unary_minus():
@@ -97,7 +103,65 @@ def test_parser_caps_nesting_and_power_length(capsys):
         assert captured.err.startswith("ccrflow: error:")
         assert f"(byte {offset})" in captured.err
     assert parse_expression("(" * 100 + "X" + ")" * 100) == X
-    assert parse_expression("(X*P)^2048").max_word_length() == 4096
+    assert max(a + b for a, b in parse_expression("(X*P)^185").terms) == 370
+
+
+# 80 pairs of terms with overlap up to 512: 41k term products, but CCR
+# weights of ~5000 bits, so its ordered terms would print some 100 MB
+_LONG_WEIGHTS = "(" + " + ".join(f"{j + 1}*P^{512 - j}" for j in range(40)) + ")*(X^512 + 3*X^511)"
+
+
+# The largest admitted power of each family, and the first one past its cap.
+# (X*P)^2048 used to run 9 s and end in Python's int-digits message, and
+# P^2000*X^2000 reached the same message as a product of two capped powers.
+@pytest.mark.parametrize("text, cap, offset", [
+    pytest.param(_LONG_WEIGHTS, "term products", _LONG_WEIGHTS.index(")*(") + 1,
+                 id="long-ccr-weights"),
+    ("(X*P)^185", None, None), ("(X*P)^186", "term products", 5),
+    ("(X+P)^56", None, None), ("(X+P)^57", "term products", 5),
+    ("P^1024*X^1024", None, None), ("P^1025*X^1025", "degree 2050", 6),
+    ("(X*P)^2048", "term products", 5), ("P^2000*X^2000", "degree 4000", 6),
+    ("0^1000000000", "term products", 1), ("(X-X)^1000000000", "term products", 5),
+    ("m^1000000000", "term products", 1),
+])
+def test_parser_caps_bound_the_ordered_result(text, cap, offset, capsys):
+    start = time.perf_counter()
+    code = main(["normord", text])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert elapsed < 2.0
+    if cap is None:
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out.count("\n") == 1
+    else:
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("ccrflow: error:")
+        assert cap in captured.err
+        assert f"(byte {offset})" in captured.err
+
+
+def test_comm_products_are_capped(capsys):
+    # each side is admitted; their two products together are not
+    assert main(["comm", "(X+P)^40", "(X+P)^40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ccrflow: error: more than 65536 term products\n"
+
+
+@pytest.mark.parametrize("text", ["123456789^4096", "((12345/6789)^4096)^4096"])
+def test_scalar_too_long_to_print_is_domain_error(text, capsys):
+    # the first used to end in Python's "Exceeds the limit (4300 digits)" message
+    # with exit 2; the second ran for minutes
+    start = time.perf_counter()
+    assert main(["normord", text]) == 3
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ccrflow: domain error: a coefficient has more than 4300 "
+                            "digits, too many to print\n")
 
 
 def test_round_trip_random_expressions():
@@ -112,7 +176,7 @@ def test_round_trip_random_expressions():
                 c = c * ScalarCoeff.param(rng.choice(["m", "omega", "F0"]),
                                           rng.choice([-2, -1, 1, 2]))
             terms[w] = terms.get(w, ScalarCoeff.zero()) + c
-        e = OpExpr(terms)
+        e = sum((OpExpr.word(w, c) for w, c in terms.items()), OpExpr.zero())
         assert parse_expression(e.canonical_text()) == e
 
 
@@ -187,6 +251,18 @@ def test_normord_long_word(capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.startswith("X^40*P^40 - (0,1600)*X^39*P^39 - 1216800*X^38*P^38 + ")
+
+
+def test_symbolic_outputs_match_golden_bytes(capsys):
+    # stdout captured before the algebra was keyed by exponent pairs: the
+    # README normord/comm/series examples, verify, and a set of benchmark
+    # symbolic jobs ((aX+bP)^k, comm of powers, c*P^k*X^k, long series)
+    golden = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text())
+    for case in golden:
+        assert main(case["argv"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == case["stdout"], case["argv"]
 
 
 def test_comm_command(capsys):
@@ -368,14 +444,6 @@ def test_cli_warning_is_one_line(capsys):
     quiet = capsys.readouterr()
     assert quiet.err == ""
     assert quiet.out == captured.out
-
-
-def test_invalid_ccr_threads_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("CCR_THREADS", "-3")
-    assert main(["pathint", "--force", "0", "--m", "1", "--t-total", "1",
-                 "--steps", "2", "--x-min", "-6", "--x-max", "6",
-                 "--n", "256"]) == 2
-    capsys.readouterr()
 
 
 def test_config_file_merge_flags_win(tmp_path, capsys):

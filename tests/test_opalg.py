@@ -30,13 +30,28 @@ def rnd_scalar(rng):
     return ScalarCoeff.rational(rnd_rational(rng), rnd_rational(rng))
 
 
+def rnd_words(rng, max_words=3, max_len=4, min_len=0):
+    return [("".join(rng.choice("XP") for _ in range(rng.randint(min_len, max_len))),
+             rnd_scalar(rng)) for _ in range(rng.randint(1, max_words))]
+
+
+def product_of_letters(words):
+    return sum((OpExpr.word(w, c) for w, c in words), OpExpr.zero())
+
+
 def rnd_opexpr(rng, max_words=3, max_len=4, min_len=0):
-    terms = {}
-    for _ in range(rng.randint(1, max_words)):
-        w = "".join(rng.choice("XP") for _ in range(rng.randint(min_len, max_len)))
-        c = rnd_scalar(rng)
-        terms[w] = terms[w] + c if w in terms else c
-    return OpExpr(terms)
+    return product_of_letters(rnd_words(rng, max_words, max_len, min_len))
+
+
+def letter_action(words, q):
+    """Each word acting on q letter by letter, rightmost first: X is x*, P is -i d/dx."""
+    total = Polynomial.zero()
+    for word, coeff in words:
+        r = q
+        for letter in reversed(word):
+            r = r.shift_up() if letter == "X" else r.derivative() * (-I)
+        total = total + r * coeff
+    return total
 
 
 def rnd_poly(rng, max_degree=8):
@@ -46,25 +61,37 @@ def rnd_poly(rng, max_degree=8):
 # ---- multiply ----
 
 def test_multiply_concatenates_words():
+    # X times P is already ordered: the exponent pairs add
     prod = multiply(X, P)
-    assert prod.terms == {"XP": ScalarCoeff.rational(1)}
+    assert prod.terms == {(1, 1): ScalarCoeff.rational(1)}
+    assert multiply(X * X * P, P).terms == {(2, 2): ScalarCoeff.rational(1)}
 
 
 def test_multiply_distributes():
+    # (X + P) X = X^2 + P X = X^2 + X P - i
     prod = multiply(X + P, X)
-    assert set(prod.terms) == {"XX", "PX"}
-    assert prod.terms["XX"] == ScalarCoeff.rational(1)
-    assert prod.terms["PX"] == ScalarCoeff.rational(1)
+    assert prod.terms == {(2, 0): ScalarCoeff.rational(1), (1, 1): ScalarCoeff.rational(1),
+                          (0, 0): -I}
 
 
 def test_multiply_scalars():
     prod = multiply(X * 2, P * 3)
-    assert prod.terms == {"XP": ScalarCoeff.rational(6)}
+    assert prod.terms == {(1, 1): ScalarCoeff.rational(6)}
 
 
-def test_multiply_is_not_normal_ordered():
+def test_multiply_normal_orders_px():
     prod = multiply(P, X)
-    assert "PX" in prod.terms
+    assert prod == X * P - OpExpr.scalar(I)
+    assert prod.terms == {(1, 1): ScalarCoeff.rational(1), (0, 0): -I}
+    assert P * X * P != X * P * P
+
+
+def test_multiply_closed_form_against_letter_fold():
+    # X^a P^b X^c P^d built by the closed form equals the letters folded one by one
+    for a, b, c, d in ((0, 3, 2, 0), (1, 2, 3, 1), (2, 4, 4, 2), (0, 5, 1, 3)):
+        left = OpExpr({(a, b): ScalarCoeff.rational(1)})
+        right = OpExpr({(c, d): ScalarCoeff.rational(1)})
+        assert left * right == OpExpr.word("X" * a + "P" * b + "X" * c + "P" * d)
 
 
 # ---- normal ordering ----
@@ -83,25 +110,26 @@ def test_normal_order_ppx():
     expected = X * P * P - P * I * 2
     assert normal_order(P * P * X) == expected
     got = normal_order(P * P * X)
-    assert set(got.terms) == {"XPP", "P"}
+    assert set(got.terms) == {(1, 2), (0, 1)}
 
 
 def test_normal_order_idempotent():
+    # every product is ordered when built; normal_order returns it unchanged
     rng = random.Random(5)
     for _ in range(50):
         e = rnd_opexpr(rng, max_len=6)
-        once = normal_order(e)
-        assert normal_order(once).terms == once.terms
-        assert once.is_normal_ordered()
+        assert normal_order(e) is e
+        assert all(a >= 0 and b >= 0 for a, b in e.terms)
 
 
 def test_normal_order_preserves_element():
+    # the ordered product acts on polynomials like its words acting letter by letter
     rng = random.Random(6)
     for min_len, max_len, count in ((0, 4, 30), (10, 14, 20)):
         for _ in range(count):
-            e = rnd_opexpr(rng, min_len=min_len, max_len=max_len)
+            words = rnd_words(rng, min_len=min_len, max_len=max_len)
             q = rnd_poly(rng, max_len + 2)
-            assert apply_to_polynomial(e, q) == apply_to_polynomial(normal_order(e), q)
+            assert apply_to_polynomial(product_of_letters(words), q) == letter_action(words, q)
 
 
 @pytest.mark.parametrize("k", [32, 40, 400])
@@ -113,7 +141,7 @@ def test_normal_order_pk_xk_closed_form(k):
     for r in range(k + 1):
         weight = math.comb(k, r) ** 2 * math.factorial(r)
         re, im = minus_i_pow[r % 4]
-        expected["X" * (k - r) + "P" * (k - r)] = ScalarCoeff.rational(re * weight, im * weight)
+        expected[k - r, k - r] = ScalarCoeff.rational(re * weight, im * weight)
     assert normal_order(P ** k * X ** k).terms == expected
 
 
@@ -230,6 +258,32 @@ def test_scalar_ring_closure():
         assert a * (b + c) == a * b + a * c
 
 
+def test_scalar_arithmetic_matches_fraction_pairs():
+    # the (p, q, d) weights against complex arithmetic on Fraction pairs,
+    # for the general product and each constant fast path
+    rng = random.Random(15)
+
+    def value(c):
+        (p, q, d), = c.terms.values() or [(0, 0, 1)]
+        return Fraction(p, d), Fraction(q, d)
+
+    for _ in range(200):
+        (a, b), (c, d) = (rnd_rational(rng), rnd_rational(rng)), (rnd_rational(rng),
+                                                                  rnd_rational(rng))
+        x, y = ScalarCoeff.rational(a, b), ScalarCoeff.rational(c, d)
+        k, f = rng.randint(-30, 30), rnd_rational(rng) or Fraction(1, 7)
+        assert value(x * y) == (a * c - b * d, a * d + b * c)
+        assert value(x + y) == (a + c, b + d)
+        assert value(x * k) == (a * k, b * k)
+        assert value(x * f) == (a * f, b * f)
+        assert value(x / k if k else x) == ((a / k, b / k) if k else (a, b))
+        if a or b:
+            assert value(x.inverse()) == (a / (a * a + b * b), -b / (a * a + b * b))
+        for g, h in ((k, 0), (0, -k), (-k, 0), (0, k)):  # k (-i)^r, r = 0..3
+            assert value(x._scaled((g, h, 1))) == (a * g - b * h, a * h + b * g)
+    assert ScalarCoeff.rational(Fraction(6, 4), Fraction(-9, 6)).terms == {(): (3, -3, 2)}
+
+
 def test_scalar_zero_is_canonical():
     z = ScalarCoeff.rational(1) - ScalarCoeff.rational(1)
     assert z.is_zero
@@ -282,6 +336,18 @@ def test_canonical_text_matches_examples():
     assert e.canonical_text() == "(3/2)*X^2*P - (0,1)*1"
     assert OpExpr.zero().canonical_text() == "0"
     assert (X * ScalarCoeff.param("m", -1)).canonical_text() == "m^-1*X"
+
+
+def test_canonical_text_prints_long_words():
+    assert (P ** 40 * X ** 40).canonical_text().startswith(
+        "X^40*P^40 - (0,1600)*X^39*P^39 - 1216800*X^38*P^38 + ")
+    assert (X * P ** 3 + P * 2).canonical_text() == "X*P^3 + 2*P"
+
+
+def test_scalar_too_long_to_print_is_overflow():
+    big = OpExpr.scalar(ScalarCoeff.rational(123456789) ** 4096)
+    with pytest.raises(OverflowError, match="more than 4300 digits"):
+        big.canonical_text()
 
 
 def test_canonical_text_is_deterministic():

@@ -108,25 +108,6 @@ def test_symbolic_force_needs_parameters():
     assert kernel.matrix.shape == (64, 64)
 
 
-def test_thread_cap_does_not_change_result(monkeypatch):
-    grid = UniformGrid.from_bounds(-2.55, 2.55, 512)
-    monkeypatch.setenv("CCR_THREADS", "1")
-    serial = short_time_matrix(harmonic_force(), 4.0, 0.2, grid)
-    monkeypatch.setenv("CCR_THREADS", "3")
-    threaded = short_time_matrix(harmonic_force(), 4.0, 0.2, grid)
-    assert np.array_equal(serial.matrix, threaded.matrix)
-
-
-def test_invalid_thread_cap(monkeypatch):
-    grid = UniformGrid.from_bounds(-1, 1, 32)
-    monkeypatch.setenv("CCR_THREADS", "zero")
-    with pytest.raises(ValueError):
-        short_time_matrix(Polynomial.zero(), 1.0, 0.5, grid)
-    monkeypatch.setenv("CCR_THREADS", "0")
-    with pytest.raises(ValueError):
-        short_time_matrix(Polynomial.zero(), 1.0, 0.5, grid)
-
-
 # ---- propagation ----
 
 def test_zero_steps_is_identity():
