@@ -2,8 +2,12 @@
 
 The exact layer (opalg, heisenberg) works over complex rationals with named
 parameters; the numeric layer (propagator, pathint) evolves wavepackets on
-uniform grids; the cli module exposes everything as subcommands.
+uniform grids; the cli module exposes everything as subcommands.  The
+numeric names load on first use (PEP 562), so importing the package, or
+running a symbolic command, does not import numpy.
 """
+
+from importlib import import_module
 
 from .heisenberg import (
     AffineFlow,
@@ -24,6 +28,7 @@ from .heisenberg import (
 )
 from .opalg import (
     ONE,
+    DomainError,
     InversePower,
     OpExpr,
     P,
@@ -37,25 +42,22 @@ from .opalg import (
     multiply,
     normal_order,
 )
-from .pathint import (
-    ConvergenceReport,
-    ConvergenceRow,
-    KernelMatrix,
-    convergence_study,
-    propagate,
-    short_time_matrix,
-)
-from .propagator import (
-    AffineFlowExact,
-    BoundaryLeak,
-    CausticSingularity,
-    GaussianKernel,
-    GridTooCoarse,
-    UniformGrid,
-    WaveFunction,
-    evolve_exact,
-    gaussian_kernel,
-    closed_form_kernel,
-)
 
 __version__ = "0.1.0"
+
+_NUMERIC = {  # numeric module -> the names the package exports from it
+    "pathint": ("ConvergenceReport", "ConvergenceRow", "KernelMatrix",
+                "convergence_study", "propagate", "short_time_matrix"),
+    "propagator": ("AffineFlowExact", "BoundaryLeak", "CausticSingularity",
+                   "GaussianKernel", "GridTooCoarse", "UniformGrid", "WaveFunction",
+                   "evolve_exact", "gaussian_kernel", "closed_form_kernel"),
+}
+_HOME = {name: module for module, names in _NUMERIC.items() for name in (module, *names)}
+
+
+def __getattr__(name):
+    """ccrflow.<numeric name>, and the numeric modules themselves, on first use."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_HOME[name]}", __name__)
+    return module if name == _HOME[name] else getattr(module, name)

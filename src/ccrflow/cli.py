@@ -21,41 +21,43 @@ CSV convention: header row; complex values as two columns ``re``, ``im``;
 17 significant digits in scientific notation; '.' decimal separator; LF line
 endings.  Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 domain error (caustic, grid too coarse, non-affine flow, float overflow,
-a coefficient too long to print).
+a coefficient too long to print, out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import re
 import sys
 import warnings
 from contextlib import nullcontext
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import verify as verify_mod
 from .heisenberg import (
     DEFAULT_ORDER,
-    NonAffineFlow,
     force_for_model,
     generator,
     newtonian_velocity,
     taylor_flow,
 )
-from .opalg import ONE, OpExpr, P, Polynomial, ScalarCoeff, X, too_long_to_print
-from .pathint import ConvergenceReport, convergence_study, propagate, short_time_matrix
-from .propagator import (
-    AffineFlowExact,
-    CausticSingularity,
-    GridTooCoarse,
-    UniformGrid,
-    WaveFunction,
-    evolve_exact,
-    gaussian_kernel,
+from .opalg import (
+    ONE,
+    DomainError,
+    OpExpr,
+    P,
+    Polynomial,
+    ScalarCoeff,
+    X,
+    too_long_to_print,
 )
+
+if TYPE_CHECKING:
+    from .pathint import ConvergenceReport
+    from .propagator import AffineFlowExact, UniformGrid, WaveFunction
+
+# The numeric commands import numpy and the numeric modules when they run,
+# so normord, comm, series and --help start without them.
 
 __all__ = ["main", "parse_expression", "ExpressionError", "format_float"]
 
@@ -325,6 +327,8 @@ def _format_columns(*columns) -> list[str]:
     float formatting itself; the bytes equal joining format_float per row.
     The value tuple is a temporary, freed before the text is split.
     """
+    import numpy as np
+
     template = ",".join([_FLOAT_FORMAT] * len(columns)) + "\n"
     return ((template * len(columns[0]))
             % tuple(np.column_stack(columns).ravel().tolist())).splitlines()
@@ -441,31 +445,34 @@ def _default(args: argparse.Namespace, **defaults) -> None:
 
 
 def _validated_grid(args: argparse.Namespace) -> UniformGrid:
+    from .propagator import UniformGrid
+
     if args.n < 2:
         raise ValueError("grid needs n >= 2")
     return UniformGrid.from_bounds(args.x_min, args.x_max, args.n)
 
 
-_FLOWS = {  # --model alias -> (flow constructor, flags it needs besides --m)
-    "free": (AffineFlowExact.free, ()),
-    "harmonic": (AffineFlowExact.harmonic, ("omega",)),
-    "linear": (AffineFlowExact.linear, ("F0",)),
-}
+# --model alias (an AffineFlowExact constructor) -> flags it needs besides --m
+_FLOWS = {"free": (), "harmonic": ("omega",), "linear": ("F0",)}
 
 
 def _flow_from_args(args: argparse.Namespace) -> AffineFlowExact:
+    from .propagator import AffineFlowExact
+
     if args.m is None or not args.m > 0:
         raise ValueError("mass must be given and positive (--m)")
     if args.model not in _FLOWS:
         raise ValueError(f"unknown model {args.model!r}")
-    make, flags = _FLOWS[args.model]
+    flags = _FLOWS[args.model]
     for flag in flags:
         if getattr(args, flag) is None:
             raise ValueError(f"{args.model} model needs --{flag}")
-    return make(args.m, *(getattr(args, flag) for flag in flags))
+    return getattr(AffineFlowExact, args.model)(args.m, *(getattr(args, flag) for flag in flags))
 
 
 def _packet(args: argparse.Namespace, grid: UniformGrid) -> WaveFunction:
+    from .propagator import WaveFunction
+
     return WaveFunction.gaussian_packet(grid, center=args.x0, width=args.sigma,
                                         momentum=args.p0)
 
@@ -506,6 +513,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    from .propagator import gaussian_kernel
+
     _merge_config(args)
     _require(args, ["model", "m", "t", "x_min", "x_max", "n"])
     grid = _validated_grid(args)
@@ -521,6 +530,8 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    from .propagator import evolve_exact, gaussian_kernel
+
     _merge_config(args)
     _require(args, ["model", "m", "t", "x_min", "x_max", "n"])
     _default(args, x0=0.0, p0=0.0, sigma=1.0)
@@ -535,6 +546,8 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_pathint(args) -> int:
+    from .pathint import convergence_study, propagate, short_time_matrix
+
     _merge_config(args)
     _require(args, ["force", "m", "t_total", "x_min", "x_max", "n"])
     _default(args, x0=0.0, p0=0.0, sigma=1.0)
@@ -574,7 +587,9 @@ def _cmd_pathint(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    lines, ok = verify_mod.run_verification()
+    from . import verify
+
+    lines, ok = verify.run_verification()
     _write_lines(lines, args.output)
     return 0 if ok else 1
 
@@ -586,15 +601,17 @@ def _cmd_verify(args) -> int:
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors end in main as one 'ccrflow: error:' line and exit 2.
 
-    Negative numbers in exponent form (``--x-min -1e1``) are values, not
-    options; argparse's own pattern accepts only ``-1`` and ``-1.5``.
+    An argument with one leading '-' is an option only if it is one exactly
+    (``-h``); otherwise it is a value, such as the expression ``-2*X`` or the
+    number ``-1e1`` (argparse's own pattern admits only ``-1`` and ``-1.5``).
     Subparsers are built from this class, so every subcommand inherits both.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-\d+(?:[eE][-+]?\d+)?$|^-\d*\.\d+(?:[eE][-+]?\d+)?$")
+    def _parse_optional(self, arg_string):
+        if (arg_string.startswith("-") and not arg_string.startswith("--")
+                and arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
 
     def error(self, message):
         raise ValueError(message)
@@ -696,7 +713,7 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
             return args.func(args)
-        except (CausticSingularity, GridTooCoarse, NonAffineFlow, OverflowError) as exc:
+        except (DomainError, OverflowError, MemoryError) as exc:
             print(f"ccrflow: domain error: {exc}", file=sys.stderr)
             return 3
         except (ExpressionError, ValueError, OSError) as exc:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .opalg import (
+    DomainError,
     OpExpr,
     Polynomial,
     ScalarCoeff,
@@ -45,7 +46,7 @@ DEFAULT_ORDER = 16
 _I = ScalarCoeff.imag_unit()
 
 
-class NonAffineFlow(ValueError):
+class NonAffineFlow(DomainError):
     """Raised when a series coefficient leaves the span of {1, X, P}."""
 
 

@@ -35,7 +35,14 @@ __all__ = [
     "apply_to_polynomial",
     "equals",
     "word_sort_key",
+    "DomainError",
 ]
+
+
+class DomainError(ValueError):
+    """Well-formed input outside the domain a result exists on (a caustic, a
+    grid too coarse, a flow that is not affine).  The numeric modules'
+    errors subclass it, so catching it needs no numeric import."""
 
 
 def word_sort_key(word: tuple[int, int]) -> tuple[int, int]:

@@ -25,7 +25,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .opalg import Polynomial
+from .opalg import DomainError, Polynomial
 
 __all__ = [
     "CausticSingularity",
@@ -49,11 +49,11 @@ EDGE_SAMPLES = 5
 EDGE_MASS_FLAG = 1e-10
 
 
-class CausticSingularity(ValueError):
+class CausticSingularity(DomainError):
     """beta(t) vanished: the Gaussian kernel amplitude diverges here."""
 
 
-class GridTooCoarse(ValueError):
+class GridTooCoarse(DomainError):
     """Kernel phase would advance more than pi/2 between adjacent samples."""
 
 

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -9,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ccrflow
 from ccrflow.cli import (
     ExpressionError,
     _write_lines,
@@ -18,8 +22,16 @@ from ccrflow.cli import (
     parse_expression,
     wavefunction_csv_lines,
 )
-from ccrflow.opalg import OpExpr, P, ScalarCoeff, X
-from ccrflow.propagator import AffineFlowExact, UniformGrid, WaveFunction, gaussian_kernel
+from ccrflow.heisenberg import NonAffineFlow
+from ccrflow.opalg import DomainError, OpExpr, P, ScalarCoeff, X
+from ccrflow.propagator import (
+    AffineFlowExact,
+    CausticSingularity,
+    GridTooCoarse,
+    UniformGrid,
+    WaveFunction,
+    gaussian_kernel,
+)
 
 
 # ---- expression parsing ----
@@ -352,25 +364,6 @@ def test_unbound_force_parameter_is_usage_error(capsys):
     assert "'k'" in err
 
 
-def test_exit_code_usage_errors(capsys):
-    assert main(["normord", "X^-1"]) == 2
-    assert main(["kernel", "--model", "free", "--t", "1",
-                 "--x-min", "-1", "--x-max", "1", "--n", "4"]) == 2  # no mass
-    assert main(["series", "--model", "harmonic", "--order", "-2"]) == 2
-    capsys.readouterr()
-
-
-def test_exit_code_domain_errors(capsys):
-    # caustic: harmonic at omega t = pi
-    assert main(["kernel", "--model", "harmonic", "--m", "1", "--omega", "1",
-                 "--t", str(math.pi), "--x-min", "-1", "--x-max", "1",
-                 "--n", "8"]) == 3
-    # grid too coarse for evolve
-    assert main(["evolve", "--model", "free", "--m", "1", "--t", "0.001",
-                 "--x-min", "-4", "--x-max", "4", "--n", "64"]) == 3
-    capsys.readouterr()
-
-
 def test_caustic_test_is_scale_free(capsys):
     # beta = 1e-13 for a heavy free particle, but beta m / t = 1
     assert main(["kernel", "--model", "free", "--m", "1e13", "--t", "1",
@@ -492,3 +485,160 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "check 8 broken: FAIL" in out
     assert "result: FAIL (7/8 checks)" in out
+
+
+# ---- exit codes, leading '-', and the import graph ----
+
+_SMALL = ["--model", "free", "--m", "1", "--t", "1", "--x-min", "-1", "--x-max", "1"]
+_OVERSIZED = _SMALL + ["--n", "100000000000"]  # fails at allocation, allocating nothing
+_OVERFLOW = ["pathint", "--force=1000000*X", "--m", "1", "--t-total", "1", "--x-min",
+             "-0.001", "--x-max", "0.001", "--n", "64", "--convergence", "1,2",
+             "--output", os.devnull]
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param([], 2, id="no-command"),
+    pytest.param(["normord"], 2, id="missing-expr"),
+    pytest.param(["kernel", "--bogus", "1"], 2, id="unknown-flag"),
+    pytest.param(["kernel", "--n", "four"], 2, id="bad-int"),
+    pytest.param(["kernel", "--model", "-x"], 2, id="bad-choice"),
+    pytest.param(["normord", "X ? P"], 2, id="bad-expression"),
+    pytest.param(["normord", "X^-1"], 2, id="negative-word-power"),
+    pytest.param(["kernel", "--model", "free", "--t", "1", "--x-min", "-1", "--x-max", "1",
+                  "--n", "4"], 2, id="missing-mass"),
+    pytest.param(["series", "--model", "harmonic", "--order", "-2"], 2, id="negative-order"),
+    pytest.param(["kernel", *_SMALL, "--n", "4", "--m", "nan"], 2, id="nan-flag"),
+    pytest.param(["kernel", *_SMALL, "--n", "4", "--x-min", "-inf"], 2, id="minus-inf-flag"),
+    pytest.param(["kernel", "--model", "harmonic", "--m", "1", "--omega", "1",  # omega t = pi
+                  "--t", str(math.pi), "--x-min", "-1", "--x-max", "1", "--n", "8"],
+                 3, id="caustic"),
+    pytest.param(["evolve", "--model", "free", "--m", "1", "--t", "0.001",
+                  "--x-min", "-4", "--x-max", "4", "--n", "64"], 3, id="coarse-grid"),
+    pytest.param(_OVERFLOW, 3, id="overflow", marks=pytest.mark.filterwarnings(
+        "ignore::ccrflow.propagator.BoundaryLeak")),
+    pytest.param(["normord", "123456789^4096"], 3, id="too-long-to-print"),
+    pytest.param(["kernel", *_OVERSIZED], 3, id="oversized-kernel"),
+    pytest.param(["evolve", *_OVERSIZED], 3, id="oversized-evolve"),
+    pytest.param(["pathint", "--force=-X", "--m", "1", "--t-total", "1", "--steps", "2",
+                  "--x-min", "-1", "--x-max", "1", "--n", "100000000000"],
+                 3, id="oversized-pathint"),
+    pytest.param(["normord", "-P"], 0, id="leading-minus-normord"),
+    pytest.param(["comm", "-X", "-2*P"], 0, id="leading-minus-comm"),
+])
+def test_exit_code_sweep(argv, code, capsys):
+    # every bad input ends in one line and its exit code, never a traceback;
+    # an oversized grid used to end in numpy's MemoryError traceback, exit 1
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1
+        assert err.startswith("ccrflow: domain error: " if code == 3 else "ccrflow: error: ")
+
+
+def test_domain_errors_share_one_base():
+    # main catches the base without importing the numeric modules; library
+    # callers that catch ValueError or one class see no change
+    for cls in (NonAffineFlow, CausticSingularity, GridTooCoarse):
+        assert issubclass(cls, DomainError) and issubclass(cls, ValueError)
+
+
+@pytest.mark.parametrize("argv, reference", [
+    (["normord", "-P"], ["normord", "--", "-P"]),
+    (["normord", "-2*X"], ["normord", "--", "-2*X"]),
+    (["normord", "-X*P"], ["normord", "--", "-X*P"]),
+    (["comm", "-X", "P"], ["comm", "--", "-X", "P"]),
+    (["comm", "P", "-X^2"], ["comm", "--", "P", "-X^2"]),
+    (["normord", "-hbar*X", "--output", os.devnull], ["normord", "--output", os.devnull,
+                                                      "--", "-hbar*X"]),
+    (["pathint", "--force", "-X", "--m", "0.1", "--t-total", "1", "--x-min", "-6",
+      "--x-max", "6", "--n", "256", "--steps", "4"],
+     ["pathint", "--force=-X", "--m", "0.1", "--t-total", "1", "--x-min", "-6",
+      "--x-max", "6", "--n", "256", "--steps", "4"]),
+])
+def test_leading_minus_expression_is_a_value(argv, reference, capsys):
+    # these were taken for options: exit 2, "the following arguments are required"
+    assert main(reference) == 0
+    expected = capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_short_help_is_still_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["normord", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ccrflow normord")
+
+
+def _fresh_python(script: str, *args: str) -> str:
+    """stdout of script in a new interpreter, so sys.modules starts clean."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ccrflow.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+_IMPORT_GRAPH = """
+import json, os, sys
+from ccrflow.cli import build_parser, main
+
+numeric = {"numpy", "ccrflow.propagator", "ccrflow.pathint", "ccrflow.verify"}
+for argv in (["normord", "P*X"], ["comm", "X^3", "P"],
+             ["series", "--model", "harmonic", "--order", "3"]):
+    assert main(argv + ["--output", os.devnull]) == 0
+build_parser().format_help()
+symbolic = sorted(numeric & set(sys.modules))
+assert main(["kernel", "--model", "free", "--m", "1", "--t", "1", "--x-min", "-1",
+             "--x-max", "1", "--n", "4", "--coefficients", "--output", os.devnull]) == 0
+print(json.dumps([symbolic, "numpy" in sys.modules]))
+"""
+
+
+def test_symbolic_commands_do_not_import_numpy():
+    symbolic, kernel_numpy = json.loads(_fresh_python(_IMPORT_GRAPH))
+    assert symbolic == []
+    assert kernel_numpy
+
+
+# Every name the package exported before its numeric names became lazy,
+# by defining module.
+_EXPORTS = {
+    "opalg": ["ONE", "InversePower", "OpExpr", "P", "Polynomial", "ScalarCoeff", "X",
+              "apply_to_polynomial", "commutator", "equals", "inverse_power_rule",
+              "multiply", "normal_order"],
+    "heisenberg": ["AffineFlow", "ForceLaw", "Generator", "NonAffineFlow",
+                   "OperatorTimeSeries", "VelocityLaw", "constant_force", "extract_affine",
+                   "force_for_model", "free_force", "generator", "harmonic_force",
+                   "newtonian_velocity", "taylor_flow", "time_derivative"],
+    "pathint": ["ConvergenceReport", "ConvergenceRow", "KernelMatrix", "convergence_study",
+                "propagate", "short_time_matrix"],
+    "propagator": ["AffineFlowExact", "BoundaryLeak", "CausticSingularity", "GaussianKernel",
+                   "GridTooCoarse", "UniformGrid", "WaveFunction", "evolve_exact",
+                   "gaussian_kernel", "closed_form_kernel"],
+}
+
+_RESOLVE = """
+import json, sys
+import ccrflow
+
+exports = json.loads(sys.argv[1])
+got = {name: getattr(ccrflow, name) for names in exports.values() for name in names}
+modules = {module: getattr(ccrflow, module) for module in exports}
+wrong = [module for module in exports if modules[module] is not sys.modules["ccrflow." + module]]
+for module, names in exports.items():
+    for name in names:
+        scope = {}
+        exec(f"from ccrflow import {name}", scope)
+        if not got[name] is scope[name] is getattr(modules[module], name):
+            wrong.append(name)
+print(json.dumps(wrong))
+"""
+
+
+def test_package_exports_resolve_to_their_modules():
+    assert json.loads(_fresh_python(_RESOLVE, json.dumps(_EXPORTS))) == []
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ccrflow.no_such_name
