@@ -19,15 +19,17 @@ the whole expression has spent (see _Caps).
 
 CSV convention: header row; complex values as two columns ``re``, ``im``;
 17 significant digits in scientific notation; '.' decimal separator; LF line
-endings.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 domain error (caustic, grid too coarse, non-affine flow, float overflow,
-a coefficient too long to print, out of memory).
+endings.  Exit codes: 0 success, 1 verification failure, 2 usage or I/O
+error (such as a broken output pipe or a failed kernel CSV worker), 3 domain
+error (caustic, grid too coarse, non-affine flow, float overflow, a
+coefficient too long to print, out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import warnings
 from contextlib import nullcontext
@@ -313,6 +315,10 @@ def _force_polynomial(e: OpExpr) -> Polynomial:
 
 _FLOAT_FORMAT = "%.16e"
 _WRITE_BLOCK = 4096  # lines per write
+# Formatted floats (2n^2 + n for an n-point kernel CSV, first reached at
+# n = 181) from which the kernel CSV is split across CPUs: a fork costs a
+# few ms, and formatting one float about 1 us.
+_FORK_MIN_FLOATS = 1 << 16
 
 
 def format_float(x: float) -> str:
@@ -320,38 +326,150 @@ def format_float(x: float) -> str:
     return _FLOAT_FORMAT % x
 
 
-def _format_columns(*columns) -> list[str]:
-    """One CSV line per index, each column through the format_float spec.
+def _format_text(*columns) -> str:
+    """One LF-terminated CSV line per index: a list column holds text, written
+    as it is, and any other column floats, through the format_float spec.
 
     A single ``%`` over the whole block keeps Python's per-value work to the
     float formatting itself; the bytes equal joining format_float per row.
-    The value tuple is a temporary, freed before the text is split.
     """
-    import numpy as np
+    width = len(columns)
+    values = [None] * (width * len(columns[0]))
+    for k, column in enumerate(columns):
+        values[k::width] = column if isinstance(column, list) else column.tolist()
+    template = ",".join("%s" if isinstance(column, list) else _FLOAT_FORMAT
+                        for column in columns) + "\n"
+    return template * len(columns[0]) % tuple(values)
 
-    template = ",".join([_FLOAT_FORMAT] * len(columns)) + "\n"
-    return ((template * len(columns[0]))
-            % tuple(np.column_stack(columns).ravel().tolist())).splitlines()
+
+def _format_columns(*columns) -> list[str]:
+    """_format_text as a list of lines."""
+    return _format_text(*columns).splitlines()
+
+
+def _open_output(path: str | None):
+    return nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
 
 
 def _write_lines(lines, path: str | None) -> None:
     """Write LF-terminated lines (no lines: one LF), a block at a time so
     the output's size does not set peak memory."""
-    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
+    with _open_output(path) as fh:
         for start in range(0, len(lines) or 1, _WRITE_BLOCK):
             fh.write("\n".join(lines[start:start + _WRITE_BLOCK]) + "\n")
 
 
+_KERNEL_HEADER = "x_b,x_a,re,im"
+
+
+def _kernel_rows_text(kernel, x, x_text: list[str], rows: range) -> str:
+    """The CSV lines of kernel rows x_b = x[i], i in rows, as one text."""
+    import numpy as np
+
+    values = np.empty((len(rows), len(x)), dtype=complex)
+    # Row by row: a 2-D broadcast kernel(x[:, None], x) differs in the last bit.
+    for k, i in enumerate(rows):
+        values[k] = kernel(x[i], x)
+    return _format_text([x_text[i] for i in rows for _ in x_text], x_text * len(rows),
+                        values.real.ravel(), values.imag.ravel())
+
+
+def _kernel_blocks(kernel, x, x_text: list[str], rows: range):
+    """_kernel_rows_text over rows, about _WRITE_BLOCK lines at a time."""
+    step = max(1, _WRITE_BLOCK // len(x))
+    for start in range(0, len(rows), step):
+        yield _kernel_rows_text(kernel, x, x_text, rows[start:start + step])
+
+
 def kernel_csv_lines(kernel, grid: UniformGrid) -> list[str]:
     x = grid.points()
-    x_text = _format_columns(x)
-    lines = ["x_b,x_a,re,im"]
-    # Row by row: a 2-D broadcast kernel(x[:, None], x) differs in the last bit.
-    for xb, xb_text in zip(x, x_text):
-        row = kernel(xb, x)
-        lines += [f"{xb_text},{xa_text},{value}"
-                  for xa_text, value in zip(x_text, _format_columns(row.real, row.imag))]
+    lines = [_KERNEL_HEADER]
+    for block in _kernel_blocks(kernel, x, _format_columns(x), range(grid.n)):
+        lines += block.splitlines()
     return lines
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_worker(kernel, x, x_text: list[str], rows: range) -> tuple[int, int]:
+    """Fork a process that formats rows, keeps them as bytes and then sends
+    them down a pipe; returns its pid and the pipe's read end.
+
+    The child never touches the parent's file objects and always ends in
+    os._exit, so it runs no exit handler and flushes nothing it inherited.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on fork in a multi-threaded process, and
+            # numpy's BLAS pool is such a thread; the child runs only
+            # elementwise numpy and string formatting, never BLAS.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        blocks = [block.encode() for block in _kernel_blocks(kernel, x, x_text, rows)]
+        with open(write_fd, "wb") as pipe:
+            pipe.writelines(blocks)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _write_kernel_csv(kernel, grid: UniformGrid, fh) -> None:
+    """Write the kernel CSV to the text file fh a block at a time.
+
+    From _FORK_MIN_FLOATS formatted floats on, the rows are split into one
+    contiguous share per usable CPU: forked workers format every share but
+    the first, which this process formats and writes before it copies the
+    workers' bytes in row order.  The bytes do not depend on the split.
+    """
+    import signal
+
+    x = grid.points()
+    x_text = _format_columns(x)
+    n = grid.n
+    shares = 1
+    if hasattr(os, "fork") and 2 * n * n + n >= _FORK_MIN_FLOATS:
+        shares = _usable_cpus()
+    rows = [range(n * k // shares, n * (k + 1) // shares) for k in range(shares)]
+    fh.write(_KERNEL_HEADER + "\n")
+    fh.flush()
+    workers = {}  # pid -> read fd, until the worker is reaped
+    try:
+        for share in rows[1:]:
+            pid, read_fd = _fork_worker(kernel, x, x_text, share)
+            workers[pid] = read_fd
+        for block in _kernel_blocks(kernel, x, x_text, rows[0]):
+            fh.write(block)
+        for (pid, read_fd), share in zip(list(workers.items()), rows[1:]):
+            lines = 0
+            while chunk := os.read(read_fd, 1 << 16):
+                lines += chunk.count(b"\n")
+                fh.write(chunk.decode("ascii"))
+            os.close(workers.pop(pid))
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status or lines != len(share) * n:
+                raise ChildProcessError(
+                    f"a kernel CSV worker exited with status {status} after "
+                    f"{lines} of {len(share) * n} lines")
+    finally:
+        for pid, read_fd in workers.items():
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def kernel_coefficient_lines(kernel) -> list[str]:
@@ -525,7 +643,8 @@ def _cmd_kernel(args) -> int:
     if args.coefficients:
         _write_lines(kernel_coefficient_lines(kernel), args.output)
     else:
-        _write_lines(kernel_csv_lines(kernel, grid), args.output)
+        with _open_output(args.output) as fh:
+            _write_kernel_csv(kernel, grid, fh)
     return 0
 
 

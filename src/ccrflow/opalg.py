@@ -159,9 +159,10 @@ class ScalarCoeff:
         return _coerce_scalar(other) + (-self)
 
     def __mul__(self, other) -> "ScalarCoeff":
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(_complex_rational(other))
+        # own class first: Fraction is an ABC, and its isinstance test is slow
         if not isinstance(other, ScalarCoeff):
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(_complex_rational(other))
             return NotImplemented
         out: dict[tuple, tuple[int, int, int]] = {}
         for m1, w1 in self.terms.items():
@@ -358,10 +359,10 @@ class OpExpr:
         """Operator product, normal-ordered term by term with
         X^a P^b X^c P^d = sum_r C(b, r) c!/(c-r)! (-i)^r X^(a+c-r) P^(b+d-r).
         Scalars multiply coefficients in place."""
-        if isinstance(other, (int, Fraction, ScalarCoeff)):
-            c = _coerce_scalar(other)
-            return OpExpr({w: cf * c for w, cf in self.terms.items()})
         if not isinstance(other, OpExpr):
+            if isinstance(other, (ScalarCoeff, int, Fraction)):
+                c = _coerce_scalar(other)
+                return OpExpr({w: cf * c for w, cf in self.terms.items()})
             return NotImplemented
         out: dict[tuple[int, int], ScalarCoeff] = {}
         for (a, b), c1 in self.terms.items():
@@ -376,7 +377,7 @@ class OpExpr:
         return OpExpr(out)
 
     def __rmul__(self, other) -> "OpExpr":
-        if isinstance(other, (int, Fraction, ScalarCoeff)):
+        if isinstance(other, (ScalarCoeff, int, Fraction)):
             return self * other
         return NotImplemented
 
@@ -427,7 +428,7 @@ class OpExpr:
 def _coerce_op(v):
     if isinstance(v, OpExpr):
         return v
-    if isinstance(v, (int, Fraction, ScalarCoeff)):
+    if isinstance(v, (ScalarCoeff, int, Fraction)):
         return OpExpr.scalar(v)
     return NotImplemented
 
@@ -523,10 +524,10 @@ class Polynomial:
         return Polynomial({k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction, ScalarCoeff)):
-            c = _coerce_scalar(other)
-            return Polynomial({k: cf * c for k, cf in self.coeffs.items()})
         if not isinstance(other, Polynomial):
+            if isinstance(other, (ScalarCoeff, int, Fraction)):
+                c = _coerce_scalar(other)
+                return Polynomial({k: cf * c for k, cf in self.coeffs.items()})
             return NotImplemented
         out: dict[int, ScalarCoeff] = {}
         for k1, c1 in self.coeffs.items():

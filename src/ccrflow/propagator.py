@@ -200,7 +200,8 @@ def gaussian_kernel(flow: AffineFlowExact, t: float) -> GaussianKernel:
     """Kernel coefficients from the affine flow at time t.
 
     Raises CausticSingularity where |beta| m <= CAUSTIC_EPS |t| (beta m/t is 1
-    for the free flow): t = 0 and omega t = n pi.  A is on the principal branch,
+    for the free flow): t = 0 and omega t = n pi; OverflowError where beta,
+    gamma or a coefficient is not a finite float.  A is on the principal branch,
     with no phase continuation past a caustic; flow.phase(t) is not included.
     """
     beta = flow.beta(t)
@@ -214,6 +215,8 @@ def gaussian_kernel(flow: AffineFlowExact, t: float) -> GaussianKernel:
     b = -1.0 / beta
     d = gamma / beta
     amp = 1.0 / cmath.sqrt(2j * math.pi * beta)
+    if not all(map(cmath.isfinite, (beta, gamma, a, b, d, amp))):
+        raise OverflowError(f"the kernel at t = {t} is beyond the float range")
     return GaussianKernel(a=a, b=b, c=a, d=d, e=d, A=amp)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import ccrflow
+import ccrflow.cli as cli
 from ccrflow.cli import (
     ExpressionError,
     _write_lines,
@@ -248,6 +249,100 @@ def test_write_lines_bytes_across_blocks(count, tmp_path, capsys):
     path = tmp_path / "out.csv"
     _write_lines(lines, str(path))
     assert path.read_bytes() == expected.encode()
+
+
+# ---- the kernel CSV writer: rows split across forked workers ----
+
+_KERNEL_FLAGS = {"free": ["--model", "free", "--m", "1.3"],
+                 "harmonic": ["--model", "harmonic", "--m", "1.5", "--omega", "0.8"],
+                 "linear": ["--model", "linear", "--m", "2", "--F0", "-3"]}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks(monkeypatch) -> list:
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("model", sorted(_KERNEL_FLAGS))
+@pytest.mark.parametrize("n", [180, 181])  # 2n^2 + n floats: below, then above 2^16
+def test_kernel_writer_bytes_do_not_depend_on_cpus(model, n, tmp_path, capsys,
+                                                   monkeypatch):
+    # 181 rows split unevenly into two and into three shares
+    flow = getattr(AffineFlowExact, model)(*(float(v) for v in _KERNEL_FLAGS[model][3::2]))
+    expected = "\n".join(kernel_csv_lines(gaussian_kernel(flow, 0.9),
+                                          UniformGrid.from_bounds(-4.0, 3.0, n))) + "\n"
+    argv = ["kernel", *_KERNEL_FLAGS[model], "--t", "0.9", "--x-min", "-4", "--x-max", "3",
+            "--n", str(n)]
+    forks = _count_forks(monkeypatch)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        del forks[:]
+        assert main(argv) == 0
+        assert capsys.readouterr() == (expected, "")
+        path = tmp_path / f"k{cpus}.csv"
+        assert main(argv + ["--output", str(path)]) == 0
+        assert path.read_bytes() == expected.encode()
+        assert capsys.readouterr() == ("", "")
+        assert len(forks) == (2 * (cpus - 1) if n > 180 else 0)
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fault, status", [("raises", 1), ("short", 0), ("exits", 7)])
+def test_kernel_worker_failure_is_one_line(fault, status, tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+    rows_text = cli._kernel_rows_text
+    real_exit = os._exit
+
+    def faulty(*args):
+        text = rows_text(*args)
+        if os.getpid() == parent:
+            return text
+        if fault == "raises":
+            raise RuntimeError("worker fault")
+        return text[:-1] if fault == "short" else text  # "short": one line short
+
+    monkeypatch.setattr(cli, "_kernel_rows_text", faulty)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    if fault == "exits":  # every line sent, then a nonzero exit
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(code or status))
+    code = main(["kernel", *_KERNEL_FLAGS["free"], "--t", "1", "--x-min", "-4", "--x-max", "4",
+                 "--n", "200", "--output", str(tmp_path / "k.csv")])
+    err = capsys.readouterr().err
+    assert code not in (0, 1)
+    assert err.count("\n") == 1 and err.startswith("ccrflow: error: ")
+    assert f"status {status} after" in err
+    _assert_no_child_left()
+
+
+def test_kernel_to_closed_pipe_is_one_line():
+    # kernel ... | head -1: the writer stops at the broken pipe and kills its workers
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ccrflow.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "ccrflow.cli", "kernel",
+                             *_KERNEL_FLAGS["free"], "--t", "1", "--x-min", "-4", "--x-max", "4",
+                             "--n", "400"], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"x_b,x_a,re,im\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err.count(b"\n") <= 1 and b"Traceback" not in err
 
 
 # ---- subcommands ----
@@ -491,6 +586,9 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 _SMALL = ["--model", "free", "--m", "1", "--t", "1", "--x-min", "-1", "--x-max", "1"]
 _OVERSIZED = _SMALL + ["--n", "100000000000"]  # fails at allocation, allocating nothing
+# beta = t/m and gamma = F0 t^2/(2m) overflow: these printed nan and exited 0
+_BEYOND_FLOAT = ["--model", "linear", "--m", "1e-300", "--F0", "1e300", "--t", "1e10",
+                 "--x-min", "-1", "--x-max", "1", "--n", "4"]
 _OVERFLOW = ["pathint", "--force=1000000*X", "--m", "1", "--t-total", "1", "--x-min",
              "-0.001", "--x-max", "0.001", "--n", "64", "--convergence", "1,2",
              "--output", os.devnull]
@@ -522,6 +620,9 @@ _OVERFLOW = ["pathint", "--force=1000000*X", "--m", "1", "--t-total", "1", "--x-
     pytest.param(["pathint", "--force=-X", "--m", "1", "--t-total", "1", "--steps", "2",
                   "--x-min", "-1", "--x-max", "1", "--n", "100000000000"],
                  3, id="oversized-pathint"),
+    pytest.param(["kernel", *_BEYOND_FLOAT, "--coefficients"], 3, id="nan-coefficients"),
+    pytest.param(["kernel", *_BEYOND_FLOAT], 3, id="nan-kernel-csv"),
+    pytest.param(["evolve", *_BEYOND_FLOAT], 3, id="nan-evolve"),
     pytest.param(["normord", "-P"], 0, id="leading-minus-normord"),
     pytest.param(["comm", "-X", "-2*P"], 0, id="leading-minus-comm"),
 ])
