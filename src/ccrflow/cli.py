@@ -315,10 +315,13 @@ def _force_polynomial(e: OpExpr) -> Polynomial:
 
 _FLOAT_FORMAT = "%.16e"
 _WRITE_BLOCK = 4096  # lines per write
-# Formatted floats (2n^2 + n for an n-point kernel CSV, first reached at
-# n = 181) from which the kernel CSV is split across CPUs: a fork costs a
-# few ms, and formatting one float about 1 us.
-_FORK_MIN_FLOATS = 1 << 16
+# Formatted floats each share of the kernel CSV's rows must hold for the
+# rows to be split across CPUs (2n^2 + n floats make two shares first at
+# n = 181).  Measured on a 2-vCPU VM: a worker costs 2-3 ms (fork, pipe,
+# reap), formatting 2^15 floats about 40 ms, and two shares break even
+# with one at about 2^13 floats (n = 64), so each share pays for its fork
+# several times over.
+_SHARE_MIN_FLOATS = 1 << 15
 
 
 def format_float(x: float) -> str:
@@ -362,29 +365,42 @@ def _write_lines(lines, path: str | None) -> None:
 _KERNEL_HEADER = "x_b,x_a,re,im"
 
 
-def _kernel_rows_text(kernel, x, x_text: list[str], rows: range) -> str:
-    """The CSV lines of kernel rows x_b = x[i], i in rows, as one text."""
+def _kernel_values(kernel, x):
+    """kernel(x_b, x_a) at x_b = x[i] (row i) and x_a = x as an n x n array.
+
+    Raises OverflowError where a value is not finite: the phase left the float
+    range, which numpy would only have warned of.
+    """
     import numpy as np
 
-    values = np.empty((len(rows), len(x)), dtype=complex)
-    # Row by row: a 2-D broadcast kernel(x[:, None], x) differs in the last bit.
-    for k, i in enumerate(rows):
-        values[k] = kernel(x[i], x)
+    values = np.empty((len(x), len(x)), dtype=complex)
+    with np.errstate(all="ignore"):
+        # Row by row: a 2-D broadcast kernel(x[:, None], x) differs in the last bit.
+        for i, x_b in enumerate(x):
+            values[i] = kernel(x_b, x)
+    if not np.isfinite(values).all():
+        raise OverflowError("the kernel phase on this grid is beyond the float range")
+    return values
+
+
+def _kernel_rows_text(values, x_text: list[str], rows: range) -> str:
+    """The CSV lines of kernel rows x_b = x[i], i in rows, as one text."""
+    block = values[rows.start:rows.stop]
     return _format_text([x_text[i] for i in rows for _ in x_text], x_text * len(rows),
-                        values.real.ravel(), values.imag.ravel())
+                        block.real.ravel(), block.imag.ravel())
 
 
-def _kernel_blocks(kernel, x, x_text: list[str], rows: range):
+def _kernel_blocks(values, x_text: list[str], rows: range):
     """_kernel_rows_text over rows, about _WRITE_BLOCK lines at a time."""
-    step = max(1, _WRITE_BLOCK // len(x))
+    step = max(1, _WRITE_BLOCK // len(x_text))
     for start in range(0, len(rows), step):
-        yield _kernel_rows_text(kernel, x, x_text, rows[start:start + step])
+        yield _kernel_rows_text(values, x_text, rows[start:start + step])
 
 
 def kernel_csv_lines(kernel, grid: UniformGrid) -> list[str]:
     x = grid.points()
     lines = [_KERNEL_HEADER]
-    for block in _kernel_blocks(kernel, x, _format_columns(x), range(grid.n)):
+    for block in _kernel_blocks(_kernel_values(kernel, x), _format_columns(x), range(grid.n)):
         lines += block.splitlines()
     return lines
 
@@ -395,7 +411,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_worker(kernel, x, x_text: list[str], rows: range) -> tuple[int, int]:
+def _fork_worker(values, x_text: list[str], rows: range) -> tuple[int, int]:
     """Fork a process that formats rows, keeps them as bytes and then sends
     them down a pipe; returns its pid and the pipe's read end.
 
@@ -406,8 +422,8 @@ def _fork_worker(kernel, x, x_text: list[str], rows: range) -> tuple[int, int]:
     try:
         with warnings.catch_warnings():
             # Python >= 3.12 warns on fork in a multi-threaded process, and
-            # numpy's BLAS pool is such a thread; the child runs only
-            # elementwise numpy and string formatting, never BLAS.
+            # numpy's BLAS pool is such a thread; the child only slices the
+            # kernel values and formats them, never BLAS.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except BaseException:
@@ -420,7 +436,7 @@ def _fork_worker(kernel, x, x_text: list[str], rows: range) -> tuple[int, int]:
     status = 1
     try:
         os.close(read_fd)
-        blocks = [block.encode() for block in _kernel_blocks(kernel, x, x_text, rows)]
+        blocks = [block.encode() for block in _kernel_blocks(values, x_text, rows)]
         with open(write_fd, "wb") as pipe:
             pipe.writelines(blocks)
         status = 0
@@ -428,46 +444,50 @@ def _fork_worker(kernel, x, x_text: list[str], rows: range) -> tuple[int, int]:
         os._exit(status)
 
 
-def _write_kernel_csv(kernel, grid: UniformGrid, fh) -> None:
-    """Write the kernel CSV to the text file fh a block at a time.
+def _write_kernel_csv(values, x, fh) -> None:
+    """Write the CSV of the kernel values on grid points x to the text file
+    fh a block at a time.
 
-    From _FORK_MIN_FLOATS formatted floats on, the rows are split into one
-    contiguous share per usable CPU: forked workers format every share but
-    the first, which this process formats and writes before it copies the
-    workers' bytes in row order.  The bytes do not depend on the split.
+    The rows are split into one contiguous share per usable CPU, but never
+    into shares of fewer than _SHARE_MIN_FLOATS floats: forked workers format
+    every share but the first, which this process formats and writes before
+    it copies the workers' bytes in row order.  The bytes do not depend on
+    the split.
     """
     import signal
 
-    x = grid.points()
     x_text = _format_columns(x)
-    n = grid.n
+    n = len(x)
     shares = 1
-    if hasattr(os, "fork") and 2 * n * n + n >= _FORK_MIN_FLOATS:
-        shares = _usable_cpus()
+    if hasattr(os, "fork"):
+        shares = max(1, min(_usable_cpus(), (2 * n * n + n) // _SHARE_MIN_FLOATS))
     rows = [range(n * k // shares, n * (k + 1) // shares) for k in range(shares)]
     fh.write(_KERNEL_HEADER + "\n")
     fh.flush()
-    workers = {}  # pid -> read fd, until the worker is reaped
+    workers = {}  # pid -> read fd (None once closed), until the worker is reaped
     try:
         for share in rows[1:]:
-            pid, read_fd = _fork_worker(kernel, x, x_text, share)
+            pid, read_fd = _fork_worker(values, x_text, share)
             workers[pid] = read_fd
-        for block in _kernel_blocks(kernel, x, x_text, rows[0]):
+        for block in _kernel_blocks(values, x_text, rows[0]):
             fh.write(block)
         for (pid, read_fd), share in zip(list(workers.items()), rows[1:]):
             lines = 0
             while chunk := os.read(read_fd, 1 << 16):
                 lines += chunk.count(b"\n")
                 fh.write(chunk.decode("ascii"))
-            os.close(workers.pop(pid))
+            os.close(read_fd)
+            workers[pid] = None
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[pid]
             if status or lines != len(share) * n:
                 raise ChildProcessError(
                     f"a kernel CSV worker exited with status {status} after "
                     f"{lines} of {len(share) * n} lines")
     finally:
         for pid, read_fd in workers.items():
-            os.close(read_fd)
+            if read_fd is not None:
+                os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
@@ -643,8 +663,10 @@ def _cmd_kernel(args) -> int:
     if args.coefficients:
         _write_lines(kernel_coefficient_lines(kernel), args.output)
     else:
+        x = grid.points()
+        values = _kernel_values(kernel, x)  # raises before the output is opened
         with _open_output(args.output) as fh:
-            _write_kernel_csv(kernel, grid, fh)
+            _write_kernel_csv(values, x, fh)
     return 0
 
 

@@ -275,18 +275,27 @@ def _count_forks(monkeypatch) -> list:
     return forks
 
 
-@pytest.mark.parametrize("model", sorted(_KERNEL_FLAGS))
-@pytest.mark.parametrize("n", [180, 181])  # 2n^2 + n floats: below, then above 2^16
-def test_kernel_writer_bytes_do_not_depend_on_cpus(model, n, tmp_path, capsys,
-                                                   monkeypatch):
-    # 181 rows split unevenly into two and into three shares
+def _kernel_csv(model: str, n: int) -> tuple[list[str], str]:
+    """The kernel argv for model on an n-point grid, and its CSV text."""
     flow = getattr(AffineFlowExact, model)(*(float(v) for v in _KERNEL_FLAGS[model][3::2]))
     expected = "\n".join(kernel_csv_lines(gaussian_kernel(flow, 0.9),
                                           UniformGrid.from_bounds(-4.0, 3.0, n))) + "\n"
     argv = ["kernel", *_KERNEL_FLAGS[model], "--t", "0.9", "--x-min", "-4", "--x-max", "3",
             "--n", str(n)]
+    return argv, expected
+
+
+@pytest.mark.parametrize("model", sorted(_KERNEL_FLAGS))
+@pytest.mark.parametrize("n, shares", [  # shares with 1, 2, 3 usable CPUs
+    (180, (1, 1, 1)),  # 2n^2 + n floats: below 2 * 2^15
+    (181, (1, 2, 2)),  # above it, but below 3 * 2^15
+    (223, (1, 2, 3)),  # above 3 * 2^15; 223 rows split unevenly in two and three
+])
+def test_kernel_writer_bytes_do_not_depend_on_cpus(model, n, shares, tmp_path, capsys,
+                                                   monkeypatch):
+    argv, expected = _kernel_csv(model, n)
     forks = _count_forks(monkeypatch)
-    for cpus in (1, 2, 3):
+    for cpus, count in zip((1, 2, 3), shares):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         del forks[:]
         assert main(argv) == 0
@@ -295,8 +304,57 @@ def test_kernel_writer_bytes_do_not_depend_on_cpus(model, n, tmp_path, capsys,
         assert main(argv + ["--output", str(path)]) == 0
         assert path.read_bytes() == expected.encode()
         assert capsys.readouterr() == ("", "")
-        assert len(forks) == (2 * (cpus - 1) if n > 180 else 0)
+        assert len(forks) == 2 * (count - 1)
         _assert_no_child_left()
+
+
+@pytest.mark.parametrize("n, workers", [(181, 1), (300, 4)])
+def test_kernel_workers_grow_with_the_work(n, workers, tmp_path, monkeypatch):
+    # on a host with many CPUs every share still holds at least 2^15 floats
+    argv, expected = _kernel_csv("harmonic", n)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+    path = tmp_path / "k.csv"
+    assert main(argv + ["--output", str(path)]) == 0
+    assert path.read_bytes() == expected.encode()
+    assert len(forks) == workers
+    _assert_no_child_left()
+
+
+def test_kernel_phase_overflow_is_one_line_before_any_fork(tmp_path, capsys, monkeypatch):
+    # finite coefficients, but b x^2 overflows: this printed nan with exit 0
+    # after numpy's warnings, each worker repeating them
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    argv = ["kernel", "--model", "free", "--m", "1e290", "--t", "1e-10", "--x-min", "-1e10",
+            "--x-max", "1e10", "--n", "200"]
+    path = tmp_path / "k.csv"
+    for output in ([], ["--output", str(path)]):
+        assert main(argv + output) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and forks == [] and not path.exists()
+        assert err.count("\n") == 1 and err.startswith("ccrflow: domain error: ")
+
+
+def test_kernel_interrupted_wait_still_reaps_the_worker(tmp_path, monkeypatch):
+    # Ctrl-C while the parent waits for a worker that has sent its rows
+    real_waitpid = os.waitpid
+    waited = []
+
+    def waitpid(pid, options):
+        waited.append(pid)
+        if len(waited) == 1:
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    with pytest.raises(KeyboardInterrupt):
+        main(["kernel", *_KERNEL_FLAGS["free"], "--t", "1", "--x-min", "-4", "--x-max", "4",
+              "--n", "200", "--output", str(tmp_path / "k.csv")])
+    monkeypatch.undo()
+    assert waited == [waited[0]] * 2
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("fault, status", [("raises", 1), ("short", 0), ("exits", 7)])
@@ -623,6 +681,8 @@ _OVERFLOW = ["pathint", "--force=1000000*X", "--m", "1", "--t-total", "1", "--x-
     pytest.param(["kernel", *_BEYOND_FLOAT, "--coefficients"], 3, id="nan-coefficients"),
     pytest.param(["kernel", *_BEYOND_FLOAT], 3, id="nan-kernel-csv"),
     pytest.param(["evolve", *_BEYOND_FLOAT], 3, id="nan-evolve"),
+    pytest.param(["kernel", "--model", "free", "--m", "1e290", "--t", "1e-10", "--x-min",
+                  "-1e10", "--x-max", "1e10", "--n", "4"], 3, id="phase-overflow-kernel-csv"),
     pytest.param(["normord", "-P"], 0, id="leading-minus-normord"),
     pytest.param(["comm", "-X", "-2*P"], 0, id="leading-minus-comm"),
 ])
