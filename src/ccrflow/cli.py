@@ -59,7 +59,12 @@ if TYPE_CHECKING:
     from .propagator import AffineFlowExact, UniformGrid, WaveFunction
 
 # The numeric commands import numpy and the numeric modules when they run,
-# so normord, comm, series and --help start without them.
+# so normord, comm, series and --help start without them.  They make no BLAS
+# call (FFTs, ufuncs and sums only), so main starts numpy with one OpenBLAS
+# thread for them: the pool's idle threads would only spin.  A later BLAS or
+# LAPACK user in the library (such as an eigh reference) would run on one
+# thread from the CLI too, and must be timed that way.
+_NUMERIC_COMMANDS = ("kernel", "evolve", "pathint", "verify")
 
 __all__ = ["main", "parse_expression", "ExpressionError", "format_float"]
 
@@ -421,9 +426,10 @@ def _fork_worker(values, x_text: list[str], rows: range) -> tuple[int, int]:
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
-            # Python >= 3.12 warns on fork in a multi-threaded process, and
-            # numpy's BLAS pool is such a thread; the child only slices the
-            # kernel values and formats them, never BLAS.
+            # Python >= 3.12 warns on fork in a multi-threaded process.  From
+            # the CLI numpy has one BLAS thread, but an in-process caller may
+            # have loaded numpy earlier with its pool; the child only slices
+            # the kernel values and formats them, never BLAS.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except BaseException:
@@ -519,6 +525,18 @@ def report_csv_lines(report: ConvergenceReport) -> list[str]:
 # configuration
 # ---------------------------------------------------------------------------
 
+def _step_counts(text: str) -> list[int]:
+    """--convergence: comma-separated step counts, each at least 1, increasing."""
+    try:
+        steps = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        steps = []
+    if not steps or steps[0] < 1 or steps != sorted(set(steps)):
+        raise argparse.ArgumentTypeError(
+            f"expected increasing positive step counts, got {text!r}")
+    return steps
+
+
 def _finite_float(text: str) -> float:
     """float(text) for flags and config values; NaN and infinities are usage errors."""
     try:
@@ -535,7 +553,7 @@ _CONFIG_KEYS = {
     "x_min": _finite_float, "x_max": _finite_float, "n": int,
     "t": _finite_float, "t_total": _finite_float, "steps": int, "order": int,
     "x0": _finite_float, "p0": _finite_float, "sigma": _finite_float,
-    "force": str, "convergence": str, "output": str,
+    "force": str, "convergence": _step_counts, "output": str,
 }
 
 
@@ -710,10 +728,7 @@ def _cmd_pathint(args) -> int:
             raise ValueError(f"force has {exc.args[0]}; only m, omega, F0 bind") from None
     psi = _packet(args, grid)
     if args.convergence:
-        n_list = [int(part) for part in args.convergence.split(",") if part.strip()]
-        if not n_list:
-            raise ValueError("--convergence needs at least one step count")
-        report = convergence_study(force, args.m, psi, args.t_total, n_list, params)
+        report = convergence_study(force, args.m, psi, args.t_total, args.convergence, params)
         _write_lines(report_csv_lines(report), args.report_output)
         out = report.finest
     else:
@@ -830,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_packet_flags(p)
     p.add_argument("--t-total", dest="t_total", type=_finite_float)
     p.add_argument("--steps", type=int)
-    p.add_argument("--convergence", help="comma-separated step counts")
+    p.add_argument("--convergence", type=_step_counts, help="comma-separated step counts")
     p.add_argument("--report-output", dest="report_output")
     p.add_argument("--config")
     p.add_argument("--output")
@@ -853,6 +868,8 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning
         try:
             args = build_parser().parse_args(argv)
+            if args.command in _NUMERIC_COMMANDS and "numpy" not in sys.modules:
+                os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # a user's value wins
             return args.func(args)
         except (DomainError, OverflowError, MemoryError) as exc:
             print(f"ccrflow: domain error: {exc}", file=sys.stderr)

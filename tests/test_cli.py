@@ -647,6 +647,8 @@ _OVERSIZED = _SMALL + ["--n", "100000000000"]  # fails at allocation, allocating
 # beta = t/m and gamma = F0 t^2/(2m) overflow: these printed nan and exited 0
 _BEYOND_FLOAT = ["--model", "linear", "--m", "1e-300", "--F0", "1e300", "--t", "1e10",
                  "--x-min", "-1", "--x-max", "1", "--n", "4"]
+_PATHINT = ["pathint", "--force=-X", "--m", "1", "--t-total", "1", "--x-min", "-1",
+            "--x-max", "1", "--n", "8"]
 _OVERFLOW = ["pathint", "--force=1000000*X", "--m", "1", "--t-total", "1", "--x-min",
              "-0.001", "--x-max", "0.001", "--n", "64", "--convergence", "1,2",
              "--output", os.devnull]
@@ -683,6 +685,9 @@ _OVERFLOW = ["pathint", "--force=1000000*X", "--m", "1", "--t-total", "1", "--x-
     pytest.param(["evolve", *_BEYOND_FLOAT], 3, id="nan-evolve"),
     pytest.param(["kernel", "--model", "free", "--m", "1e290", "--t", "1e-10", "--x-min",
                   "-1e10", "--x-max", "1e10", "--n", "4"], 3, id="phase-overflow-kernel-csv"),
+    pytest.param([*_PATHINT, "--convergence", "5,10,0"], 2, id="convergence-zero"),
+    pytest.param([*_PATHINT, "--convergence", "10,5"], 2, id="convergence-decreasing"),
+    pytest.param([*_PATHINT, "--convergence", "5,x"], 2, id="convergence-not-int"),
     pytest.param(["normord", "-P"], 0, id="leading-minus-normord"),
     pytest.param(["comm", "-X", "-2*P"], 0, id="leading-minus-comm"),
 ])
@@ -697,6 +702,9 @@ def test_exit_code_sweep(argv, code, capsys):
     else:
         assert err.count("\n") == 1
         assert err.startswith("ccrflow: domain error: " if code == 3 else "ccrflow: error: ")
+    if code == 2 and "--convergence" in argv:  # named the library's n_list, or int()
+        value = argv[argv.index("--convergence") + 1]
+        assert f"--convergence: expected increasing positive step counts, got {value!r}" in err
 
 
 def test_domain_errors_share_one_base():
@@ -734,9 +742,12 @@ def test_short_help_is_still_an_option(capsys):
     assert capsys.readouterr().out.startswith("usage: ccrflow normord")
 
 
-def _fresh_python(script: str, *args: str) -> str:
-    """stdout of script in a new interpreter, so sys.modules starts clean."""
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ccrflow.__file__).parents[1]))
+def _fresh_python(script: str, *args: str, **env: str) -> str:
+    """stdout of script in a new interpreter, so sys.modules starts clean; env
+    adds to os.environ, less any inherited OPENBLAS_NUM_THREADS."""
+    inherited = {key: value for key, value in os.environ.items()
+                 if key != "OPENBLAS_NUM_THREADS"}
+    env = inherited | env | {"PYTHONPATH": str(pathlib.Path(ccrflow.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout
@@ -752,16 +763,69 @@ for argv in (["normord", "P*X"], ["comm", "X^3", "P"],
     assert main(argv + ["--output", os.devnull]) == 0
 build_parser().format_help()
 symbolic = sorted(numeric & set(sys.modules))
+symbolic_blas = os.environ.get("OPENBLAS_NUM_THREADS")
 assert main(["kernel", "--model", "free", "--m", "1", "--t", "1", "--x-min", "-1",
              "--x-max", "1", "--n", "4", "--coefficients", "--output", os.devnull]) == 0
-print(json.dumps([symbolic, "numpy" in sys.modules]))
+print(json.dumps([symbolic, symbolic_blas, "numpy" in sys.modules,
+                  os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
 
 
 def test_symbolic_commands_do_not_import_numpy():
-    symbolic, kernel_numpy = json.loads(_fresh_python(_IMPORT_GRAPH))
+    symbolic, symbolic_blas, kernel_numpy, kernel_blas = json.loads(_fresh_python(_IMPORT_GRAPH))
     assert symbolic == []
+    assert symbolic_blas is None
     assert kernel_numpy
+    assert kernel_blas == "1"
+
+
+_EVOLVE = ["evolve", "--model", "free", "--m", "1", "--t", "1", "--x-min", "-4", "--x-max", "4"]
+
+_BLAS_THREADS = """
+import json, os, sys
+from ccrflow.cli import main
+
+assert main(sys.argv[1:]) == 0
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task"))]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or cli._usable_cpus() < 2,
+                    reason="needs /proc/self/task and two usable CPUs")
+@pytest.mark.parametrize("given, threads", [(None, 1), ("2", 2)])
+def test_numeric_commands_start_one_blas_thread_unless_told(given, threads):
+    # OpenBLAS starts a pool thread per extra CPU, which spins and is never
+    # used: ccrflow makes no BLAS call.  A value the caller gives wins.
+    env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+    argv = [*_EVOLVE, "--n", "64", "--output", os.devnull]
+    assert json.loads(_fresh_python(_BLAS_THREADS, *argv, **env)) == [given or "1", threads]
+
+
+def test_numeric_command_in_process_leaves_environment(monkeypatch):
+    # numpy is loaded here already, so its BLAS pool is as the caller made it
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert main([*_EVOLVE, "--n", "64", "--output", os.devnull]) == 0
+    assert dict(os.environ) == before
+
+
+_RUN_CLI = """
+import sys
+from ccrflow.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [*_EVOLVE, "--n", "512", "--x0", "0.5", "--p0", "1"],
+    ["pathint", "--force=-X", "--m", "0.1", "--t-total", "1", "--x-min", "-6", "--x-max", "6",
+     "--n", "256", "--steps", "4"],
+])
+def test_outputs_do_not_depend_on_blas_threads(argv):
+    one = _fresh_python(_RUN_CLI, *argv)
+    assert one.startswith("x,re,im\n")
+    assert _fresh_python(_RUN_CLI, *argv, OPENBLAS_NUM_THREADS="2") == one
 
 
 # Every name the package exported before its numeric names became lazy,
