@@ -28,6 +28,7 @@ coefficient too long to print, out of memory).
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -86,6 +87,7 @@ _MAX_DEPTH = 100  # nested parentheses; each level costs four Python frames
 _MAX_DEGREE = 2048  # of any product: a + b of its X^a P^b
 _MAX_PRODUCTS = 65_536  # term products per expression
 _LIMB_BITS = 256  # a coefficient counts as one more term per this many bits
+_LIMB_NAMES = 8  # and a parameter monomial per this many parameters
 _PRINT_BITS = 14286  # 2^14285 > 10^4300: a longer number has too many digits to print
 
 
@@ -98,48 +100,45 @@ class _Token:
         self.offset = offset
 
 
-def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8"))
-
-
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
+    i = offset = 0  # offset: the UTF-8 length of text[:i]
     while i < len(text):
         ch = text[i]
+        start = i
         if ch.isspace():
             i += 1
-            continue
-        start = i
-        if ch.isdigit():
+        elif ch.isdigit():
             while i < len(text) and text[i].isdigit():
                 i += 1
-            tokens.append(_Token("int", int(text[start:i]), _byte_offset(text, start)))
+            tokens.append(_Token("int", int(text[start:i]), offset))
         elif ch.isalpha() or ch == "_":
             while i < len(text) and (text[i].isalnum() or text[i] == "_"):
                 i += 1
-            tokens.append(_Token("name", text[start:i], _byte_offset(text, start)))
+            tokens.append(_Token("name", text[start:i], offset))
         elif ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, _byte_offset(text, start)))
+            tokens.append(_Token(ch, ch, offset))
             i += 1
         else:
-            raise ExpressionError(f"unexpected character {ch!r}", _byte_offset(text, i))
-    tokens.append(_Token("end", None, _byte_offset(text, len(text))))
+            raise ExpressionError(f"unexpected character {ch!r}", offset)
+        offset += len(text[start:i].encode("utf-8"))
+    tokens.append(_Token("end", None, offset))
     return tokens
 
 
 def _shape(e: OpExpr) -> tuple[int, int, int, int]:
     """(degree, highest X power, highest P power, size) of e.  The size counts
     the scalar monomials of all coefficients, each once more for every
-    _LIMB_BITS bits of its longest numerator or denominator; it is at least
-    1, so that even a product with zero spends budget."""
+    _LIMB_BITS bits of its longest numerator or denominator and for every
+    _LIMB_NAMES parameters it holds; it is at least 1, so that even a
+    product with zero spends budget."""
     degree = x_max = p_max = size = 0
     for (a, b), coeff in e.terms.items():
         degree, x_max, p_max = max(degree, a + b), max(x_max, a), max(p_max, b)
-        for bits in coeff.bit_lengths():
+        for names, bits in coeff.monomial_sizes():
             if bits >= _PRINT_BITS:
                 raise too_long_to_print()
-            size += 1 + bits // _LIMB_BITS
+            size += 1 + bits // _LIMB_BITS + names // _LIMB_NAMES
     return degree, x_max, p_max, max(size, 1)
 
 
@@ -204,15 +203,13 @@ class _Parser:
         return e
 
     def expr(self) -> OpExpr:
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            sign = -1 if self.advance().kind == "-" else 1
-        total = self.term() * sign
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            total = total + rhs if op == "+" else total - rhs
-        return total
+        parts = []
+        while not parts or self.peek().kind in ("+", "-"):
+            sign = 1
+            if self.peek().kind in ("+", "-"):
+                sign = -1 if self.advance().kind == "-" else 1
+            parts.append((sign, self.term()))
+        return OpExpr.signed_sum(parts)
 
     def term(self) -> OpExpr:
         total = self.factor()
@@ -350,11 +347,6 @@ def _format_text(*columns) -> str:
     return template * len(columns[0]) % tuple(values)
 
 
-def _format_columns(*columns) -> list[str]:
-    """_format_text as a list of lines."""
-    return _format_text(*columns).splitlines()
-
-
 def _open_output(path: str | None):
     return nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
 
@@ -403,11 +395,11 @@ def _kernel_blocks(values, x_text: list[str], rows: range):
 
 
 def kernel_csv_lines(kernel, grid: UniformGrid) -> list[str]:
+    """The lines _write_kernel_csv writes for kernel on grid."""
     x = grid.points()
-    lines = [_KERNEL_HEADER]
-    for block in _kernel_blocks(_kernel_values(kernel, x), _format_columns(x), range(grid.n)):
-        lines += block.splitlines()
-    return lines
+    text = io.StringIO()
+    _write_kernel_csv(_kernel_values(kernel, x), x, text)
+    return text.getvalue().splitlines()
 
 
 def _usable_cpus() -> int:
@@ -462,7 +454,7 @@ def _write_kernel_csv(values, x, fh) -> None:
     """
     import signal
 
-    x_text = _format_columns(x)
+    x_text = _format_text(x).splitlines()
     n = len(x)
     shares = 1
     if hasattr(os, "fork"):
@@ -510,7 +502,8 @@ def kernel_coefficient_lines(kernel) -> list[str]:
 
 
 def wavefunction_csv_lines(psi: WaveFunction) -> list[str]:
-    return ["x,re,im"] + _format_columns(psi.points(), psi.samples.real, psi.samples.imag)
+    columns = psi.points(), psi.samples.real, psi.samples.imag
+    return ["x,re,im"] + _format_text(*columns).splitlines()
 
 
 def report_csv_lines(report: ConvergenceReport) -> list[str]:
@@ -548,13 +541,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
-_CONFIG_KEYS = {
+# Every value option by its dest, the flag --dest with '_' spelled '-', and
+# the type that reads the flag and its config key.  A config file names no
+# other config file, and report_output is a flag only.
+_OPTIONS = {
     "model": str, "m": _finite_float, "omega": _finite_float, "F0": _finite_float,
     "x_min": _finite_float, "x_max": _finite_float, "n": int,
     "t": _finite_float, "t_total": _finite_float, "steps": int, "order": int,
     "x0": _finite_float, "p0": _finite_float, "sigma": _finite_float,
     "force": str, "convergence": _step_counts, "output": str,
+    "report_output": str, "config": str,
 }
+_FLAG_ONLY = ("report_output", "config")
 
 
 def _read_config_file(path: str) -> dict:
@@ -569,23 +567,13 @@ def _read_config_file(path: str) -> dict:
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _OPTIONS or key in _FLAG_ONLY:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _CONFIG_KEYS[key](val)
+                values[key] = _OPTIONS[key](val)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
-
-
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the config file; flags win."""
-    if getattr(args, "config", None) is None:
-        return
-    file_values = _read_config_file(args.config)
-    for key, value in file_values.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
 
 
 def _require(args: argparse.Namespace, names: list[str]) -> None:
@@ -600,6 +588,12 @@ def _default(args: argparse.Namespace, **defaults) -> None:
             setattr(args, key, value)
 
 
+def _merge_config(args: argparse.Namespace) -> None:
+    """Fill unset flags from the --config file, if one is given; flags win."""
+    if getattr(args, "config", None) is not None:
+        _default(args, **_read_config_file(args.config))
+
+
 def _validated_grid(args: argparse.Namespace) -> UniformGrid:
     from .propagator import UniformGrid
 
@@ -612,10 +606,13 @@ def _validated_grid(args: argparse.Namespace) -> UniformGrid:
 _FLOWS = {"free": (), "harmonic": ("omega",), "linear": ("F0",)}
 
 
-def _flow_from_args(args: argparse.Namespace) -> AffineFlowExact:
+def _grid_and_flow(args: argparse.Namespace) -> tuple[UniformGrid, AffineFlowExact]:
+    """The grid and flow of kernel and evolve, after the checks they share."""
     from .propagator import AffineFlowExact
 
-    if args.m is None or not args.m > 0:
+    _require(args, ["model", "m", "t", "x_min", "x_max", "n"])
+    grid = _validated_grid(args)
+    if not args.m > 0:
         raise ValueError("mass must be given and positive (--m)")
     if args.model not in _FLOWS:
         raise ValueError(f"unknown model {args.model!r}")
@@ -623,7 +620,10 @@ def _flow_from_args(args: argparse.Namespace) -> AffineFlowExact:
     for flag in flags:
         if getattr(args, flag) is None:
             raise ValueError(f"{args.model} model needs --{flag}")
-    return getattr(AffineFlowExact, args.model)(args.m, *(getattr(args, flag) for flag in flags))
+    flow = getattr(AffineFlowExact, args.model)(args.m, *(getattr(args, flag) for flag in flags))
+    if not args.t > 0:
+        raise ValueError("t must be positive")
+    return grid, flow
 
 
 def _packet(args: argparse.Namespace, grid: UniformGrid) -> WaveFunction:
@@ -653,7 +653,6 @@ def _cmd_comm(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    _merge_config(args)
     _require(args, ["model"])
     _default(args, order=DEFAULT_ORDER)
     if args.order < 0:
@@ -671,12 +670,7 @@ def _cmd_series(args) -> int:
 def _cmd_kernel(args) -> int:
     from .propagator import gaussian_kernel
 
-    _merge_config(args)
-    _require(args, ["model", "m", "t", "x_min", "x_max", "n"])
-    grid = _validated_grid(args)
-    flow = _flow_from_args(args)
-    if not args.t > 0:
-        raise ValueError("t must be positive")
+    grid, flow = _grid_and_flow(args)
     kernel = gaussian_kernel(flow, args.t)
     if args.coefficients:
         _write_lines(kernel_coefficient_lines(kernel), args.output)
@@ -691,13 +685,8 @@ def _cmd_kernel(args) -> int:
 def _cmd_evolve(args) -> int:
     from .propagator import evolve_exact, gaussian_kernel
 
-    _merge_config(args)
-    _require(args, ["model", "m", "t", "x_min", "x_max", "n"])
     _default(args, x0=0.0, p0=0.0, sigma=1.0)
-    grid = _validated_grid(args)
-    flow = _flow_from_args(args)
-    if not args.t > 0:
-        raise ValueError("t must be positive")
+    grid, flow = _grid_and_flow(args)
     psi = _packet(args, grid)
     out = evolve_exact(gaussian_kernel(flow, args.t), psi)
     _write_lines(wavefunction_csv_lines(out), args.output)
@@ -707,7 +696,6 @@ def _cmd_evolve(args) -> int:
 def _cmd_pathint(args) -> int:
     from .pathint import convergence_study, propagate, short_time_matrix
 
-    _merge_config(args)
     _require(args, ["force", "m", "t_total", "x_min", "x_max", "n"])
     _default(args, x0=0.0, p0=0.0, sigma=1.0)
     if not args.m > 0:
@@ -773,23 +761,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_common_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=tuple(_FLOWS))
-    p.add_argument("--m", type=_finite_float)
-    p.add_argument("--omega", type=_finite_float)
-    p.add_argument("--F0", type=_finite_float)
+_HELP = {"force": 'force polynomial in X, e.g. "-4*X"',
+         "convergence": "comma-separated step counts"}
 
 
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x-min", dest="x_min", type=_finite_float)
-    p.add_argument("--x-max", dest="x_max", type=_finite_float)
-    p.add_argument("--n", type=int)
-
-
-def _add_packet_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x0", type=_finite_float)
-    p.add_argument("--p0", type=_finite_float)
-    p.add_argument("--sigma", type=_finite_float)
+def _add_options(p: argparse.ArgumentParser, names: str) -> None:
+    """Add the value flags of names, in order, typed by _OPTIONS."""
+    for name in names.split():
+        p.add_argument("--" + name.replace("_", "-"), type=_OPTIONS[name],
+                       choices=tuple(_FLOWS) if name == "model" else None,
+                       help=_HELP.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -801,58 +782,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normord", help="print the canonical normal-ordered form")
     p.add_argument("expr")
-    p.add_argument("--output")
+    _add_options(p, "output")
     p.set_defaults(func=_cmd_normord)
 
     p = sub.add_parser("comm", help="print the normal-ordered commutator [A, B]")
     p.add_argument("expr_a")
     p.add_argument("expr_b")
-    p.add_argument("--output")
+    _add_options(p, "output")
     p.set_defaults(func=_cmd_comm)
 
     p = sub.add_parser("series", help="print operator Taylor series X(t), P(t)")
-    p.add_argument("--model", choices=tuple(_FLOWS))
-    p.add_argument("--order", type=int)
-    p.add_argument("--config")
-    p.add_argument("--output")
+    _add_options(p, "model order config output")
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("kernel", help="CSV of the propagator on a grid")
-    _add_common_model_flags(p)
-    _add_grid_flags(p)
-    p.add_argument("--t", type=_finite_float)
+    _add_options(p, "model m omega F0 x_min x_max n t")
     p.add_argument("--coefficients", action="store_true",
                    help="emit the 6 complex kernel coefficients instead")
-    p.add_argument("--config")
-    p.add_argument("--output")
+    _add_options(p, "config output")
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("evolve", help="CSV of a packet evolved by the exact kernel")
-    _add_common_model_flags(p)
-    _add_grid_flags(p)
-    _add_packet_flags(p)
-    p.add_argument("--t", type=_finite_float)
-    p.add_argument("--config")
-    p.add_argument("--output")
+    _add_options(p, "model m omega F0 x_min x_max n x0 p0 sigma t config output")
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("pathint", help="CSV of a packet evolved by kernel chaining")
-    p.add_argument("--force", help="force polynomial in X, e.g. \"-4*X\"")
-    p.add_argument("--m", type=_finite_float)
-    p.add_argument("--omega", type=_finite_float)
-    p.add_argument("--F0", type=_finite_float)
-    _add_grid_flags(p)
-    _add_packet_flags(p)
-    p.add_argument("--t-total", dest="t_total", type=_finite_float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--convergence", type=_step_counts, help="comma-separated step counts")
-    p.add_argument("--report-output", dest="report_output")
-    p.add_argument("--config")
-    p.add_argument("--output")
+    _add_options(p, "force m omega F0 x_min x_max n x0 p0 sigma t_total steps convergence "
+                    "report_output config output")
     p.set_defaults(func=_cmd_pathint)
 
     p = sub.add_parser("verify", help="run the invariant suite; exit 1 on failure")
-    p.add_argument("--output")
+    _add_options(p, "output")
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -868,6 +828,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning
         try:
             args = build_parser().parse_args(argv)
+            _merge_config(args)
             if args.command in _NUMERIC_COMMANDS and "numpy" not in sys.modules:
                 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # a user's value wins
             return args.func(args)

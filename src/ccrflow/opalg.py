@@ -129,10 +129,11 @@ class ScalarCoeff:
     def is_single_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def bit_lengths(self) -> list[int]:
-        """Bits of the longest integer in each monomial's weight."""
-        return [max(p.bit_length(), q.bit_length(), d.bit_length())
-                for p, q, d in self.terms.values()]
+    def monomial_sizes(self) -> list[tuple[int, int]]:
+        """(parameters, bits of the longest integer in its weight) of each
+        monomial."""
+        return [(len(mono), max(p.bit_length(), q.bit_length(), d.bit_length()))
+                for mono, (p, q, d) in self.terms.items()]
 
     # -- ring operations --
     def __add__(self, other) -> "ScalarCoeff":
@@ -342,6 +343,29 @@ class OpExpr:
         return OpExpr(out)
 
     __radd__ = __add__
+
+    @classmethod
+    def signed_sum(cls, parts: Iterable[tuple[int, "OpExpr"]]) -> "OpExpr":
+        """The sum of sign * part over (sign, part) pairs, sign 1 or -1, in one
+        pass: the left fold copies the running sum at every term.  The terms
+        come in the fold's order (a word or parameter monomial that cancels
+        leaves at once, and one that comes back is appended), so
+        ScalarCoeff.evaluate sums their values in the same order."""
+        out: dict[tuple[int, int], dict] = {}
+        for sign, part in parts:
+            for word, coeff in part.terms.items():
+                weights = out.setdefault(word, {})
+                for mono, (p, q, d) in coeff.terms.items():
+                    w = (sign * p, sign * q, d)
+                    if mono in weights:
+                        w = _c_add(weights[mono], w)
+                        if not (w[0] or w[1]):
+                            del weights[mono]
+                            continue
+                    weights[mono] = w
+                if not weights:
+                    del out[word]
+        return cls({word: ScalarCoeff(weights) for word, weights in out.items()})
 
     def __neg__(self) -> "OpExpr":
         return OpExpr({w: -c for w, c in self.terms.items()})

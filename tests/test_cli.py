@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import math
 import os
@@ -124,6 +126,15 @@ def test_parser_caps_nesting_and_power_length(capsys):
 _LONG_WEIGHTS = "(" + " + ".join(f"{j + 1}*P^{512 - j}" for j in range(40)) + ")*(X^512 + 3*X^511)"
 
 
+def _names(op: str, count: int) -> str:
+    return op.join(f"a{k}" for k in range(count))
+
+
+# a product of distinct parameters spends one more term product per 8 names
+# of its running monomial; 6000 names took 7 s and exited 0
+_NAMES_6000 = _names("*", 6000)
+
+
 # The largest admitted power of each family, and the first one past its cap.
 # (X*P)^2048 used to run 9 s and end in Python's int-digits message, and
 # P^2000*X^2000 reached the same message as a product of two capped powers.
@@ -136,6 +147,11 @@ _LONG_WEIGHTS = "(" + " + ".join(f"{j + 1}*P^{512 - j}" for j in range(40)) + ")
     ("(X*P)^2048", "term products", 5), ("P^2000*X^2000", "degree 4000", 6),
     ("0^1000000000", "term products", 1), ("(X-X)^1000000000", "term products", 5),
     ("m^1000000000", "term products", 1),
+    pytest.param(_names("*", 1020), None, None, id="product-of-1020-names"),
+    pytest.param(_NAMES_6000, "term products", _NAMES_6000.index("*a1020"),
+                 id="product-of-6000-names"),
+    # each '+' copied the running sum: 11 s
+    pytest.param(_names("+", 12000), None, None, id="sum-of-12000-names"),
 ])
 def test_parser_caps_bound_the_ordered_result(text, cap, offset, capsys):
     start = time.perf_counter()
@@ -154,6 +170,16 @@ def test_parser_caps_bound_the_ordered_result(text, cap, offset, capsys):
         assert captured.err.startswith("ccrflow: error:")
         assert cap in captured.err
         assert f"(byte {offset})" in captured.err
+
+
+def test_tokenizer_is_linear_in_input_length():
+    # every token's byte offset re-encoded the whole prefix: 4 s at 320K characters
+    count = 80_000
+    start = time.perf_counter()
+    with pytest.raises(ExpressionError) as err:
+        parse_expression("X*\u03c9+" * count + "?")  # omega is two bytes in UTF-8
+    assert time.perf_counter() - start < 2.0
+    assert str(err.value) == f"unexpected character '?' (byte {5 * count})"
 
 
 def test_comm_products_are_capped(capsys):
@@ -608,6 +634,75 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text("phi = 1\n")
     assert main(["series", "--config", str(cfg), "--model", "free"]) == 2
     capsys.readouterr()
+
+
+# one valid value for each of the 17 config keys
+_CONFIG_VALUES = {"model": "harmonic", "m": "2", "omega": "3", "F0": "0.5", "x_min": "-1",
+                  "x_max": "1", "n": "8", "t": "1", "t_total": "1", "steps": "2", "order": "1",
+                  "x0": "0", "p0": "0", "sigma": "1", "force": "-X", "convergence": "1,2"}
+
+
+def test_config_keys_are_the_value_flags(tmp_path, capsys):
+    # every value flag but --config and --report-output, spelled with '_'
+    out = tmp_path / "series.txt"
+    cfg = tmp_path / "run.cfg"
+    values = dict(_CONFIG_VALUES, output=str(out))
+    assert len(values) == 17
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    assert main(["series", "--config", str(cfg)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text().splitlines()[:2] == ["X(t) model=harmonic order=1", "0: X"]
+    for body, message in [
+        ("report_output = r.csv\n", "1: unknown key 'report_output'"),
+        ("config = other.cfg\n", "1: unknown key 'config'"),
+        ("model = free\nn = four\n", "2: n: invalid literal for int() with base 10: 'four'"),
+        ("\nm = 1\nconvergence = 10,5\n",
+         "3: convergence: expected increasing positive step counts, got '10,5'"),
+        ("x0 = nan  # comment\n", "1: x0: expected a finite number, got 'nan'"),
+        ("order\n", "1: expected 'key = value'"),
+    ]:
+        cfg.write_text(body)
+        assert main(["series", "--config", str(cfg), "--model", "free"]) == 2
+        assert capsys.readouterr() == ("", f"ccrflow: error: {cfg}:{message}\n")
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out help differently across Python versions; "
+                           "recorded with 3.11")
+def test_help_matches_golden_bytes(capsys, monkeypatch):
+    # ccrflow --help and each subcommand's --help, recorded before the value
+    # flags were built from one option table
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = json.loads((pathlib.Path(__file__).parent / "golden_help.json").read_text())
+    assert len(golden) == 8
+    for case in golden:
+        with pytest.raises(SystemExit) as exc:
+            main(case["argv"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (case["stdout"], ""), case["argv"]
+
+
+def _traced_table(name: str) -> list[tuple]:
+    """The string fields of each row of perfbench/traced.py's table name,
+    read from its source without running it."""
+    source = pathlib.Path(__file__).parents[1] / "perfbench" / "traced.py"
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name:
+            return [tuple(field.value for field in row.elts
+                          if isinstance(field, ast.Constant) and isinstance(field.value, str))
+                    for row in node.value.elts]
+    raise AssertionError(f"no {name} table in {source}")
+
+
+def test_traced_benchmark_names_exist():
+    # the traced benchmark passes wrap these by name and fail on a missing one
+    functions, methods = _traced_table("FUNCTIONS"), _traced_table("METHODS")
+    assert len(functions) >= 10 and len(methods) >= 3
+    for _span, home, attr in functions:
+        assert callable(getattr(importlib.import_module(home), attr, None)), (home, attr)
+    for _span, home, cls, attr in methods:
+        owner = getattr(importlib.import_module(home), cls, None)
+        assert callable(getattr(owner, attr, None)), (home, cls, attr)
 
 
 def test_outputs_are_byte_identical(tmp_path):

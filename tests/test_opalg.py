@@ -94,6 +94,28 @@ def test_multiply_closed_form_against_letter_fold():
         assert left * right == OpExpr.word("X" * a + "P" * b + "X" * c + "P" * d)
 
 
+def _term_order(e):
+    return [(word, list(coeff.terms.items())) for word, coeff in e.terms.items()]
+
+
+def test_signed_sum_keeps_the_left_fold_order():
+    # ScalarCoeff.evaluate adds floats in dict order, so the one-pass sum
+    # must keep the fold's order of words and monomials, cancellations included
+    rng = random.Random(11)
+    words, names = [(0, 0), (1, 0), (0, 2), (2, 1)], ["m", "omega", "F0"]
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.randint(1, 12)):
+            coeff = ScalarCoeff.rational(rng.choice([-2, -1, 1, 2]), rng.choice([0, 0, 1]))
+            if rng.random() < 0.6:
+                coeff = coeff * ScalarCoeff.param(rng.choice(names), rng.choice([-1, 1, 2]))
+            parts.append((rng.choice([1, -1]), OpExpr({rng.choice(words): coeff})))
+        fold = parts[0][1] * parts[0][0]
+        for sign, part in parts[1:]:
+            fold = fold + part if sign > 0 else fold - part
+        assert _term_order(OpExpr.signed_sum(parts)) == _term_order(fold)
+
+
 # ---- normal ordering ----
 
 def test_normal_order_px():
