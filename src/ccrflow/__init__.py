@@ -2,30 +2,14 @@
 
 The exact layer (opalg, heisenberg) works over complex rationals with named
 parameters; the numeric layer (propagator, pathint) evolves wavepackets on
-uniform grids; the cli module exposes everything as subcommands.  The
-numeric names load on first use (PEP 562), so importing the package, or
-running a symbolic command, does not import numpy.
+uniform grids; the cli module exposes everything as subcommands.  Only opalg
+loads with the package.  The names of heisenberg and of the numeric modules
+load on first use (PEP 562), so importing the package, or running normord or
+comm, imports neither heisenberg nor numpy.
 """
 
 from importlib import import_module
 
-from .heisenberg import (
-    AffineFlow,
-    ForceLaw,
-    Generator,
-    NonAffineFlow,
-    OperatorTimeSeries,
-    VelocityLaw,
-    constant_force,
-    extract_affine,
-    force_for_model,
-    free_force,
-    generator,
-    harmonic_force,
-    newtonian_velocity,
-    taylor_flow,
-    time_derivative,
-)
 from .opalg import (
     ONE,
     DomainError,
@@ -45,18 +29,22 @@ from .opalg import (
 
 __version__ = "0.1.0"
 
-_NUMERIC = {  # numeric module -> the names the package exports from it
+_LAZY = {  # module loaded on first use -> the names the package exports from it
+    "heisenberg": ("AffineFlow", "ForceLaw", "Generator", "NonAffineFlow",
+                   "OperatorTimeSeries", "VelocityLaw", "constant_force", "extract_affine",
+                   "force_for_model", "free_force", "generator", "harmonic_force",
+                   "newtonian_velocity", "taylor_flow", "time_derivative"),
     "pathint": ("ConvergenceReport", "ConvergenceRow", "KernelMatrix",
                 "convergence_study", "propagate", "short_time_matrix"),
     "propagator": ("AffineFlowExact", "BoundaryLeak", "CausticSingularity",
                    "GaussianKernel", "GridTooCoarse", "UniformGrid", "WaveFunction",
                    "evolve_exact", "gaussian_kernel", "closed_form_kernel"),
 }
-_HOME = {name: module for module, names in _NUMERIC.items() for name in (module, *names)}
+_HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
 
 
 def __getattr__(name):
-    """ccrflow.<numeric name>, and the numeric modules themselves, on first use."""
+    """ccrflow.<name> of a module in _LAZY, and the module itself, on first use."""
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = import_module(f".{_HOME[name]}", __name__)

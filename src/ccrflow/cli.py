@@ -37,13 +37,6 @@ from contextlib import nullcontext
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .heisenberg import (
-    DEFAULT_ORDER,
-    force_for_model,
-    generator,
-    newtonian_velocity,
-    taylor_flow,
-)
 from .opalg import (
     ONE,
     DomainError,
@@ -59,12 +52,13 @@ if TYPE_CHECKING:
     from .pathint import ConvergenceReport
     from .propagator import AffineFlowExact, UniformGrid, WaveFunction
 
-# The numeric commands import numpy and the numeric modules when they run,
-# so normord, comm, series and --help start without them.  They make no BLAS
-# call (FFTs, ufuncs and sums only), so main starts numpy with one OpenBLAS
-# thread for them: the pool's idle threads would only spin.  A later BLAS or
-# LAPACK user in the library (such as an eigh reference) would run on one
-# thread from the CLI too, and must be timed that way.
+# Each command imports the modules it needs when it runs: series imports
+# heisenberg, and the numeric commands numpy and the numeric modules, so
+# normord, comm and --help start with opalg alone.  The numeric commands
+# make no BLAS call (FFTs, ufuncs and sums only), so main starts numpy with
+# one OpenBLAS thread for them: the pool's idle threads would only spin.  A
+# later BLAS or LAPACK user in the library (such as an eigh reference) would
+# run on one thread from the CLI too, and must be timed that way.
 _NUMERIC_COMMANDS = ("kernel", "evolve", "pathint", "verify")
 
 __all__ = ["main", "parse_expression", "ExpressionError", "format_float"]
@@ -108,10 +102,15 @@ def _tokenize(text: str) -> list[_Token]:
         start = i
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
-            while i < len(text) and text[i].isdigit():
+        elif ch.isdecimal():  # what int() reads; a digit such as '²' is not
+            while i < len(text) and text[i].isdecimal():
                 i += 1
-            tokens.append(_Token("int", int(text[start:i]), offset))
+            try:
+                value = int(text[start:i])
+            except ValueError:  # longer than sys.get_int_max_str_digits()
+                raise ExpressionError(f"integer of more than {sys.get_int_max_str_digits()} "
+                                      "digits", offset) from None
+            tokens.append(_Token("int", value, offset))
         elif ch.isalpha() or ch == "_":
             while i < len(text) and (text[i].isalnum() or text[i] == "_"):
                 i += 1
@@ -626,11 +625,24 @@ def _grid_and_flow(args: argparse.Namespace) -> tuple[UniformGrid, AffineFlowExa
     return grid, flow
 
 
-def _packet(args: argparse.Namespace, grid: UniformGrid) -> WaveFunction:
-    from .propagator import WaveFunction
+_NORM_TOLERANCE = 1e-3  # of a packet's sampled norm
 
-    return WaveFunction.gaussian_packet(grid, center=args.x0, width=args.sigma,
-                                        momentum=args.p0)
+
+def _packet(args: argparse.Namespace, grid: UniformGrid) -> WaveFunction:
+    """The Gaussian packet of --x0, --p0 and --sigma on grid, if its samples
+    hold its norm on [x_min, x_max]: a packet narrower than a cell falls
+    between the points, or spikes on one.  That norm, not 1, is the reference,
+    so a packet the grid's span cuts off is still accepted."""
+    from .propagator import GridTooCoarse, WaveFunction
+
+    psi = WaveFunction.gaussian_packet(grid, center=args.x0, width=args.sigma,
+                                       momentum=args.p0)
+    lo, hi = ((edge - args.x0) / args.sigma for edge in (grid.x_min, grid.x_max))
+    expected, sampled = math.sqrt((math.erf(hi) - math.erf(lo)) / 2), psi.norm()
+    if not abs(sampled - expected) <= _NORM_TOLERANCE:
+        raise GridTooCoarse(f"the packet of width {args.sigma:.4g} has a sampled norm of "
+                            f"{sampled:.4g}, not {expected:.4g}; refine dx or widen --sigma")
+    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +665,9 @@ def _cmd_comm(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .heisenberg import (DEFAULT_ORDER, force_for_model, generator,
+                             newtonian_velocity, taylor_flow)
+
     _require(args, ["model"])
     _default(args, order=DEFAULT_ORDER)
     if args.order < 0:
@@ -687,8 +702,8 @@ def _cmd_evolve(args) -> int:
 
     _default(args, x0=0.0, p0=0.0, sigma=1.0)
     grid, flow = _grid_and_flow(args)
-    psi = _packet(args, grid)
-    out = evolve_exact(gaussian_kernel(flow, args.t), psi)
+    kernel = gaussian_kernel(flow, args.t)  # a caustic or overflow first, then the packet
+    out = evolve_exact(kernel, _packet(args, grid))
     _write_lines(wavefunction_csv_lines(out), args.output)
     return 0
 
@@ -841,4 +856,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # Under ``python -m ccrflow.cli``, verify's import of ccrflow.cli would
+    # otherwise compile and run this file a second time.
+    sys.modules.setdefault("ccrflow.cli", sys.modules[__name__])
     sys.exit(main())

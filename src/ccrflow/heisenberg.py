@@ -10,8 +10,7 @@ X(t) = alpha(t) X + beta(t) P + gamma(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .opalg import (
     DomainError,
@@ -50,23 +49,20 @@ class NonAffineFlow(DomainError):
     """Raised when a series coefficient leaves the span of {1, X, P}."""
 
 
-@dataclass(frozen=True)
-class ForceLaw:
+class ForceLaw(NamedTuple):
     """Force as a polynomial in X (momentum per time)."""
 
     F: Polynomial
     label: str = "custom"
 
 
-@dataclass(frozen=True)
-class VelocityLaw:
+class VelocityLaw(NamedTuple):
     """Velocity as a polynomial in P (length per time)."""
 
     V: Polynomial
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """Evolution generator G = int V dP - int F dX (energy units).
 
     Both antiderivatives carry zero constant term; constants commute with
@@ -186,8 +182,7 @@ def taylor_flow(op0: OpExpr, gen: Generator, order: int) -> OperatorTimeSeries:
 _AFFINE_WORDS = ((1, 0), (0, 1), (0, 0))  # X, P, 1
 
 
-@dataclass(frozen=True)
-class AffineFlow:
+class AffineFlow(NamedTuple):
     """Scalar series (alpha, beta, gamma) with X(t) = alpha X + beta P + gamma.
 
     Each component is a tuple of ScalarCoeffs in the same t^k/k! convention

@@ -99,7 +99,7 @@ def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
                             + (dt / 2) * float(np.max(np.abs(f_vals.real))))
     if phase_step > math.pi / 2:
         raise GridTooCoarse(
-            f"slice kernel phase advances {phase_step:.3f} rad per cell "
+            f"slice kernel phase advances {phase_step:.4g} rad per cell "
             f"(limit pi/2 = {math.pi / 2:.3f}); refine dx, shrink the domain, "
             "or enlarge dt"
         )

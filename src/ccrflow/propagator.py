@@ -54,7 +54,8 @@ class CausticSingularity(DomainError):
 
 
 class GridTooCoarse(DomainError):
-    """Kernel phase would advance more than pi/2 between adjacent samples."""
+    """Kernel phase would advance more than pi/2 between adjacent samples, or a
+    packet is too narrow for its samples to hold its norm."""
 
 
 class BoundaryLeak(UserWarning):
@@ -302,10 +303,14 @@ class WaveFunction:
         """Unit-norm packet exp{-(x-c)^2/(2 width^2) + i p (x-c)} / (pi width^2)^(1/4)."""
         if not width > 0:
             raise ValueError("width must be positive")
+        if width * width == 0:
+            raise ValueError(f"width {width:.4g} is too small: its square underflows to 0")
         x = grid.points()
-        psi = (math.pi * width * width) ** -0.25 * np.exp(
-            -((x - center) ** 2) / (2 * width * width) + 1j * momentum * (x - center)
-        )
+        # far from a narrow packet the exponent overflows to -inf: exp gives the right 0
+        with np.errstate(over="ignore"):
+            psi = (math.pi * width * width) ** -0.25 * np.exp(
+                -((x - center) ** 2) / (2 * width * width) + 1j * momentum * (x - center)
+            )
         return cls(psi, grid.x_min, grid.dx)
 
     # -- integrals --
@@ -360,7 +365,7 @@ def check_grid_resolution(kernel: GaussianKernel, grid: UniformGrid) -> None:
     step = grid.dx * kernel.phase_gradient_bound(grid.abs_max)
     if step > math.pi / 2:
         raise GridTooCoarse(
-            f"kernel phase advances {step:.3f} rad per cell (limit pi/2 = "
+            f"kernel phase advances {step:.4g} rad per cell (limit pi/2 = "
             f"{math.pi / 2:.3f}); refine dx or shrink the domain"
         )
 

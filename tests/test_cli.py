@@ -747,6 +747,10 @@ _PATHINT = ["pathint", "--force=-X", "--m", "1", "--t-total", "1", "--x-min", "-
 _OVERFLOW = ["pathint", "--force=1000000*X", "--m", "1", "--t-total", "1", "--x-min",
              "-0.001", "--x-max", "0.001", "--n", "64", "--convergence", "1,2",
              "--output", os.devnull]
+# int() rejects both digit runs: '²' is a digit but not a decimal, and the
+# other is one digit longer than int() converts
+_TOO_MANY_DIGITS = "X+" + "9" * (sys.get_int_max_str_digits() + 1)
+_BYTE_OFFSETS = {"X ? P": 2, "X^-1": 1, "X+²": 2, _TOO_MANY_DIGITS: 2}  # in normord's error
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -757,6 +761,8 @@ _OVERFLOW = ["pathint", "--force=1000000*X", "--m", "1", "--t-total", "1", "--x-
     pytest.param(["kernel", "--model", "-x"], 2, id="bad-choice"),
     pytest.param(["normord", "X ? P"], 2, id="bad-expression"),
     pytest.param(["normord", "X^-1"], 2, id="negative-word-power"),
+    pytest.param(["normord", "X+²"], 2, id="superscript-digit"),
+    pytest.param(["normord", _TOO_MANY_DIGITS], 2, id="integer-beyond-int-digits"),
     pytest.param(["kernel", "--model", "free", "--t", "1", "--x-min", "-1", "--x-max", "1",
                   "--n", "4"], 2, id="missing-mass"),
     pytest.param(["series", "--model", "harmonic", "--order", "-2"], 2, id="negative-order"),
@@ -771,6 +777,17 @@ _OVERFLOW = ["pathint", "--force=1000000*X", "--m", "1", "--t-total", "1", "--x-
         "ignore::ccrflow.propagator.BoundaryLeak")),
     pytest.param(["normord", "123456789^4096"], 3, id="too-long-to-print"),
     pytest.param(["kernel", *_OVERSIZED], 3, id="oversized-kernel"),
+    # a width whose square underflows raised ZeroDivisionError (exit 1), and a
+    # packet narrower than a cell sampled to zeros and exited 0
+    pytest.param(["evolve", *_SMALL, "--n", "64", "--sigma", "1e-200"], 2,
+                 id="evolve-width-squared-underflows"),
+    pytest.param([*_PATHINT, "--steps", "2", "--sigma", "1e-170"], 2,
+                 id="pathint-width-squared-underflows"),
+    pytest.param(["evolve", *_SMALL, "--n", "64", "--sigma", "1e-150"], 3,
+                 id="packet-between-the-points"),
+    pytest.param(["evolve", *_SMALL, "--n", "64", "--sigma", "1e-160"], 3,
+                 id="packet-exponent-overflows"),
+    pytest.param([*_PATHINT, "--steps", "2", "--sigma", "0.1"], 3, id="packet-on-too-few-points"),
     pytest.param(["evolve", *_OVERSIZED], 3, id="oversized-evolve"),
     pytest.param(["pathint", "--force=-X", "--m", "1", "--t-total", "1", "--steps", "2",
                   "--x-min", "-1", "--x-max", "1", "--n", "100000000000"],
@@ -797,9 +814,27 @@ def test_exit_code_sweep(argv, code, capsys):
     else:
         assert err.count("\n") == 1
         assert err.startswith("ccrflow: domain error: " if code == 3 else "ccrflow: error: ")
+    if argv[:1] == ["normord"] and argv[-1] in _BYTE_OFFSETS:
+        assert err.endswith(f" (byte {_BYTE_OFFSETS[argv[-1]]})\n")
     if code == 2 and "--convergence" in argv:  # named the library's n_list, or int()
         value = argv[argv.index("--convergence") + 1]
         assert f"--convergence: expected increasing positive step counts, got {value!r}" in err
+
+
+@pytest.mark.parametrize("argv, step", [
+    (["pathint", "--force=-X", "--m", "1", "--t-total", "1e-300", "--x-min", "-1",
+      "--x-max", "1", "--n", "16", "--steps", "1"], "2.667e+299"),
+    (["evolve", "--model", "harmonic", "--m", "1", "--omega", "1", "--t", "3.14159265358",
+      "--x-min", "-6", "--x-max", "6", "--n", "512"], "2.878e+10"),
+    (["evolve", "--model", "harmonic", "--m", "1", "--omega", "1", "--t", "3.0",
+      "--x-min", "-6", "--x-max", "6", "--n", "512"], "1.987"),
+])
+def test_phase_step_message_is_one_short_line(argv, step, capsys):
+    # a fixed-point step printed all 300 digits of 2.667e+299: a 435-byte line
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"phase advances {step} rad per cell (limit pi/2 = 1.571)" in err
+    assert err.count("\n") == 1 and len(err) < 160
 
 
 def test_domain_errors_share_one_base():
@@ -837,38 +872,55 @@ def test_short_help_is_still_an_option(capsys):
     assert capsys.readouterr().out.startswith("usage: ccrflow normord")
 
 
-def _fresh_python(script: str, *args: str, **env: str) -> str:
-    """stdout of script in a new interpreter, so sys.modules starts clean; env
-    adds to os.environ, less any inherited OPENBLAS_NUM_THREADS."""
+def _python(*argv: str, **env: str) -> subprocess.CompletedProcess:
+    """A new interpreter run with argv, so sys.modules starts clean; env adds
+    to os.environ, less any inherited OPENBLAS_NUM_THREADS.  Raises if it
+    exits nonzero."""
     inherited = {key: value for key, value in os.environ.items()
                  if key != "OPENBLAS_NUM_THREADS"}
     env = inherited | env | {"PYTHONPATH": str(pathlib.Path(ccrflow.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          capture_output=True, text=True, check=True)
-    return done.stdout
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          check=True)
 
 
+def _fresh_python(script: str, *args: str, **env: str) -> str:
+    """stdout of script in a new interpreter (see _python)."""
+    return _python("-c", script, *args, **env).stdout
+
+
+# The modules a command imports only when it needs them, as newly loaded
+# after the exact commands and after series; dataclasses alone costs about
+# 10 ms of imports (inspect, ast, dis, tokenize).
 _IMPORT_GRAPH = """
 import json, os, sys
+started = set(sys.modules)
 from ccrflow.cli import build_parser, main
 
-numeric = {"numpy", "ccrflow.propagator", "ccrflow.pathint", "ccrflow.verify"}
-for argv in (["normord", "P*X"], ["comm", "X^3", "P"],
-             ["series", "--model", "harmonic", "--order", "3"]):
+late = {"numpy", "ccrflow.propagator", "ccrflow.pathint", "ccrflow.verify",
+        "ccrflow.heisenberg", "dataclasses"}
+def loaded():
+    return sorted(late & set(sys.modules) - started)
+
+for argv in (["normord", "P*X"], ["comm", "X^3", "P"]):
     assert main(argv + ["--output", os.devnull]) == 0
 build_parser().format_help()
-symbolic = sorted(numeric & set(sys.modules))
+exact = loaded()
+assert main(["series", "--model", "harmonic", "--order", "3", "--output", os.devnull]) == 0
+series = loaded()
 symbolic_blas = os.environ.get("OPENBLAS_NUM_THREADS")
 assert main(["kernel", "--model", "free", "--m", "1", "--t", "1", "--x-min", "-1",
              "--x-max", "1", "--n", "4", "--coefficients", "--output", os.devnull]) == 0
-print(json.dumps([symbolic, symbolic_blas, "numpy" in sys.modules,
+print(json.dumps([exact, series, symbolic_blas, "numpy" in sys.modules,
                   os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
 
 
 def test_symbolic_commands_do_not_import_numpy():
-    symbolic, symbolic_blas, kernel_numpy, kernel_blas = json.loads(_fresh_python(_IMPORT_GRAPH))
-    assert symbolic == []
+    # normord, comm and --help load only opalg; series adds heisenberg alone
+    exact, series, symbolic_blas, kernel_numpy, kernel_blas = json.loads(
+        _fresh_python(_IMPORT_GRAPH))
+    assert exact == []
+    assert series == ["ccrflow.heisenberg"]
     assert symbolic_blas is None
     assert kernel_numpy
     assert kernel_blas == "1"
@@ -921,6 +973,16 @@ def test_outputs_do_not_depend_on_blas_threads(argv):
     one = _fresh_python(_RUN_CLI, *argv)
     assert one.startswith("x,re,im\n")
     assert _fresh_python(_RUN_CLI, *argv, OPENBLAS_NUM_THREADS="2") == one
+
+
+def test_module_run_loads_cli_once():
+    # verify imports ccrflow.cli by name; under -m that compiled and ran
+    # cli.py a second time, as a module apart from __main__
+    done = _python("-X", "importtime", "-m", "ccrflow.cli", "verify", "--output", os.devnull)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "ccrflow.verify" in imported
+    assert "ccrflow.cli" not in imported
 
 
 # Every name the package exported before its numeric names became lazy,
