@@ -21,19 +21,15 @@ from .opalg import (
     X,
     apply_to_polynomial,
     commutator,
-    equals,
     inverse_power_rule,
-    multiply,
-    normal_order,
 )
 
 __version__ = "0.1.0"
 
 _LAZY = {  # module loaded on first use -> the names the package exports from it
-    "heisenberg": ("AffineFlow", "ForceLaw", "Generator", "NonAffineFlow",
-                   "OperatorTimeSeries", "VelocityLaw", "constant_force", "extract_affine",
-                   "force_for_model", "free_force", "generator", "harmonic_force",
-                   "newtonian_velocity", "taylor_flow", "time_derivative"),
+    "heisenberg": ("AffineFlow", "NonAffineFlow", "OperatorTimeSeries", "extract_affine",
+                   "force_for_model", "generator", "newtonian_velocity", "taylor_flow",
+                   "time_derivative"),
     "pathint": ("ConvergenceReport", "ConvergenceRow", "KernelMatrix",
                 "convergence_study", "propagate", "short_time_matrix"),
     "propagator": ("AffineFlowExact", "BoundaryLeak", "CausticSingularity",

@@ -112,7 +112,8 @@ def _tokenize(text: str) -> list[_Token]:
                                       "digits", offset) from None
             tokens.append(_Token("int", value, offset))
         elif ch.isalpha() or ch == "_":
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+            while i < len(text) and (text[i].isalpha() or text[i].isdecimal()
+                                     or text[i] == "_"):  # not '²' or '½'
                 i += 1
             tokens.append(_Token("name", text[start:i], offset))
         elif ch in _SYMBOLS:

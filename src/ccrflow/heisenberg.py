@@ -1,7 +1,8 @@
 """Operator time evolution built from force and velocity laws.
 
-The evolution generator is G = int V dP - int F dX, and operators move by
-dO/dt = i[G, O].  Iterating that derivative yields truncated operator Taylor
+A force F(X) is a Polynomial in X and a velocity V(P) a Polynomial in P.
+The evolution generator is the OpExpr G = int V dP - int F dX, and operators
+move by dO/dt = i[G, O].  Iterating that derivative yields truncated operator Taylor
 series X(t), P(t); when the force is at most linear the flow stays affine in
 (X, P, 1) and can be split into three scalar series alpha, beta, gamma with
 X(t) = alpha(t) X + beta(t) P + gamma(t).
@@ -22,9 +23,6 @@ from .opalg import (
 )
 
 __all__ = [
-    "ForceLaw",
-    "VelocityLaw",
-    "Generator",
     "OperatorTimeSeries",
     "AffineFlow",
     "NonAffineFlow",
@@ -32,9 +30,6 @@ __all__ = [
     "time_derivative",
     "taylor_flow",
     "extract_affine",
-    "free_force",
-    "constant_force",
-    "harmonic_force",
     "newtonian_velocity",
     "force_for_model",
     "DEFAULT_ORDER",
@@ -49,74 +44,42 @@ class NonAffineFlow(DomainError):
     """Raised when a series coefficient leaves the span of {1, X, P}."""
 
 
-class ForceLaw(NamedTuple):
-    """Force as a polynomial in X (momentum per time)."""
-
-    F: Polynomial
-    label: str = "custom"
+def newtonian_velocity() -> Polynomial:
+    """V = P/m, as a polynomial in P (length per time)."""
+    return Polynomial.monomial(1, ScalarCoeff.param("m", -1))
 
 
-class VelocityLaw(NamedTuple):
-    """Velocity as a polynomial in P (length per time)."""
-
-    V: Polynomial
-
-
-class Generator(NamedTuple):
-    """Evolution generator G = int V dP - int F dX (energy units).
-
-    Both antiderivatives carry zero constant term; constants commute with
-    everything and cannot affect any derivative.
-    """
-
-    G: OpExpr
-
-
-def free_force() -> ForceLaw:
-    return ForceLaw(Polynomial.zero(), "free")
-
-
-def constant_force() -> ForceLaw:
-    """F = F0, the constant-force model (linear potential)."""
-    return ForceLaw(Polynomial.monomial(0, ScalarCoeff.param("F0")), "linear")
-
-
-def harmonic_force() -> ForceLaw:
-    """F = -m omega^2 X."""
-    c = -(ScalarCoeff.param("m") * ScalarCoeff.param("omega", 2))
-    return ForceLaw(Polynomial.monomial(1, c), "harmonic")
-
-
-def newtonian_velocity() -> VelocityLaw:
-    """V = P/m."""
-    return VelocityLaw(Polynomial.monomial(1, ScalarCoeff.param("m", -1)))
-
-
+# model -> force F(X), a polynomial in X (momentum per time)
 _MODELS = {
-    "free": free_force,
-    "harmonic": harmonic_force,
-    "linear": constant_force,
+    "free": Polynomial.zero(),
+    "harmonic": Polynomial.monomial(  # F = -m omega^2 X
+        1, -(ScalarCoeff.param("m") * ScalarCoeff.param("omega", 2))),
+    "linear": Polynomial.monomial(0, ScalarCoeff.param("F0")),  # F = F0, a linear potential
 }
 
 
-def force_for_model(model: str) -> ForceLaw:
+def force_for_model(model: str) -> Polynomial:
     try:
-        return _MODELS[model]()
+        return _MODELS[model]
     except KeyError:
         raise ValueError(f"unknown model {model!r}; expected one of {sorted(_MODELS)}")
 
 
-def generator(force: ForceLaw, velocity: VelocityLaw) -> Generator:
-    return Generator(velocity.V.antiderivative().as_opexpr("P")
-                     - force.F.antiderivative().as_opexpr("X"))
+def generator(force: Polynomial, velocity: Polynomial) -> OpExpr:
+    """G = int V dP - int F dX (energy units).
+
+    Both antiderivatives carry zero constant term; constants commute with
+    everything and cannot affect any derivative.
+    """
+    return velocity.antiderivative().as_opexpr("P") - force.antiderivative().as_opexpr("X")
 
 
-def time_derivative(op: OpExpr, gen: Generator) -> OpExpr:
+def time_derivative(op: OpExpr, G: OpExpr) -> OpExpr:
     """dO/dt = i[G, O].
 
     With G = P^2/2m - int F dX this reproduces dX/dt = P/m and dP/dt = F(X).
     """
-    return _I * commutator(gen.G, op)
+    return _I * commutator(G, op)
 
 
 class OperatorTimeSeries:
@@ -169,13 +132,13 @@ class OperatorTimeSeries:
         return f"OperatorTimeSeries(order={self.order})"
 
 
-def taylor_flow(op0: OpExpr, gen: Generator, order: int) -> OperatorTimeSeries:
+def taylor_flow(op0: OpExpr, G: OpExpr, order: int) -> OperatorTimeSeries:
     """Iterate c_{k+1} = i[G, c_k] starting from c_0 = op0."""
     if order < 0:
         raise ValueError("order must be non-negative")
     coeffs = [op0]
     for _ in range(order):
-        coeffs.append(time_derivative(coeffs[-1], gen))
+        coeffs.append(time_derivative(coeffs[-1], G))
     return OperatorTimeSeries(coeffs)
 
 

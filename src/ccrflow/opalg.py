@@ -28,12 +28,9 @@ __all__ = [
     "X",
     "P",
     "ONE",
-    "normal_order",
-    "multiply",
     "commutator",
     "inverse_power_rule",
     "apply_to_polynomial",
-    "equals",
     "word_sort_key",
     "DomainError",
 ]
@@ -462,23 +459,9 @@ P = OpExpr.word("P")
 ONE = OpExpr.scalar(1)
 
 
-def normal_order(e: OpExpr) -> OpExpr:
-    """The element itself; kept as API, since products are already ordered."""
-    return e.normal_order()
-
-
-def multiply(a: OpExpr, b: OpExpr) -> OpExpr:
-    """Normal-ordered product, distributed over terms."""
-    return a * b
-
-
 def commutator(a: OpExpr, b: OpExpr) -> OpExpr:
     """[a, b] = ab - ba; bilinear and antisymmetric."""
     return a * b - b * a
-
-
-def equals(a: OpExpr, b: OpExpr) -> bool:
-    return a == b
 
 
 class InversePower(NamedTuple):

@@ -205,13 +205,11 @@ def gaussian_kernel(flow: AffineFlowExact, t: float) -> GaussianKernel:
     gamma or a coefficient is not a finite float.  A is on the principal branch,
     with no phase continuation past a caustic; flow.phase(t) is not included.
     """
-    beta = flow.beta(t)
+    alpha, beta, gamma = flow._flow(t)
     if _at_caustic(beta, flow.m, t):
         raise CausticSingularity(
             f"beta({t}) = {beta:.3e}; the kernel is singular at this time"
         )
-    alpha = flow.alpha(t)
-    gamma = flow.gamma(t)
     a = alpha / (2 * beta)
     b = -1.0 / beta
     d = gamma / beta

@@ -750,7 +750,10 @@ _OVERFLOW = ["pathint", "--force=1000000*X", "--m", "1", "--t-total", "1", "--x-
 # int() rejects both digit runs: '²' is a digit but not a decimal, and the
 # other is one digit longer than int() converts
 _TOO_MANY_DIGITS = "X+" + "9" * (sys.get_int_max_str_digits() + 1)
-_BYTE_OFFSETS = {"X ? P": 2, "X^-1": 1, "X+²": 2, _TOO_MANY_DIGITS: 2}  # in normord's error
+# a name goes on with letters, decimals and '_' only: 'X²' and 'X½' printed 0
+# as a commutator and 'X½*1' as a word
+_BYTE_OFFSETS = {"X ? P": 2, "X^-1": 1, "X+²": 2, _TOO_MANY_DIGITS: 2,
+                 "X²": 1, "X½": 1}  # in the error on the first expression
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -763,6 +766,8 @@ _BYTE_OFFSETS = {"X ? P": 2, "X^-1": 1, "X+²": 2, _TOO_MANY_DIGITS: 2}  # in no
     pytest.param(["normord", "X^-1"], 2, id="negative-word-power"),
     pytest.param(["normord", "X+²"], 2, id="superscript-digit"),
     pytest.param(["normord", _TOO_MANY_DIGITS], 2, id="integer-beyond-int-digits"),
+    pytest.param(["comm", "X²", "P"], 2, id="superscript-after-name"),
+    pytest.param(["normord", "X½"], 2, id="vulgar-fraction-after-name"),
     pytest.param(["kernel", "--model", "free", "--t", "1", "--x-min", "-1", "--x-max", "1",
                   "--n", "4"], 2, id="missing-mass"),
     pytest.param(["series", "--model", "harmonic", "--order", "-2"], 2, id="negative-order"),
@@ -802,6 +807,7 @@ _BYTE_OFFSETS = {"X ? P": 2, "X^-1": 1, "X+²": 2, _TOO_MANY_DIGITS: 2}  # in no
     pytest.param([*_PATHINT, "--convergence", "5,x"], 2, id="convergence-not-int"),
     pytest.param(["normord", "-P"], 0, id="leading-minus-normord"),
     pytest.param(["comm", "-X", "-2*P"], 0, id="leading-minus-comm"),
+    pytest.param(["normord", "a0*ω*X"], 0, id="decimal-and-letter-in-names"),
 ])
 def test_exit_code_sweep(argv, code, capsys):
     # every bad input ends in one line and its exit code, never a traceback;
@@ -814,8 +820,8 @@ def test_exit_code_sweep(argv, code, capsys):
     else:
         assert err.count("\n") == 1
         assert err.startswith("ccrflow: domain error: " if code == 3 else "ccrflow: error: ")
-    if argv[:1] == ["normord"] and argv[-1] in _BYTE_OFFSETS:
-        assert err.endswith(f" (byte {_BYTE_OFFSETS[argv[-1]]})\n")
+    if argv[:1] in (["normord"], ["comm"]) and len(argv) > 1 and argv[1] in _BYTE_OFFSETS:
+        assert err.endswith(f" (byte {_BYTE_OFFSETS[argv[1]]})\n")
     if code == 2 and "--convergence" in argv:  # named the library's n_list, or int()
         value = argv[argv.index("--convergence") + 1]
         assert f"--convergence: expected increasing positive step counts, got {value!r}" in err
@@ -989,12 +995,10 @@ def test_module_run_loads_cli_once():
 # by defining module.
 _EXPORTS = {
     "opalg": ["ONE", "InversePower", "OpExpr", "P", "Polynomial", "ScalarCoeff", "X",
-              "apply_to_polynomial", "commutator", "equals", "inverse_power_rule",
-              "multiply", "normal_order"],
-    "heisenberg": ["AffineFlow", "ForceLaw", "Generator", "NonAffineFlow",
-                   "OperatorTimeSeries", "VelocityLaw", "constant_force", "extract_affine",
-                   "force_for_model", "free_force", "generator", "harmonic_force",
-                   "newtonian_velocity", "taylor_flow", "time_derivative"],
+              "apply_to_polynomial", "commutator", "inverse_power_rule"],
+    "heisenberg": ["AffineFlow", "NonAffineFlow", "OperatorTimeSeries", "extract_affine",
+                   "force_for_model", "generator", "newtonian_velocity", "taylor_flow",
+                   "time_derivative"],
     "pathint": ["ConvergenceReport", "ConvergenceRow", "KernelMatrix", "convergence_study",
                 "propagate", "short_time_matrix"],
     "propagator": ["AffineFlowExact", "BoundaryLeak", "CausticSingularity", "GaussianKernel",
@@ -1024,3 +1028,25 @@ def test_package_exports_resolve_to_their_modules():
     assert json.loads(_fresh_python(_RESOLVE, json.dumps(_EXPORTS))) == []
     with pytest.raises(AttributeError, match="no_such_name"):
         ccrflow.no_such_name
+
+
+def test_exports_name_what_the_modules_define():
+    # a removed name left in __all__ or in the package's lazy table fails here,
+    # not at the first `from ccrflow.<module> import *`
+    for name in ("opalg", "heisenberg", "propagator", "pathint", "verify", "cli"):
+        module = importlib.import_module(f"ccrflow.{name}")
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
+    for name, lazy in ccrflow._LAZY.items():
+        module = importlib.import_module(f"ccrflow.{name}")
+        assert sorted(set(lazy) - set(module.__all__)) == [], name
+
+
+def test_readme_quick_example_runs_as_written():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Quick example:", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    exact = AffineFlowExact.harmonic(2.0, 1.3)
+    want = (exact.alpha(0.5), exact.beta(0.5), exact.gamma(0.5))
+    got = scope["flow"].evaluate(0.5, {"m": 2.0, "omega": 1.3})
+    assert got == pytest.approx(want, rel=0, abs=1e-9)

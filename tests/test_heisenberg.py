@@ -6,12 +6,10 @@ import pytest
 
 from ccrflow.heisenberg import (
     AffineFlow,
-    ForceLaw,
     NonAffineFlow,
     OperatorTimeSeries,
     extract_affine,
     force_for_model,
-    free_force,
     generator,
     newtonian_velocity,
     taylor_flow,
@@ -25,7 +23,7 @@ HALF = ScalarCoeff.rational(Fraction(1, 2))
 
 
 def free_gen():
-    return generator(free_force(), newtonian_velocity())
+    return generator(force_for_model("free"), newtonian_velocity())
 
 
 def harmonic_gen():
@@ -40,26 +38,24 @@ def linear_gen():
 
 def test_generator_free():
     expected = P * P * (HALF * M_INV)
-    assert free_gen().G == expected
+    assert free_gen() == expected
 
 
 def test_generator_linear():
     expected = P * P * (HALF * M_INV) - X * ScalarCoeff.param("F0")
-    assert linear_gen().G == expected
+    assert linear_gen() == expected
 
 
 def test_generator_harmonic():
     spring = HALF * ScalarCoeff.param("m") * ScalarCoeff.param("omega", 2)
     expected = P * P * (HALF * M_INV) + X * X * spring
-    assert harmonic_gen().G == expected
+    assert harmonic_gen() == expected
 
 
 def test_generator_general_velocity():
     # V = P^3 (a non-Newtonian velocity law) integrates to P^4/4
-    from ccrflow.heisenberg import VelocityLaw
-    vel = VelocityLaw(Polynomial.monomial(3))
-    gen = generator(free_force(), vel)
-    assert gen.G == P ** 4 * ScalarCoeff.rational(Fraction(1, 4))
+    gen = generator(force_for_model("free"), Polynomial.monomial(3))
+    assert gen == P ** 4 * ScalarCoeff.rational(Fraction(1, 4))
 
 
 # ---- time derivative ----
@@ -212,7 +208,7 @@ def test_extract_affine_reassembles_exactly():
 
 
 def test_extract_affine_rejects_cubic_force():
-    cubic = ForceLaw(Polynomial.monomial(3, ScalarCoeff.rational(-1)), "cubic")
+    cubic = Polynomial.monomial(3, ScalarCoeff.rational(-1))
     gen = generator(cubic, newtonian_velocity())
     series = taylor_flow(X, gen, 2)
     with pytest.raises(NonAffineFlow):

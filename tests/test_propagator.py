@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ccrflow.heisenberg import ForceLaw, extract_affine, generator, newtonian_velocity, taylor_flow
+from ccrflow.heisenberg import extract_affine, generator, newtonian_velocity, taylor_flow
 from ccrflow.opalg import Polynomial, ScalarCoeff, X
 from ccrflow.propagator import (
     AffineFlowExact,
@@ -94,7 +94,7 @@ def test_scale_free_caustic_test():
 def test_affine_flow_matches_taylor_route(coeffs, m):
     # the paper's route: X(t) as an operator Taylor series from dO/dt = i[G, O]
     force = Polynomial.from_list(coeffs)
-    series = extract_affine(taylor_flow(X, generator(ForceLaw(force), newtonian_velocity()), 24))
+    series = extract_affine(taylor_flow(X, generator(force, newtonian_velocity()), 24))
     flow = AffineFlowExact.from_force(force, m)
     for t in (0.05, 0.3, 0.7, 1.0):
         want = series.evaluate(t, {"m": m})
