@@ -363,21 +363,18 @@ _KERNEL_HEADER = "x_b,x_a,re,im"
 
 
 def _kernel_values(kernel, x):
-    """kernel(x_b, x_a) at x_b = x[i] (row i) and x_a = x as an n x n array.
-
-    Raises OverflowError where a value is not finite: the phase left the float
-    range, which numpy would only have warned of.
-    """
+    """kernel(x_b, x_a) at x_b = x[i] (row i) and x_a = x as an n x n array;
+    OverflowError where a value is not finite."""
     import numpy as np
+
+    from .propagator import finite_on_grid
 
     values = np.empty((len(x), len(x)), dtype=complex)
     with np.errstate(all="ignore"):
         # Row by row: a 2-D broadcast kernel(x[:, None], x) differs in the last bit.
         for i, x_b in enumerate(x):
             values[i] = kernel(x_b, x)
-    if not np.isfinite(values).all():
-        raise OverflowError("the kernel phase on this grid is beyond the float range")
-    return values
+    return finite_on_grid(values, "the kernel phase")
 
 
 def _kernel_rows_text(values, x_text: list[str], rows: range) -> str:
@@ -594,24 +591,16 @@ def _merge_config(args: argparse.Namespace) -> None:
         _default(args, **_read_config_file(args.config))
 
 
-def _validated_grid(args: argparse.Namespace) -> UniformGrid:
-    from .propagator import UniformGrid
-
-    if args.n < 2:
-        raise ValueError("grid needs n >= 2")
-    return UniformGrid.from_bounds(args.x_min, args.x_max, args.n)
-
-
 # --model alias (an AffineFlowExact constructor) -> flags it needs besides --m
 _FLOWS = {"free": (), "harmonic": ("omega",), "linear": ("F0",)}
 
 
 def _grid_and_flow(args: argparse.Namespace) -> tuple[UniformGrid, AffineFlowExact]:
     """The grid and flow of kernel and evolve, after the checks they share."""
-    from .propagator import AffineFlowExact
+    from .propagator import AffineFlowExact, UniformGrid
 
     _require(args, ["model", "m", "t", "x_min", "x_max", "n"])
-    grid = _validated_grid(args)
+    grid = UniformGrid.from_bounds(args.x_min, args.x_max, args.n)
     if not args.m > 0:
         raise ValueError("mass must be given and positive (--m)")
     if args.model not in _FLOWS:
@@ -671,8 +660,6 @@ def _cmd_series(args) -> int:
 
     _require(args, ["model"])
     _default(args, order=DEFAULT_ORDER)
-    if args.order < 0:
-        raise ValueError("order must be non-negative")
     force = force_for_model(args.model)
     gen = generator(force, newtonian_velocity())
     lines = [f"X(t) model={args.model} order={args.order}"]
@@ -711,6 +698,7 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_pathint(args) -> int:
     from .pathint import convergence_study, propagate, short_time_matrix
+    from .propagator import UniformGrid
 
     _require(args, ["force", "m", "t_total", "x_min", "x_max", "n"])
     _default(args, x0=0.0, p0=0.0, sigma=1.0)
@@ -718,7 +706,7 @@ def _cmd_pathint(args) -> int:
         raise ValueError("mass must be positive")
     if not args.t_total > 0:
         raise ValueError("t-total must be positive")
-    grid = _validated_grid(args)
+    grid = UniformGrid.from_bounds(args.x_min, args.x_max, args.n)
     force = _force_polynomial(parse_expression(args.force))
     params = {}
     for name in ("m", "omega", "F0"):
@@ -727,9 +715,14 @@ def _cmd_pathint(args) -> int:
             params[name] = value
     for coeff in force.coeffs.values():
         try:
-            coeff.evaluate(params)
+            finite = math.isfinite(abs(coeff.evaluate(params)))
         except KeyError as exc:
             raise ValueError(f"force has {exc.args[0]}; only m, omega, F0 bind") from None
+        except (ZeroDivisionError, OverflowError):  # omega^-1 at --omega 0, F0^-2 at 1e-200
+            finite = False
+        if not finite:
+            raise OverflowError(f"force coefficient {coeff.text()} is beyond the float "
+                                "range at the given parameters")
     psi = _packet(args, grid)
     if args.convergence:
         report = convergence_study(force, args.m, psi, args.t_total, args.convergence, params)

@@ -440,11 +440,6 @@ class OpExpr:
     def __repr__(self) -> str:
         return f"OpExpr({self.canonical_text()})"
 
-    def evaluate(self, params: Mapping[str, float] | None = None
-                 ) -> dict[tuple[int, int], complex]:
-        """Numeric coefficient of each X^a P^b, parameters bound to floats."""
-        return {w: c.evaluate(params) for w, c in self.terms.items()}
-
 
 def _coerce_op(v):
     if isinstance(v, OpExpr):
@@ -507,10 +502,6 @@ class Polynomial:
     @classmethod
     def from_list(cls, ascending: Iterable) -> "Polynomial":
         return cls({k: _coerce_scalar(c) for k, c in enumerate(ascending)})
-
-    @property
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
 
     @property
     def is_zero(self) -> bool:

@@ -27,11 +27,12 @@ from .opalg import Polynomial
 from .propagator import (
     AffineFlowExact,
     BoundaryLeak,
-    GridTooCoarse,
     UniformGrid,
     WaveFunction,
     _chirp_operator,
+    check_phase_step,
     evolve_exact,
+    finite_on_grid,
     gaussian_kernel,
 )
 
@@ -80,7 +81,8 @@ def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
                       params: Mapping[str, float] | None = None) -> KernelMatrix:
     """Build the slice kernel for force F on the given grid.
 
-    Raises GridTooCoarse unless the per-cell phase bound holds:
+    Raises OverflowError where F or W is not finite on the grid, and
+    GridTooCoarse unless the per-cell phase bound holds:
     dx * (2 m X_max / dt + (dt/2) max|F|) <= pi/2, the oscillation rule with
     the kinetic quadratic coefficient a = m/(2 dt) plus the W-phase gradient.
     """
@@ -89,21 +91,17 @@ def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
     if not m > 0:
         raise ValueError("mass must be positive")
     x = grid.points()
-    # a constant polynomial evaluates to a scalar
-    f_vals = np.broadcast_to(force.evaluate(x, params), x.shape)
-    if np.max(np.abs(f_vals.imag)) > 1e-12 * max(1.0, float(np.max(np.abs(f_vals)))):
-        raise ValueError("force evaluated to complex values; check parameters")
-    w_vals = np.broadcast_to(force.antiderivative().evaluate(x, params), x.shape).real
-
-    phase_step = grid.dx * (2 * m * grid.abs_max / dt
-                            + (dt / 2) * float(np.max(np.abs(f_vals.real))))
-    if phase_step > math.pi / 2:
-        raise GridTooCoarse(
-            f"slice kernel phase advances {phase_step:.4g} rad per cell "
-            f"(limit pi/2 = {math.pi / 2:.3f}); refine dx, shrink the domain, "
-            "or enlarge dt"
-        )
-
+    with np.errstate(all="ignore"):  # finite_on_grid, not a warning, reports overflow
+        # a constant polynomial evaluates to a scalar
+        f_vals = finite_on_grid(np.broadcast_to(force.evaluate(x, params), x.shape),
+                                "the force")
+        if np.max(np.abs(f_vals.imag)) > 1e-12 * max(1.0, float(np.max(np.abs(f_vals)))):
+            raise ValueError("force evaluated to complex values; check parameters")
+        w_vals = finite_on_grid(np.broadcast_to(force.antiderivative().evaluate(x, params),
+                                                x.shape), "the force's antiderivative").real
+    check_phase_step(grid.dx * (2 * m * grid.abs_max / dt
+                                + (dt / 2) * float(np.max(np.abs(f_vals.real)))),
+                     "slice kernel", "refine dx, shrink the domain, or enlarge dt")
     return KernelMatrix(grid=grid, dt=dt, m=m, pot=(dt / 2) * w_vals)
 
 
@@ -114,10 +112,10 @@ def propagate(kernel: KernelMatrix, psi0: WaveFunction, steps: int) -> WaveFunct
     if psi0.grid != kernel.grid:
         raise ValueError("wavefunction grid does not match the kernel grid")
     apply = kernel.operator()
-    psi = WaveFunction(psi0.samples.copy(), psi0.x_min, psi0.dx)
+    psi = WaveFunction(psi0.grid, psi0.samples.copy())
     warned = False
     for _ in range(steps):
-        psi = WaveFunction(apply(psi.samples), psi.x_min, psi.dx)
+        psi = WaveFunction(psi.grid, apply(psi.samples))
         if not warned and psi.edge_mass_fraction() > EDGE_LEAK_WARN:
             warnings.warn(
                 f"edge mass fraction {psi.edge_mass_fraction():.2e} exceeds "
@@ -182,8 +180,7 @@ def convergence_study(force: Polynomial, m: float, psi0: WaveFunction,
         reported = steps[:-1]
     else:
         exact = evolve_exact(gaussian_kernel(flow, t_total), psi0)
-        reference = WaveFunction(exact.samples * np.exp(1j * flow.phase(t_total)),
-                                 exact.x_min, exact.dx)
+        reference = WaveFunction(exact.grid, exact.samples * np.exp(1j * flow.phase(t_total)))
         reported = steps
 
     rows = []

@@ -38,7 +38,8 @@ __all__ = [
     "gaussian_kernel",
     "closed_form_kernel",
     "evolve_exact",
-    "check_grid_resolution",
+    "check_phase_step",
+    "finite_on_grid",
     "CAUSTIC_EPS",
     "EDGE_SAMPLES",
     "EDGE_MASS_FLAG",
@@ -186,12 +187,6 @@ class GaussianKernel:
                  + self.d * x_b + self.e * x_a)
         return self.A * np.exp(1j * phase)
 
-    def phase_gradient_bound(self, x_limit: float) -> float:
-        """Upper bound on |d(phase)/dx| over the box |x| <= x_limit."""
-        return float(
-            (2 * abs(self.a) + abs(self.b)) * x_limit + max(abs(self.d), abs(self.e))
-        )
-
 
 def _at_caustic(beta: float, m: float, t: float) -> bool:
     return abs(beta) * m <= CAUSTIC_EPS * abs(t)
@@ -260,39 +255,32 @@ def closed_form_kernel(model: str, params: Mapping[str, float], t: float,
 
 
 class WaveFunction:
-    """Complex samples on a uniform grid.
+    """Complex samples, one per point of a uniform grid with n >= 2 and dx > 0.
 
-    The grid is (x_min, dx, n) with n = len(samples) >= 2.  States whose
-    probability mass in the 5 outermost samples on either side exceeds 1e-10
-    of the total are flagged; quadrature on such states is unreliable.
+    States whose probability mass in the 5 outermost samples on either side
+    exceeds 1e-10 of the total are flagged; quadrature on such states is unreliable.
     """
 
-    __slots__ = ("samples", "x_min", "dx")
+    __slots__ = ("grid", "samples")
 
-    def __init__(self, samples, x_min: float, dx: float):
+    def __init__(self, grid: UniformGrid, samples):
         samples = np.asarray(samples, dtype=complex)
-        if samples.ndim != 1 or samples.size < 2:
-            raise ValueError("a wavefunction needs at least 2 samples on one axis")
-        if not dx > 0:
-            raise ValueError("dx must be positive")
+        if samples.shape != (grid.n,) or grid.n < 2 or not grid.dx > 0:
+            raise ValueError("a wavefunction needs one sample per point of a grid "
+                             "with at least 2 points and dx > 0")
+        self.grid = grid
         self.samples = samples
-        self.x_min = float(x_min)
-        self.dx = float(dx)
 
     @property
     def n(self) -> int:
-        return self.samples.size
-
-    @property
-    def grid(self) -> UniformGrid:
-        return UniformGrid(self.x_min, self.dx, self.n)
+        return self.grid.n
 
     def points(self) -> np.ndarray:
         return self.grid.points()
 
     def weights(self) -> np.ndarray:
-        w = np.full(self.n, self.dx)
-        w[0] = w[-1] = self.dx / 2
+        w = np.full(self.n, self.grid.dx)
+        w[0] = w[-1] = self.grid.dx / 2
         return w
 
     @classmethod
@@ -309,7 +297,7 @@ class WaveFunction:
             psi = (math.pi * width * width) ** -0.25 * np.exp(
                 -((x - center) ** 2) / (2 * width * width) + 1j * momentum * (x - center)
             )
-        return cls(psi, grid.x_min, grid.dx)
+        return cls(grid, psi)
 
     # -- integrals --
     def norm(self) -> float:
@@ -329,7 +317,7 @@ class WaveFunction:
 
     def mean_p(self) -> float:
         """<p> by spectral differentiation; accurate for edge-decayed states."""
-        k = 2 * math.pi * np.fft.fftfreq(self.n, self.dx)
+        k = 2 * math.pi * np.fft.fftfreq(self.n, self.grid.dx)
         dpsi = np.fft.ifft(1j * k * np.fft.fft(self.samples))
         w = self.weights()
         num = np.sum(np.conj(self.samples) * (-1j) * dpsi * w)
@@ -349,23 +337,30 @@ class WaveFunction:
         return self.edge_mass_fraction() >= EDGE_MASS_FLAG
 
     def l2_distance(self, other: "WaveFunction") -> float:
-        if other.n != self.n or other.dx != self.dx or other.x_min != self.x_min:
+        if other.grid != self.grid:
             raise ValueError("wavefunctions live on different grids")
         diff = np.abs(self.samples - other.samples) ** 2 * self.weights()
         return math.sqrt(float(np.sum(diff).real))
 
     def __repr__(self) -> str:
-        return f"WaveFunction(n={self.n}, x_min={self.x_min:g}, dx={self.dx:g})"
+        return f"WaveFunction({self.grid})"
 
 
-def check_grid_resolution(kernel: GaussianKernel, grid: UniformGrid) -> None:
-    """Enforce the per-cell phase bound: |dphase| <= pi/2 between samples."""
-    step = grid.dx * kernel.phase_gradient_bound(grid.abs_max)
-    if step > math.pi / 2:
-        raise GridTooCoarse(
-            f"kernel phase advances {step:.4g} rad per cell (limit pi/2 = "
-            f"{math.pi / 2:.3f}); refine dx or shrink the domain"
-        )
+def check_phase_step(step: float, kernel: str, remedy: str) -> None:
+    """The oscillation rule of every grid kernel: its phase may advance at most
+    pi/2 between adjacent samples.  Raises GridTooCoarse unless step <= pi/2,
+    so a NaN step fails too."""
+    if not step <= math.pi / 2:
+        raise GridTooCoarse(f"{kernel} phase advances {step:.4g} rad per cell "
+                            f"(limit pi/2 = {math.pi / 2:.3f}); {remedy}")
+
+
+def finite_on_grid(values: np.ndarray, what: str) -> np.ndarray:
+    """values, if all are finite; else OverflowError, where numpy would only
+    have warned that what left the float range."""
+    if not np.isfinite(values).all():
+        raise OverflowError(f"{what} on this grid is beyond the float range")
+    return values
 
 
 def _chirp_operator(left: np.ndarray, kappa: float, dx: float, right: np.ndarray):
@@ -389,10 +384,14 @@ def evolve_exact(kernel: GaussianKernel, psi: WaveFunction) -> WaveFunction:
     With b x_b x_a = (b/2)(x_b^2 + x_a^2 - (x_b - x_a)^2), U is chirp * Toeplitz
     * chirp on the grid, applied by FFT with no n x n array; deterministic.
     """
-    check_grid_resolution(kernel, psi.grid)
-    x = psi.points()
+    grid = psi.grid
+    # |d(phase)/dx| is at most (2|a| + |b|) |x| + max(|d|, |e|) on the grid
+    check_phase_step(grid.dx * ((2 * abs(kernel.a) + abs(kernel.b)) * grid.abs_max
+                                + max(abs(kernel.d), abs(kernel.e))),
+                     "kernel", "refine dx or shrink the domain")
+    x = grid.points()
     half_b = kernel.b / 2
     left = kernel.A * np.exp(1j * ((kernel.a + half_b) * x * x + kernel.d * x))
     right = np.exp(1j * ((kernel.c + half_b) * x * x + kernel.e * x))
-    apply = _chirp_operator(left, -half_b, psi.dx, right)
-    return WaveFunction(apply(psi.samples * psi.weights()), psi.x_min, psi.dx)
+    apply = _chirp_operator(left, -half_b, grid.dx, right)
+    return WaveFunction(grid, apply(psi.samples * psi.weights()))

@@ -258,7 +258,7 @@ def test_wavefunction_csv_lines_match_per_row_formatting():
     im[-len(extremes):] = extremes
     samples = np.empty(n, dtype=complex)
     samples.real, samples.imag = re, im
-    psi = WaveFunction(samples, -3.0, 0.0123)
+    psi = WaveFunction(UniformGrid(-3.0, 0.0123, n), samples)
     lines = wavefunction_csv_lines(psi)
     assert lines[0] == "x,re,im"
     assert len(lines) - 1 == n
@@ -754,6 +754,17 @@ _TOO_MANY_DIGITS = "X+" + "9" * (sys.get_int_max_str_digits() + 1)
 # as a commutator and 'X½*1' as a word
 _BYTE_OFFSETS = {"X ? P": 2, "X^-1": 1, "X+²": 2, _TOO_MANY_DIGITS: 2,
                  "X²": 1, "X½": 1}  # in the error on the first expression
+# x^700 - 3 x^699 is inf - inf = NaN at |x| = 3: the slices printed 64 rows
+# of nan after five numpy warnings and exited 0
+_NAN_FORCE = ["pathint", "--force=X^700-3*X^699", "--m", "4", "--t-total", "3",
+              "--x-min", "-3", "--x-max", "3", "--n", "64"]
+# a coefficient that cannot be bound ended in a ZeroDivisionError traceback,
+# in "(34, 'Numerical result out of range')", or (an infinite product, under
+# --convergence) in a usage error about m
+_UNBINDABLE = {"--force=omega^-1*X": "omega^-1", "--force=F0^-2*X": "F0^-2",
+               "--force=F0*omega*X": "F0*omega"}
+_PATHINT_WIDE = ["pathint", "--m", "1", "--t-total", "1", "--x-min", "-3", "--x-max", "3",
+                 "--n", "64"]
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -802,6 +813,16 @@ _BYTE_OFFSETS = {"X ? P": 2, "X^-1": 1, "X+²": 2, _TOO_MANY_DIGITS: 2,
     pytest.param(["evolve", *_BEYOND_FLOAT], 3, id="nan-evolve"),
     pytest.param(["kernel", "--model", "free", "--m", "1e290", "--t", "1e-10", "--x-min",
                   "-1e10", "--x-max", "1e10", "--n", "4"], 3, id="phase-overflow-kernel-csv"),
+    pytest.param([*_NAN_FORCE, "--steps", "2"], 3, id="nan-force-steps"),
+    pytest.param([*_NAN_FORCE, "--convergence", "1,2"], 3, id="nan-force-convergence"),
+    pytest.param([*_PATHINT_WIDE, "--force=X^2000", "--steps", "2"], 3,
+                 id="force-overflow-one-line"),  # it printed two numpy warnings first
+    pytest.param([*_PATHINT_WIDE, "--force=omega^-1*X", "--omega", "0", "--steps", "2"], 3,
+                 id="coefficient-divides-by-zero"),
+    pytest.param([*_PATHINT_WIDE, "--force=F0^-2*X", "--F0", "1e-200", "--steps", "2"], 3,
+                 id="coefficient-overflows"),
+    pytest.param([*_PATHINT_WIDE, "--force=F0*omega*X", "--F0", "1e200", "--omega", "1e200",
+                  "--convergence", "1,2"], 3, id="coefficient-product-overflows"),
     pytest.param([*_PATHINT, "--convergence", "5,10,0"], 2, id="convergence-zero"),
     pytest.param([*_PATHINT, "--convergence", "10,5"], 2, id="convergence-decreasing"),
     pytest.param([*_PATHINT, "--convergence", "5,x"], 2, id="convergence-not-int"),
@@ -813,13 +834,17 @@ def test_exit_code_sweep(argv, code, capsys):
     # every bad input ends in one line and its exit code, never a traceback;
     # an oversized grid used to end in numpy's MemoryError traceback, exit 1
     assert main(argv) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "Traceback" not in err
     if code == 0:
         assert err == ""
     else:
+        assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("ccrflow: domain error: " if code == 3 else "ccrflow: error: ")
+    for force, coeff in _UNBINDABLE.items():
+        if force in argv:
+            assert f"force coefficient {coeff} is beyond the float range" in err
     if argv[:1] in (["normord"], ["comm"]) and len(argv) > 1 and argv[1] in _BYTE_OFFSETS:
         assert err.endswith(f" (byte {_BYTE_OFFSETS[argv[1]]})\n")
     if code == 2 and "--convergence" in argv:  # named the library's n_list, or int()

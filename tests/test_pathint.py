@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -97,6 +98,20 @@ def test_slice_grid_rule_enforced():
     grid = UniformGrid.from_bounds(-4, 4, 128)
     with pytest.raises(GridTooCoarse):
         short_time_matrix(Polynomial.zero(), 1.0, 1e-3, grid)
+
+
+@pytest.mark.parametrize("force, what", [
+    # x^700 overflows at |x| = 3, and inf - inf is NaN: 64 rows of nan, exit 0
+    (Polynomial({700: ScalarCoeff.rational(1), 699: ScalarCoeff.rational(-3)}), "the force"),
+    (Polynomial.monomial(2000), "the force"),
+    (Polynomial.monomial(646), "the force's antiderivative"),  # 3^646 fits, 3^647 does not
+])
+def test_slice_force_beyond_the_float_range(force, what):
+    grid = UniformGrid.from_bounds(-3, 3, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from numpy either
+        with pytest.raises(OverflowError, match=f"^{what} on this grid is beyond"):
+            short_time_matrix(force, 4.0, 1.5, grid)
 
 
 def test_symbolic_force_needs_parameters():

@@ -15,6 +15,7 @@ from ccrflow.propagator import (
     GridTooCoarse,
     UniformGrid,
     WaveFunction,
+    check_phase_step,
     evolve_exact,
     gaussian_kernel,
     closed_form_kernel,
@@ -241,13 +242,38 @@ def test_boundary_flagging():
 
 def test_wavefunction_validation():
     with pytest.raises(ValueError):
-        WaveFunction([1.0], 0.0, 0.1)
+        WaveFunction(UniformGrid(0.0, 0.1, 1), [1.0])
     with pytest.raises(ValueError):
-        WaveFunction([1.0, 2.0], 0.0, -0.1)
+        WaveFunction(UniformGrid(0.0, -0.1, 2), [1.0, 2.0])
+    for grid, samples in [(UniformGrid(0.0, 0.1, 3), [1.0, 2.0]),  # one sample per point
+                          (UniformGrid(0.0, 0.1, 2), [1.0, 2.0, 3.0]),
+                          (UniformGrid(0.0, 0.1, 2), [[1.0, 2.0]]),
+                          (UniformGrid(0.0, 0.1, 0), []),  # n >= 2
+                          (UniformGrid(0.0, 0.0, 2), [1.0, 2.0]),  # dx > 0
+                          (UniformGrid(0.0, math.nan, 2), [1.0, 2.0])]:
+        with pytest.raises(ValueError):
+            WaveFunction(grid, samples)
     with pytest.raises(ValueError):
         UniformGrid.from_bounds(0.0, 0.0, 16)
     with pytest.raises(ValueError):
         UniformGrid.from_bounds(0.0, 1.0, 1)
+
+
+def test_wavefunction_holds_its_grid():
+    grid = UniformGrid.from_bounds(-6, 6, 512)
+    psi = WaveFunction.gaussian_packet(grid, width=0.7)
+    assert psi.grid is grid and psi.n == 512
+    assert np.array_equal(psi.points(), grid.points())
+    out = evolve_exact(gaussian_kernel(AffineFlowExact.free(1.0), 1.0), psi)
+    assert out.grid == grid
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, math.pi / 2 * (1 + 1e-15)])
+def test_phase_step_rule_fails_nan_and_steps_past_pi_over_2(step):
+    # a NaN step passed the old `step > pi/2` test of the slice kernels
+    with pytest.raises(GridTooCoarse, match=r"^slice kernel phase advances .* or enlarge dt$"):
+        check_phase_step(step, "slice kernel", "refine dx, shrink the domain, or enlarge dt")
+    check_phase_step(math.pi / 2, "kernel", "refine dx or shrink the domain")
 
 
 def test_l2_distance_requires_same_grid():
