@@ -49,6 +49,8 @@ from .opalg import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable
+
     from .pathint import ConvergenceReport
     from .propagator import AffineFlowExact, UniformGrid, WaveFunction
 
@@ -405,20 +407,23 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_worker(values, x_text: list[str], rows: range) -> tuple[int, int]:
-    """Fork a process that formats rows, keeps them as bytes and then sends
-    them down a pipe; returns its pid and the pipe's read end.
+def _fork_worker(produce: Callable[[], Iterable[bytes]]) -> tuple[int, int]:
+    """Fork a process that calls produce(), keeps the bytes objects it yields
+    and then sends them down a pipe; returns its pid and the pipe's read end.
 
-    The child never touches the parent's file objects and always ends in
-    os._exit, so it runs no exit handler and flushes nothing it inherited.
+    The child sends nothing until produce has finished, so it never waits on
+    a parent that is busy elsewhere.  It never touches the parent's file
+    objects and always ends in os._exit, with status 0 only after the last
+    byte is written, so it runs no exit handler and flushes nothing it
+    inherited.  The caller reads the pipe, closes it and reaps the child.
     """
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
             # Python >= 3.12 warns on fork in a multi-threaded process.  From
-            # the CLI numpy has one BLAS thread, but an in-process caller may
-            # have loaded numpy earlier with its pool; the child only slices
-            # the kernel values and formats them, never BLAS.
+            # the CLI numpy has one BLAS thread (or is not loaded yet), but an
+            # in-process caller may have loaded numpy earlier with its pool;
+            # no child calls BLAS.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except BaseException:
@@ -431,7 +436,7 @@ def _fork_worker(values, x_text: list[str], rows: range) -> tuple[int, int]:
     status = 1
     try:
         os.close(read_fd)
-        blocks = [block.encode() for block in _kernel_blocks(values, x_text, rows)]
+        blocks = list(produce())
         with open(write_fd, "wb") as pipe:
             pipe.writelines(blocks)
         status = 0
@@ -462,7 +467,8 @@ def _write_kernel_csv(values, x, fh) -> None:
     workers = {}  # pid -> read fd (None once closed), until the worker is reaped
     try:
         for share in rows[1:]:
-            pid, read_fd = _fork_worker(values, x_text, share)
+            pid, read_fd = _fork_worker(
+                lambda rows=share: map(str.encode, _kernel_blocks(values, x_text, rows)))
             workers[pid] = read_fd
         for block in _kernel_blocks(values, x_text, rows[0]):
             fh.write(block)

@@ -72,6 +72,8 @@ def _c_mul(x: tuple, y: tuple) -> tuple[int, int, int]:
 
 def _complex_rational(re, im=0) -> tuple[int, int, int]:
     """re + i im, each an int or a Fraction, as a complex rational."""
+    if type(re) is int and type(im) is int:
+        return (re, im, 1)
     for v in (re, im):
         if not isinstance(v, (int, Fraction)):
             raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
@@ -98,6 +100,14 @@ class ScalarCoeff:
 
     def __init__(self, terms: Mapping[tuple, tuple[int, int, int]] | None = None):
         self.terms = {mono: w for mono, w in terms.items() if w[0] or w[1]} if terms else {}
+
+    @classmethod
+    def _nonzero(cls, terms: dict) -> "ScalarCoeff":
+        """A scalar over weights that are all nonzero, kept without the
+        filter: a product of nonzero complex rationals is never zero."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     # -- constructors --
     @classmethod
@@ -145,7 +155,7 @@ class ScalarCoeff:
     __radd__ = __add__
 
     def __neg__(self) -> "ScalarCoeff":
-        return ScalarCoeff({m: (-p, -q, d) for m, (p, q, d) in self.terms.items()})
+        return ScalarCoeff._nonzero({m: (-p, -q, d) for m, (p, q, d) in self.terms.items()})
 
     def __sub__(self, other) -> "ScalarCoeff":
         other = _coerce_scalar(other)
@@ -162,6 +172,11 @@ class ScalarCoeff:
             if isinstance(other, (int, Fraction)):
                 return self._scaled(_complex_rational(other))
             return NotImplemented
+        if len(self.terms) == 1 == len(other.terms):
+            (m1, w1), = self.terms.items()
+            (m2, w2), = other.terms.items()
+            return ScalarCoeff._nonzero(
+                {_merge_monomials(m1, m2) if m1 and m2 else m1 or m2: _c_mul(w1, w2)})
         out: dict[tuple, tuple[int, int, int]] = {}
         for m1, w1 in self.terms.items():
             for m2, w2 in other.terms.items():
@@ -175,7 +190,9 @@ class ScalarCoeff:
     def _scaled(self, w: tuple[int, int, int]) -> "ScalarCoeff":
         """Product with the constant complex rational w, such as an int or
         a Gaussian integer: one product per monomial."""
-        return ScalarCoeff({m: _c_mul(v, w) for m, v in self.terms.items()})
+        if not (w[0] or w[1]):
+            return ScalarCoeff()
+        return ScalarCoeff._nonzero({m: _c_mul(v, w) for m, v in self.terms.items()})
 
     def __truediv__(self, other) -> "ScalarCoeff":
         if isinstance(other, (int, Fraction)):
@@ -492,6 +509,14 @@ class Polynomial:
         self.coeffs = clean
 
     @classmethod
+    def _nonzero(cls, coeffs: dict) -> "Polynomial":
+        """A polynomial over nonzero coefficients at degrees >= 0, kept
+        without the checks."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def zero(cls) -> "Polynomial":
         return cls()
 
@@ -519,7 +544,7 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({k: -c for k, c in self.coeffs.items()})
+        return Polynomial._nonzero({k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -547,7 +572,7 @@ class Polynomial:
     __hash__ = None
 
     def derivative(self) -> "Polynomial":
-        return Polynomial({k - 1: c * k for k, c in self.coeffs.items() if k > 0})
+        return Polynomial._nonzero({k - 1: c * k for k, c in self.coeffs.items() if k > 0})
 
     def antiderivative(self) -> "Polynomial":
         """The antiderivative with zero constant term."""
@@ -555,7 +580,7 @@ class Polynomial:
 
     def shift_up(self) -> "Polynomial":
         """Multiply by the variable (the X action in the oracle)."""
-        return Polynomial({k + 1: c for k, c in self.coeffs.items()})
+        return Polynomial._nonzero({k + 1: c for k, c in self.coeffs.items()})
 
     def as_opexpr(self, generator: str) -> OpExpr:
         """Substitute X or P for the commuting variable."""

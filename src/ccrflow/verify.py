@@ -2,13 +2,23 @@
 
 Every check is deterministic (fixed seeds, fixed grids), so two consecutive
 runs produce byte-identical reports.  Returns one pass/fail line per check
-plus a final summary; any failure flips the exit status.
+plus a final summary; any failure, or a check that raises, flips the exit
+status.
+
+Checks 1-4 are exact algebra and need no numpy; checks 5-8 import the
+numeric modules when they run, so importing this module loads no numpy.
+Where os.fork exists and more than one CPU is usable, a forked child runs
+checks 1-4 while this process imports numpy and runs checks 5-8; on one CPU
+every check runs here, in order.  The report is the same bytes either way.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import random
+import signal
 from fractions import Fraction
 
 from .heisenberg import (
@@ -27,15 +37,6 @@ from .opalg import (
     X,
     apply_to_polynomial,
     commutator,
-)
-from .pathint import convergence_study
-from .propagator import (
-    AffineFlowExact,
-    UniformGrid,
-    WaveFunction,
-    evolve_exact,
-    gaussian_kernel,
-    closed_form_kernel,
 )
 
 __all__ = ["run_verification"]
@@ -203,6 +204,8 @@ def _check_flow_correctness() -> tuple[bool, str]:
 
 
 def _check_propagator_anchors() -> tuple[bool, str]:
+    from .propagator import AffineFlowExact, closed_form_kernel, gaussian_kernel
+
     rng = random.Random(1105)
     worst = 0.0
     cases = {
@@ -239,6 +242,9 @@ def _check_propagator_anchors() -> tuple[bool, str]:
 
 
 def _check_wavepackets() -> tuple[bool, str]:
+    from .propagator import (AffineFlowExact, UniformGrid, WaveFunction, evolve_exact,
+                             gaussian_kernel)
+
     # free-particle spreading
     grid = UniformGrid.from_bounds(-7.0, 7.0, 1024)
     psi = WaveFunction.gaussian_packet(grid, width=1.0)
@@ -265,6 +271,9 @@ def _check_wavepackets() -> tuple[bool, str]:
 
 
 def _check_pathint_convergence() -> tuple[bool, str]:
+    from .pathint import convergence_study
+    from .propagator import UniformGrid, WaveFunction
+
     summaries = []
     ok = True
     # harmonic: coherent packet, m=4, omega=1, t=3
@@ -296,6 +305,8 @@ def _check_pathint_convergence() -> tuple[bool, str]:
 
 def _check_report_determinism() -> tuple[bool, str]:
     from .cli import kernel_csv_lines, wavefunction_csv_lines
+    from .propagator import (AffineFlowExact, UniformGrid, WaveFunction, evolve_exact,
+                             gaussian_kernel)
 
     def pipeline() -> bytes:
         grid = UniformGrid.from_bounds(-2.0, 2.0, 64)
@@ -327,17 +338,70 @@ _CHECKS = [
 ]
 
 
+# _CHECKS[:_EXACT_CHECKS] are exact algebra and never import numpy
+_EXACT_CHECKS = 4
+
+
+def _run_check(check) -> tuple[bool, str]:
+    """check()'s (ok, detail); an exception fails the check and is named."""
+    try:
+        ok, detail = check()
+    except Exception as exc:
+        return False, f"raised {type(exc).__name__}: {exc}"
+    return bool(ok), detail
+
+
+def _run_checks(checks) -> list[tuple[bool, str]]:
+    return [_run_check(check) for _name, check in checks]
+
+
+def _run_split(exact, numeric) -> list[tuple[bool, str]]:
+    """A forked child runs the exact checks while this process imports numpy
+    and runs the numeric ones; the results come back in order.  A child that
+    ends without sending its results fails each of its checks."""
+    from .cli import _fork_worker
+
+    pid, read_fd = _fork_worker(lambda: [marshal.dumps(_run_checks(exact))])
+    try:
+        tail = _run_checks(numeric)
+        data = b""
+        while chunk := os.read(read_fd, 1 << 16):
+            data += chunk
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = None
+    finally:
+        os.close(read_fd)
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if status:
+        return [(False, f"its process exited with status {status} before it "
+                        "reported")] * len(exact) + tail
+    return marshal.loads(data) + tail
+
+
 def run_verification() -> tuple[list[str], bool]:
-    """Run every check; returns (report lines, all passed)."""
+    """Run every check; returns (report lines, all passed).
+
+    The checks run in two processes where os.fork exists and more than one
+    CPU is usable, else in this one; the report is the same either way.
+    """
+    from .cli import _usable_cpus
+
+    checks = list(_CHECKS)
+    exact, numeric = checks[:_EXACT_CHECKS], checks[_EXACT_CHECKS:]
+    if exact and numeric and hasattr(os, "fork") and _usable_cpus() > 1:
+        results = _run_split(exact, numeric)
+    else:
+        results = _run_checks(checks)
     lines = ["ccrflow verification suite"]
     passed = 0
-    for name, check in _CHECKS:
-        ok, detail = check()
+    for (name, _check), (ok, detail) in zip(checks, results):
         lines.append(f"check {name}: {'PASS' if ok else 'FAIL'} ({detail})")
         if name.startswith("4"):
             lines.append(HARMONIC_TYPO_NOTE)
         passed += ok
-    total = len(_CHECKS)
+    total = len(checks)
     lines.append(f"result: {'PASS' if passed == total else 'FAIL'} "
                  f"({passed}/{total} checks)")
     return lines, passed == total

@@ -727,12 +727,104 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     def broken():
         return False, "synthetic failure"
 
-    monkeypatch.setattr(verify_mod, "_CHECKS",
-                        verify_mod._CHECKS[:7] + [("8 broken", broken)])
+    checks = verify_mod._CHECKS
+    # check 2 runs in the exact half (a forked child on two CPUs), check 8 here
+    for index in (1, 7):
+        monkeypatch.setattr(verify_mod, "_CHECKS",
+                            checks[:index] + [(f"{index + 1} broken", broken)]
+                            + checks[index + 1:])
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert f"check {index + 1} broken: FAIL (synthetic failure)" in out
+        assert "result: FAIL (7/8 checks)" in out
+    _assert_no_child_left()
+
+
+def _verify_forks(monkeypatch, cpus: int) -> list:
+    """Let verify see cpus usable CPUs; returns the list of the forks it makes."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    return _count_forks(monkeypatch)
+
+
+_NEEDS_FORK = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@_NEEDS_FORK
+def test_verify_report_is_the_same_in_one_and_two_processes(capsys, monkeypatch):
+    golden = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text())
+    want, = [case["stdout"] for case in golden if case["argv"] == ["verify"]]
+    forks = _count_forks(monkeypatch)
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        del forks[:]
+        assert main(["verify"]) == 0
+        assert capsys.readouterr().out == want
+        assert len(forks) == (cpus > 1)
+    _assert_no_child_left()
+
+
+@_NEEDS_FORK
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_check_that_raises_fails_alone(capsys, monkeypatch, cpus):
+    import ccrflow.verify as verify_mod
+
+    def raises(exc):
+        def check():
+            raise exc
+        return check
+
+    checks = list(verify_mod._CHECKS)
+    checks[2] = ("3 raises", raises(ZeroDivisionError("in the exact half")))
+    checks[5] = ("6 raises", raises(KeyError("numeric")))
+    monkeypatch.setattr(verify_mod, "_CHECKS", checks)
+    forks = _verify_forks(monkeypatch, cpus)
     assert main(["verify"]) == 1
-    out = capsys.readouterr().out
-    assert "check 8 broken: FAIL" in out
-    assert "result: FAIL (7/8 checks)" in out
+    assert len(forks) == (cpus > 1)
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "check 3 raises: FAIL (raised ZeroDivisionError: in the exact half)\n" in out
+    assert "check 6 raises: FAIL (raised KeyError: 'numeric')\n" in out
+    assert out.count(": PASS (") == 6
+    assert out.endswith("result: FAIL (6/8 checks)\n")
+    _assert_no_child_left()
+
+
+@_NEEDS_FORK
+def test_verify_child_that_dies_fails_its_checks(capsys, monkeypatch):
+    import ccrflow.verify as verify_mod
+
+    checks = list(verify_mod._CHECKS)
+    checks[1] = ("2 exits", lambda: os._exit(7))
+    monkeypatch.setattr(verify_mod, "_CHECKS", checks)
+    forks = _verify_forks(monkeypatch, 2)
+    assert main(["verify"]) == 1
+    assert forks == [1]
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("check ") and ": FAIL (" in line]
+    assert [line.split(":")[0] for line in failed] == [
+        "check 1 derivative-rules", "check 2 exits", "check 3 heisenberg-symmetrization",
+        "check 4 flow-correctness"]
+    assert all(line.endswith("(its process exited with status 7 before it reported)")
+               for line in failed)
+    assert lines[-1] == "result: FAIL (4/8 checks)"
+    _assert_no_child_left()
+
+
+@_NEEDS_FORK
+def test_verify_interrupted_kills_and_reaps_its_child(monkeypatch):
+    import ccrflow.verify as verify_mod
+
+    def interrupted():
+        raise KeyboardInterrupt
+
+    checks = list(verify_mod._CHECKS)
+    checks[4] = ("5 interrupted", interrupted)  # in this process, while the child runs
+    monkeypatch.setattr(verify_mod, "_CHECKS", checks)
+    forks = _verify_forks(monkeypatch, 2)
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify"])
+    assert forks == [1]
+    _assert_no_child_left()
 
 
 # ---- exit codes, leading '-', and the import graph ----
@@ -789,8 +881,9 @@ _PATHINT_WIDE = ["pathint", "--m", "1", "--t-total", "1", "--x-min", "-3", "--x-
                  3, id="caustic"),
     pytest.param(["evolve", "--model", "free", "--m", "1", "--t", "0.001",
                   "--x-min", "-4", "--x-max", "4", "--n", "64"], 3, id="coarse-grid"),
-    pytest.param(_OVERFLOW, 3, id="overflow", marks=pytest.mark.filterwarnings(
-        "ignore::ccrflow.propagator.BoundaryLeak")),
+    # the slice chains ran before the closed form overflowed, and printed a
+    # BoundaryLeak warning first
+    pytest.param(_OVERFLOW, 3, id="overflow"),
     pytest.param(["normord", "123456789^4096"], 3, id="too-long-to-print"),
     pytest.param(["kernel", *_OVERSIZED], 3, id="oversized-kernel"),
     # a width whose square underflows raised ZeroDivisionError (exit 1), and a
@@ -938,20 +1031,24 @@ build_parser().format_help()
 exact = loaded()
 assert main(["series", "--model", "harmonic", "--order", "3", "--output", os.devnull]) == 0
 series = loaded()
+import ccrflow.verify
+verify = loaded()
 symbolic_blas = os.environ.get("OPENBLAS_NUM_THREADS")
 assert main(["kernel", "--model", "free", "--m", "1", "--t", "1", "--x-min", "-1",
              "--x-max", "1", "--n", "4", "--coefficients", "--output", os.devnull]) == 0
-print(json.dumps([exact, series, symbolic_blas, "numpy" in sys.modules,
+print(json.dumps([exact, series, verify, symbolic_blas, "numpy" in sys.modules,
                   os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
 
 
 def test_symbolic_commands_do_not_import_numpy():
-    # normord, comm and --help load only opalg; series adds heisenberg alone
-    exact, series, symbolic_blas, kernel_numpy, kernel_blas = json.loads(
+    # normord, comm and --help load only opalg; series adds heisenberg alone;
+    # verify's checks import the numeric modules when they run
+    exact, series, verify, symbolic_blas, kernel_numpy, kernel_blas = json.loads(
         _fresh_python(_IMPORT_GRAPH))
     assert exact == []
     assert series == ["ccrflow.heisenberg"]
+    assert verify == ["ccrflow.heisenberg", "ccrflow.verify"]
     assert symbolic_blas is None
     assert kernel_numpy
     assert kernel_blas == "1"

@@ -323,3 +323,19 @@ def test_convergence_study_validation():
         convergence_study(Polynomial.zero(), 1.0, psi, 1.0, [0, 2])
     with pytest.raises(ValueError):
         convergence_study(Polynomial.zero(), 1.0, psi, -1.0, [2, 4])
+
+
+def test_convergence_study_builds_the_reference_before_the_slices(monkeypatch):
+    # cosh(1000) overflows in the closed form; the slice chains ran first, and
+    # printed a BoundaryLeak warning before the error
+    import ccrflow.pathint as pathint_mod
+
+    def no_slices(*args):
+        raise AssertionError("a slice chain ran before the reference")
+
+    monkeypatch.setattr(pathint_mod, "propagate", no_slices)
+    force = Polynomial.monomial(1, ScalarCoeff.rational(1000000))
+    psi = WaveFunction.gaussian_packet(UniformGrid.from_bounds(-0.001, 0.001, 64),
+                                       width=0.0002)
+    with pytest.raises(OverflowError, match=r"cosh\(1000\)"):
+        convergence_study(force, 1.0, psi, 1.0, [1, 2])
