@@ -33,7 +33,7 @@ import math
 import os
 import sys
 import warnings
-from contextlib import nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -49,7 +49,7 @@ from .opalg import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterable
+    from collections.abc import Callable, Iterable, Iterator
 
     from .pathint import ConvergenceReport
     from .propagator import AffineFlowExact, UniformGrid, WaveFunction
@@ -402,20 +402,28 @@ def kernel_csv_lines(kernel, grid: UniformGrid) -> list[str]:
 
 
 def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _fork_worker(produce: Callable[[], Iterable[bytes]]) -> tuple[int, int]:
-    """Fork a process that calls produce(), keeps the bytes objects it yields
-    and then sends them down a pipe; returns its pid and the pipe's read end.
+@contextmanager
+def _forked(produce: Callable[[], Iterable[bytes]]) -> Iterator[Iterator[bytes]]:
+    """Fork a child that calls produce() and sends the bytes objects it
+    yields down a pipe; yields an iterator over the pipe, 64 KiB a read.
 
-    The child sends nothing until produce has finished, so it never waits on
-    a parent that is busy elsewhere.  It never touches the parent's file
+    The child keeps the bytes until produce has finished, so it never waits
+    on a parent that is busy elsewhere.  It never touches the parent's file
     objects and always ends in os._exit, with status 0 only after the last
     byte is written, so it runs no exit handler and flushes nothing it
-    inherited.  The caller reads the pipe, closes it and reaps the child.
+    inherited.  Once the iterator is used up it reaps the child, and a
+    nonzero exit status raises ChildProcessError(status).  Leaving the block
+    any other way closes the pipe, then kills and reaps the child.  Where
+    os.fork fails (at a process limit) the block gets iter(produce()) from
+    this process instead: the fork only buys speed.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -426,22 +434,46 @@ def _fork_worker(produce: Callable[[], Iterable[bytes]]) -> tuple[int, int]:
             # no child calls BLAS.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
-    except BaseException:
+    except BaseException as exc:
         os.close(read_fd)
         os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    status = 1
+        if not isinstance(exc, OSError):
+            raise
+        pid = None
+    if pid is None:
+        yield iter(produce())
+        return
+    if not pid:
+        status = 1
+        try:
+            os.close(read_fd)
+            blocks = list(produce())
+            with open(write_fd, "wb") as pipe:
+                pipe.writelines(blocks)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    reaped = False
+
+    def chunks():
+        nonlocal reaped
+        while chunk := os.read(read_fd, 1 << 16):
+            yield chunk
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True  # only now: an interrupted waitpid leaves the child to the finally
+        if status:
+            raise ChildProcessError(status)
+
     try:
-        os.close(read_fd)
-        blocks = list(produce())
-        with open(write_fd, "wb") as pipe:
-            pipe.writelines(blocks)
-        status = 0
+        yield chunks()
     finally:
-        os._exit(status)
+        os.close(read_fd)
+        if not reaped:
+            import signal  # only here: a run that kills no child never loads it
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _write_kernel_csv(values, x, fh) -> None:
@@ -454,43 +486,30 @@ def _write_kernel_csv(values, x, fh) -> None:
     it copies the workers' bytes in row order.  The bytes do not depend on
     the split.
     """
-    import signal
-
     x_text = _format_text(x).splitlines()
     n = len(x)
-    shares = 1
-    if hasattr(os, "fork"):
-        shares = max(1, min(_usable_cpus(), (2 * n * n + n) // _SHARE_MIN_FLOATS))
+    shares = max(1, min(_usable_cpus(), (2 * n * n + n) // _SHARE_MIN_FLOATS))
     rows = [range(n * k // shares, n * (k + 1) // shares) for k in range(shares)]
     fh.write(_KERNEL_HEADER + "\n")
     fh.flush()
-    workers = {}  # pid -> read fd (None once closed), until the worker is reaped
-    try:
-        for share in rows[1:]:
-            pid, read_fd = _fork_worker(
-                lambda rows=share: map(str.encode, _kernel_blocks(values, x_text, rows)))
-            workers[pid] = read_fd
+    with ExitStack() as stack:
+        children = [stack.enter_context(_forked(
+                        lambda rows=share: map(str.encode, _kernel_blocks(values, x_text, rows))))
+                    for share in rows[1:]]
         for block in _kernel_blocks(values, x_text, rows[0]):
             fh.write(block)
-        for (pid, read_fd), share in zip(list(workers.items()), rows[1:]):
-            lines = 0
-            while chunk := os.read(read_fd, 1 << 16):
-                lines += chunk.count(b"\n")
-                fh.write(chunk.decode("ascii"))
-            os.close(read_fd)
-            workers[pid] = None
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[pid]
+        for share, chunks in zip(rows[1:], children):
+            lines = status = 0
+            try:
+                for chunk in chunks:
+                    lines += chunk.count(b"\n")
+                    fh.write(chunk.decode("ascii"))
+            except ChildProcessError as exc:
+                status = exc.args[0]
             if status or lines != len(share) * n:
                 raise ChildProcessError(
                     f"a kernel CSV worker exited with status {status} after "
                     f"{lines} of {len(share) * n} lines")
-    finally:
-        for pid, read_fd in workers.items():
-            if read_fd is not None:
-                os.close(read_fd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def kernel_coefficient_lines(kernel) -> list[str]:

@@ -76,7 +76,11 @@ class UniformGrid(NamedTuple):
             raise ValueError("grid needs at least 2 samples")
         if not x_max > x_min:
             raise ValueError("x_max must exceed x_min")
-        return cls(float(x_min), (float(x_max) - float(x_min)) / (n - 1), int(n))
+        dx = (float(x_max) - float(x_min)) / (n - 1)
+        if not math.isfinite(dx):
+            raise OverflowError("the grid spacing (x_max - x_min)/(n - 1) is beyond the "
+                                "float range")
+        return cls(float(x_min), dx, int(n))
 
     @property
     def x_max(self) -> float:

@@ -7,18 +7,19 @@ status.
 
 Checks 1-4 are exact algebra and need no numpy; checks 5-8 import the
 numeric modules when they run, so importing this module loads no numpy.
-Where os.fork exists and more than one CPU is usable, a forked child runs
-checks 1-4 while this process imports numpy and runs checks 5-8; on one CPU
-every check runs here, in order.  The report is the same bytes either way.
+Where more than one CPU is usable, a child forked by cli._forked runs checks
+1-4 while this process imports numpy and runs checks 5-8; on one CPU, or
+where the fork fails, every check runs here, in order.  _forked reaps the
+child once its results are read, and kills and reaps it if this process
+stops first; a child that exits nonzero fails each of its checks with its
+status.  The report is the same bytes either way.
 """
 
 from __future__ import annotations
 
 import marshal
 import math
-import os
 import random
-import signal
 from fractions import Fraction
 
 from .heisenberg import (
@@ -148,19 +149,10 @@ def _check_symmetrization() -> tuple[bool, str]:
 
 def _harmonic_closed_series(order: int) -> list[OpExpr]:
     """Taylor coefficients of X cos(wt) + P sin(wt)/(m w) in the t^k/k! basis."""
-    m_inv = ScalarCoeff.param("m", -1)
-    coeffs = []
-    for k in range(order + 1):
-        w_pow = ScalarCoeff.param("omega", k) if k else ScalarCoeff.rational(1)
-        if k % 2 == 0:
-            sign = 1 if k % 4 == 0 else -1
-            coeffs.append(X * (w_pow * sign))
-        else:
-            sign = 1 if k % 4 == 1 else -1
-            # omega^k / (m omega) = omega^(k-1)/m
-            w_pow = ScalarCoeff.param("omega", k - 1) if k > 1 else ScalarCoeff.rational(1)
-            coeffs.append(P * (w_pow * m_inv * sign))
-    return coeffs
+    # (-1)^(k//2) X omega^k for even k, (-1)^(k//2) P omega^(k-1)/m for odd k
+    return [(P * ScalarCoeff.param("m", -1) if k % 2 else X)
+            * (ScalarCoeff.param("omega", k - k % 2) * (-1) ** (k // 2))
+            for k in range(order + 1)]
 
 
 def _ccr_series_ok(model: str, order: int) -> bool:
@@ -185,17 +177,9 @@ def _check_flow_correctness() -> tuple[bool, str]:
         if not _ccr_series_ok(model, order):
             return False, f"[X(t), P(t)] != i for the {model} flow"
     # the mistyped variant with sin(wt)/(m omega^2) must fail CCR preservation
-    ps = taylor_flow(P, gen, 2)
-    variant = []
-    m_inv = ScalarCoeff.param("m", -1)
-    for k in range(3):
-        if k % 2 == 0:
-            sign = 1 if k % 4 == 0 else -1
-            variant.append(X * (ScalarCoeff.param("omega", k) * sign if k else
-                                ScalarCoeff.rational(sign)))
-        else:
-            variant.append(P * (ScalarCoeff.param("omega", k - 2) * m_inv))
-    bad = OperatorTimeSeries(variant).commutator_series(ps)
+    x0, p1, x2 = closed[:3]
+    variant = [x0, p1 * ScalarCoeff.param("omega", -1), x2]
+    bad = OperatorTimeSeries(variant).commutator_series(taylor_flow(P, gen, 2))
     variant_rejected = not all(c.is_zero for c in bad.coeffs[1:])
     if not variant_rejected:
         return False, "the m omega^2 variant unexpectedly preserved the CCR"
@@ -274,32 +258,26 @@ def _check_pathint_convergence() -> tuple[bool, str]:
     from .pathint import convergence_study
     from .propagator import UniformGrid, WaveFunction
 
+    cases = [  # name, grid, packet, force, m, t, step counts
+        # harmonic: coherent packet, m=4, omega=1, t=3
+        ("harmonic", (-2.55, 2.55, 896), {"center": 0.3, "width": 0.5},
+         Polynomial.monomial(1, ScalarCoeff.rational(-4)), 4.0, 3.0, [5, 10, 20, 40]),
+        # linear: m=1, F0=0.8, t=1, drift-free packet
+        ("linear", (-6.0, 6.0, 768), {"center": 0.1, "width": 1.0, "momentum": -0.4},
+         Polynomial.monomial(0, ScalarCoeff.rational(Fraction(4, 5))), 1.0, 1.0, [1, 2, 4, 8]),
+    ]
     summaries = []
     ok = True
-    # harmonic: coherent packet, m=4, omega=1, t=3
-    grid = UniformGrid.from_bounds(-2.55, 2.55, 896)
-    psi = WaveFunction.gaussian_packet(grid, center=0.3, width=0.5)
-    force = Polynomial.monomial(1, ScalarCoeff.rational(-4))
-    report = convergence_study(force, 4.0, psi, 3.0, [5, 10, 20, 40])
-    ratios = [row.ratio for row in report.rows[1:]]
-    errors = [row.l2_error for row in report.rows]
-    ok &= all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
-    ok &= all(3.2 <= r <= 4.8 for r in ratios)
-    ok &= errors[-1] < 1e-3
-    summaries.append(f"harmonic final {errors[-1]:.1e} ratios ["
-                     + ",".join(f"{r:.2f}" for r in ratios) + "]")
-    # linear: m=1, F0=0.8, t=1, drift-free packet
-    grid = UniformGrid.from_bounds(-6.0, 6.0, 768)
-    psi = WaveFunction.gaussian_packet(grid, center=0.1, width=1.0, momentum=-0.4)
-    force = Polynomial.monomial(0, ScalarCoeff.rational(Fraction(4, 5)))
-    report = convergence_study(force, 1.0, psi, 1.0, [1, 2, 4, 8])
-    ratios = [row.ratio for row in report.rows[1:]]
-    errors = [row.l2_error for row in report.rows]
-    ok &= all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
-    ok &= all(3.2 <= r <= 4.8 for r in ratios)
-    ok &= errors[-1] < 1e-3
-    summaries.append(f"linear final {errors[-1]:.1e} ratios ["
-                     + ",".join(f"{r:.2f}" for r in ratios) + "]")
+    for name, bounds, packet, force, m, t, steps in cases:
+        psi = WaveFunction.gaussian_packet(UniformGrid.from_bounds(*bounds), **packet)
+        report = convergence_study(force, m, psi, t, steps)
+        ratios = [row.ratio for row in report.rows[1:]]
+        errors = [row.l2_error for row in report.rows]
+        ok &= all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
+        ok &= all(3.2 <= r <= 4.8 for r in ratios)
+        ok &= errors[-1] < 1e-3
+        summaries.append(f"{name} final {errors[-1]:.1e} ratios ["
+                         + ",".join(f"{r:.2f}" for r in ratios) + "]")
     return bool(ok), "; ".join(summaries)
 
 
@@ -358,39 +336,29 @@ def _run_checks(checks) -> list[tuple[bool, str]]:
 def _run_split(exact, numeric) -> list[tuple[bool, str]]:
     """A forked child runs the exact checks while this process imports numpy
     and runs the numeric ones; the results come back in order.  A child that
-    ends without sending its results fails each of its checks."""
-    from .cli import _fork_worker
+    exits nonzero fails each of its checks."""
+    from .cli import _forked
 
-    pid, read_fd = _fork_worker(lambda: [marshal.dumps(_run_checks(exact))])
-    try:
+    with _forked(lambda: [marshal.dumps(_run_checks(exact))]) as chunks:
         tail = _run_checks(numeric)
-        data = b""
-        while chunk := os.read(read_fd, 1 << 16):
-            data += chunk
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        pid = None
-    finally:
-        os.close(read_fd)
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if status:
-        return [(False, f"its process exited with status {status} before it "
-                        "reported")] * len(exact) + tail
-    return marshal.loads(data) + tail
+        try:
+            return marshal.loads(b"".join(chunks)) + tail
+        except ChildProcessError as exc:
+            return [(False, f"its process exited with status {exc.args[0]} before it "
+                            "reported")] * len(exact) + tail
 
 
 def run_verification() -> tuple[list[str], bool]:
     """Run every check; returns (report lines, all passed).
 
-    The checks run in two processes where os.fork exists and more than one
-    CPU is usable, else in this one; the report is the same either way.
+    The checks run in two processes where more than one CPU is usable, else
+    in this one; the report is the same either way.
     """
     from .cli import _usable_cpus
 
     checks = list(_CHECKS)
     exact, numeric = checks[:_EXACT_CHECKS], checks[_EXACT_CHECKS:]
-    if exact and numeric and hasattr(os, "fork") and _usable_cpus() > 1:
+    if exact and numeric and _usable_cpus() > 1:
         results = _run_split(exact, numeric)
     else:
         results = _run_checks(checks)

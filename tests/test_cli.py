@@ -279,6 +279,8 @@ def test_write_lines_bytes_across_blocks(count, tmp_path, capsys):
 
 # ---- the kernel CSV writer: rows split across forked workers ----
 
+_NEEDS_FORK = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
 _KERNEL_FLAGS = {"free": ["--model", "free", "--m", "1.3"],
                  "harmonic": ["--model", "harmonic", "--m", "1.5", "--omega", "0.8"],
                  "linear": ["--model", "linear", "--m", "2", "--F0", "-3"]}
@@ -289,16 +291,24 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _count_forks(monkeypatch) -> list:
+def _count_forks(monkeypatch, fail_on: int = 0) -> list:
+    """Count the calls of os.fork; the fail_on-th raises BlockingIOError
+    (EAGAIN, as at a process limit) instead of forking."""
     forks = []
     real_fork = os.fork
 
     def fork():
         forks.append(1)
+        if len(forks) == fail_on:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
         return real_fork()
 
     monkeypatch.setattr(os, "fork", fork)
     return forks
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
 
 
 def _kernel_csv(model: str, n: int) -> tuple[list[str], str]:
@@ -408,6 +418,23 @@ def test_kernel_worker_failure_is_one_line(fault, status, tmp_path, capsys, monk
     assert err.count("\n") == 1 and err.startswith("ccrflow: error: ")
     assert f"status {status} after" in err
     _assert_no_child_left()
+
+
+@_NEEDS_FORK
+def test_kernel_failed_fork_falls_back_to_this_process(tmp_path, capsys, monkeypatch):
+    # the second of two workers cannot fork: this exited 2 with "[Errno 11]"
+    argv, expected = _kernel_csv("linear", 223)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    fds = _open_fds()
+    path = tmp_path / "k.csv"
+    forks = _count_forks(monkeypatch, fail_on=2)
+    for output in ([], ["--output", str(path)]):
+        del forks[:]
+        assert main(argv + output) == 0
+        assert capsys.readouterr() == ("" if output else expected, "")
+        assert not output or path.read_bytes() == expected.encode()
+        assert len(forks) == 2 and _open_fds() == fds
+        _assert_no_child_left()
 
 
 def test_kernel_to_closed_pipe_is_one_line():
@@ -705,6 +732,31 @@ def test_traced_benchmark_names_exist():
         assert callable(getattr(owner, attr, None)), (home, cls, attr)
 
 
+_CHILD_CALLS = {"fork", "pipe", "waitpid", "kill"}
+
+
+def test_only_forked_starts_and_ends_a_child():
+    # one function owns a child process from fork to reap; verify uses it
+    # and imports neither os nor signal
+    owners = set()
+    for path in sorted(pathlib.Path(ccrflow.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in _CHILD_CALLS
+                        and getattr(node.value, "id", None) == "os"):
+                    owners.add(owner)
+                if (isinstance(node, ast.ImportFrom) and node.module == "os"
+                        and {alias.name for alias in node.names} & _CHILD_CALLS):
+                    owners.add(owner)
+    assert owners == {"cli._forked"}
+    verify_source = pathlib.Path(ccrflow.__file__).with_name("verify.py").read_text()
+    imported = {alias.name for node in ast.walk(ast.parse(verify_source))
+                if isinstance(node, ast.Import) for alias in node.names}
+    assert not imported & {"os", "signal"}
+    assert not hasattr(cli, "_fork_worker")
+
+
 def test_outputs_are_byte_identical(tmp_path):
     args = ["kernel", "--model", "harmonic", "--m", "1.5", "--omega", "0.8",
             "--t", "1.1", "--x-min", "-2", "--x-max", "2", "--n", "32"]
@@ -744,9 +796,6 @@ def _verify_forks(monkeypatch, cpus: int) -> list:
     """Let verify see cpus usable CPUs; returns the list of the forks it makes."""
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     return _count_forks(monkeypatch)
-
-
-_NEEDS_FORK = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
 @_NEEDS_FORK
@@ -811,6 +860,20 @@ def test_verify_child_that_dies_fails_its_checks(capsys, monkeypatch):
 
 
 @_NEEDS_FORK
+def test_verify_failed_fork_runs_every_check_here(capsys, monkeypatch):
+    # this exited 2 with "[Errno 11] Resource temporarily unavailable"
+    golden = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text())
+    want, = [case["stdout"] for case in golden if case["argv"] == ["verify"]]
+    forks = _count_forks(monkeypatch, fail_on=1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    fds = _open_fds()
+    assert main(["verify"]) == 0
+    assert capsys.readouterr() == (want, "")
+    assert forks == [1] and _open_fds() == fds
+    _assert_no_child_left()
+
+
+@_NEEDS_FORK
 def test_verify_interrupted_kills_and_reaps_its_child(monkeypatch):
     import ccrflow.verify as verify_mod
 
@@ -857,6 +920,9 @@ _UNBINDABLE = {"--force=omega^-1*X": "omega^-1", "--force=F0^-2*X": "F0^-2",
                "--force=F0*omega*X": "F0*omega"}
 _PATHINT_WIDE = ["pathint", "--m", "1", "--t-total", "1", "--x-min", "-3", "--x-max", "3",
                  "--n", "64"]
+# (x_max - x_min)/3 is inf: the grid held nan points, and these printed up to
+# two numpy warnings before their exit-3 line (--coefficients exited 0)
+_HUGE_SPAN = ["--x-min", "-1e308", "--x-max", "1e308", "--n", "4"]
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -906,6 +972,14 @@ _PATHINT_WIDE = ["pathint", "--m", "1", "--t-total", "1", "--x-min", "-3", "--x-
     pytest.param(["evolve", *_BEYOND_FLOAT], 3, id="nan-evolve"),
     pytest.param(["kernel", "--model", "free", "--m", "1e290", "--t", "1e-10", "--x-min",
                   "-1e10", "--x-max", "1e10", "--n", "4"], 3, id="phase-overflow-kernel-csv"),
+    pytest.param(["kernel", "--model", "free", "--m", "1", "--t", "1", *_HUGE_SPAN], 3,
+                 id="grid-spacing-overflows-kernel-csv"),
+    pytest.param(["kernel", "--model", "free", "--m", "1", "--t", "1", *_HUGE_SPAN,
+                  "--coefficients"], 3, id="grid-spacing-overflows-coefficients"),
+    pytest.param(["evolve", "--model", "free", "--m", "1", "--t", "1", *_HUGE_SPAN], 3,
+                 id="grid-spacing-overflows-evolve"),
+    pytest.param(["pathint", "--force=-X", "--m", "1", "--t-total", "1", *_HUGE_SPAN,
+                  "--steps", "2"], 3, id="grid-spacing-overflows-pathint"),
     pytest.param([*_NAN_FORCE, "--steps", "2"], 3, id="nan-force-steps"),
     pytest.param([*_NAN_FORCE, "--convergence", "1,2"], 3, id="nan-force-convergence"),
     pytest.param([*_PATHINT_WIDE, "--force=X^2000", "--steps", "2"], 3,
@@ -1021,7 +1095,7 @@ started = set(sys.modules)
 from ccrflow.cli import build_parser, main
 
 late = {"numpy", "ccrflow.propagator", "ccrflow.pathint", "ccrflow.verify",
-        "ccrflow.heisenberg", "dataclasses"}
+        "ccrflow.heisenberg", "dataclasses", "signal"}
 def loaded():
     return sorted(late & set(sys.modules) - started)
 
