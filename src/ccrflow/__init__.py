@@ -30,9 +30,9 @@ _LAZY = {  # module loaded on first use -> the names the package exports from it
     "heisenberg": ("AffineFlow", "NonAffineFlow", "OperatorTimeSeries", "extract_affine",
                    "force_for_model", "generator", "newtonian_velocity", "taylor_flow",
                    "time_derivative"),
-    "pathint": ("ConvergenceReport", "ConvergenceRow", "KernelMatrix",
-                "convergence_study", "propagate", "short_time_matrix"),
-    "propagator": ("AffineFlowExact", "BoundaryLeak", "CausticSingularity",
+    "pathint": ("ConvergenceReport", "ConvergenceRow", "convergence_study", "propagate",
+                "short_time_matrix"),
+    "propagator": ("AffineFlowExact", "BoundaryLeak", "CausticSingularity", "ChirpStep",
                    "GaussianKernel", "GridTooCoarse", "UniformGrid", "WaveFunction",
                    "evolve_exact", "gaussian_kernel", "closed_form_kernel"),
 }

@@ -85,6 +85,18 @@ _MAX_PRODUCTS = 65_536  # term products per expression
 _LIMB_BITS = 256  # a coefficient counts as one more term per this many bits
 _LIMB_NAMES = 8  # and a parameter monomial per this many parameters
 _PRINT_BITS = 14286  # 2^14285 > 10^4300: a longer number has too many digits to print
+# The work of a command, as counted here, may not pass its cap: a usage
+# error, checked before any allocation, fork or loop (times on a 2-vCPU VM).
+_WORK_CAPS = {
+    "series order": _MAX_DEGREE,  # order 2048 takes 0.35 s
+    "pathint steps x FFT length": 1 << 28,  # 4-6e-8 s a point: about 10-17 s
+    "kernel rows": 1 << 24,  # n^2: 1.7 s at n = 1024, 5 s at 2048, 1.6 GB of CSV at 4096
+}
+
+
+def _check_cap(name: str, work: int) -> None:
+    if work > _WORK_CAPS[name]:
+        raise ValueError(f"{name} {work} exceeds its cap of {_WORK_CAPS[name]}")
 
 
 class _Token:
@@ -218,6 +230,8 @@ class _Parser:
         while self.peek().kind == "*":
             star = self.advance()
             total = self.caps.product(total, self.factor(), star.offset)
+        if self.peek().kind == "/":  # rational() reads the '/' of a literal such as 3/2
+            raise ExpressionError("'/' divides integer literals only", self.peek().offset)
         return total
 
     def factor(self) -> OpExpr:
@@ -364,40 +378,40 @@ def _write_lines(lines, path: str | None) -> None:
 _KERNEL_HEADER = "x_b,x_a,re,im"
 
 
-def _kernel_values(kernel, x):
-    """kernel(x_b, x_a) at x_b = x[i] (row i) and x_a = x as an n x n array;
-    OverflowError where a value is not finite."""
+def _kernel_step(kernel, grid: UniformGrid):
+    """kernel's ChirpStep on grid, or OverflowError where a value is not finite:
+    float rounding is monotone, so |kin| ((n - 1) dx)^2 + 2 max|phase| bounds
+    every phase sum that step.rows computes."""
     import numpy as np
 
     from .propagator import finite_on_grid
 
-    values = np.empty((len(x), len(x)), dtype=complex)
     with np.errstate(all="ignore"):
-        # Row by row: a 2-D broadcast kernel(x[:, None], x) differs in the last bit.
-        for i, x_b in enumerate(x):
-            values[i] = kernel(x_b, x)
-    return finite_on_grid(values, "the kernel phase")
+        step = kernel.step(grid)
+        span = grid.dx * (grid.n - 1)
+        finite_on_grid(abs(step.kin) * span * span + 2 * np.max(np.abs(step.phase)),
+                       "the kernel phase")
+    return step
 
 
-def _kernel_rows_text(values, x_text: list[str], rows: range) -> str:
+def _kernel_rows_text(step, x_text: list[str], rows: range) -> str:
     """The CSV lines of kernel rows x_b = x[i], i in rows, as one text."""
-    block = values[rows.start:rows.stop]
+    block = step.rows(rows.start, rows.stop)
     return _format_text([x_text[i] for i in rows for _ in x_text], x_text * len(rows),
                         block.real.ravel(), block.imag.ravel())
 
 
-def _kernel_blocks(values, x_text: list[str], rows: range):
+def _kernel_blocks(step, x_text: list[str], rows: range):
     """_kernel_rows_text over rows, about _WRITE_BLOCK lines at a time."""
-    step = max(1, _WRITE_BLOCK // len(x_text))
-    for start in range(0, len(rows), step):
-        yield _kernel_rows_text(values, x_text, rows[start:start + step])
+    per_block = max(1, _WRITE_BLOCK // len(x_text))
+    for start in range(0, len(rows), per_block):
+        yield _kernel_rows_text(step, x_text, rows[start:start + per_block])
 
 
 def kernel_csv_lines(kernel, grid: UniformGrid) -> list[str]:
     """The lines _write_kernel_csv writes for kernel on grid."""
-    x = grid.points()
     text = io.StringIO()
-    _write_kernel_csv(_kernel_values(kernel, x), x, text)
+    _write_kernel_csv(_kernel_step(kernel, grid), text)
     return text.getvalue().splitlines()
 
 
@@ -476,27 +490,27 @@ def _forked(produce: Callable[[], Iterable[bytes]]) -> Iterator[Iterator[bytes]]
             os.waitpid(pid, 0)
 
 
-def _write_kernel_csv(values, x, fh) -> None:
-    """Write the CSV of the kernel values on grid points x to the text file
-    fh a block at a time.
+def _write_kernel_csv(step, fh) -> None:
+    """Write the CSV of the kernel step on its grid to the text file fh a
+    block at a time.
 
     The rows are split into one contiguous share per usable CPU, but never
-    into shares of fewer than _SHARE_MIN_FLOATS floats: forked workers format
-    every share but the first, which this process formats and writes before
-    it copies the workers' bytes in row order.  The bytes do not depend on
-    the split.
+    into shares of fewer than _SHARE_MIN_FLOATS floats.  Forked workers build
+    and format every share but the first, a block of rows at a time; this
+    process does the first, then copies their bytes in row order.  The bytes
+    do not depend on the split.
     """
-    x_text = _format_text(x).splitlines()
-    n = len(x)
+    x_text = _format_text(step.grid.points()).splitlines()
+    n = len(x_text)
     shares = max(1, min(_usable_cpus(), (2 * n * n + n) // _SHARE_MIN_FLOATS))
     rows = [range(n * k // shares, n * (k + 1) // shares) for k in range(shares)]
     fh.write(_KERNEL_HEADER + "\n")
     fh.flush()
     with ExitStack() as stack:
         children = [stack.enter_context(_forked(
-                        lambda rows=share: map(str.encode, _kernel_blocks(values, x_text, rows))))
+                        lambda rows=share: map(str.encode, _kernel_blocks(step, x_text, rows))))
                     for share in rows[1:]]
-        for block in _kernel_blocks(values, x_text, rows[0]):
+        for block in _kernel_blocks(step, x_text, rows[0]):
             fh.write(block)
         for share, chunks in zip(rows[1:], children):
             lines = status = 0
@@ -513,11 +527,11 @@ def _write_kernel_csv(values, x, fh) -> None:
 
 
 def kernel_coefficient_lines(kernel) -> list[str]:
-    """The six complex kernel coefficients (a, b, c, d, e, A) as one CSV row."""
+    """The kernel's six complex coefficients a, b, c = a, d, e = d, A as one CSV row."""
     header = []
     values = []
-    for name in ("a", "b", "c", "d", "e", "A"):
-        z = complex(getattr(kernel, name))
+    coefficients = kernel.a, kernel.b, kernel.a, kernel.d, kernel.d, kernel.A
+    for name, z in zip("abcdeA", map(complex, coefficients)):
         header += [f"{name}_re", f"{name}_im"]
         values += [format_float(z.real), format_float(z.imag)]
     return [",".join(header), ",".join(values)]
@@ -685,6 +699,7 @@ def _cmd_series(args) -> int:
 
     _require(args, ["model"])
     _default(args, order=DEFAULT_ORDER)
+    _check_cap("series order", args.order)
     force = force_for_model(args.model)
     gen = generator(force, newtonian_velocity())
     lines = [f"X(t) model={args.model} order={args.order}"]
@@ -703,10 +718,10 @@ def _cmd_kernel(args) -> int:
     if args.coefficients:
         _write_lines(kernel_coefficient_lines(kernel), args.output)
     else:
-        x = grid.points()
-        values = _kernel_values(kernel, x)  # raises before the output is opened
+        _check_cap("kernel rows", grid.n * grid.n)
+        step = _kernel_step(kernel, grid)  # raises before the output is opened
         with _open_output(args.output) as fh:
-            _write_kernel_csv(values, x, fh)
+            _write_kernel_csv(step, fh)
     return 0
 
 
@@ -732,6 +747,13 @@ def _cmd_pathint(args) -> int:
     if not args.t_total > 0:
         raise ValueError("t-total must be positive")
     grid = UniformGrid.from_bounds(args.x_min, args.x_max, args.n)
+    if not args.convergence:
+        if args.steps is None:
+            raise ValueError("need --steps or --convergence")
+        if args.steps < 1:
+            raise ValueError("--steps must be at least 1")
+    _check_cap("pathint steps x FFT length",
+               sum(args.convergence or [args.steps]) * grid.fft_size)
     force = _force_polynomial(parse_expression(args.force))
     params = {}
     for name in ("m", "omega", "F0"):
@@ -754,10 +776,6 @@ def _cmd_pathint(args) -> int:
         _write_lines(report_csv_lines(report), args.report_output)
         out = report.finest
     else:
-        if args.steps is None:
-            raise ValueError("need --steps or --convergence")
-        if args.steps < 1:
-            raise ValueError("--steps must be at least 1")
         kernel = short_time_matrix(force, args.m, args.t_total / args.steps, grid, params)
         out = propagate(kernel, psi, args.steps)
     _write_lines(wavefunction_csv_lines(out), args.output)

@@ -8,9 +8,9 @@ One slice of duration dt uses the kernel
 where W(x) = int F dx with zero constant term.  The symmetric endpoint
 average of W makes each slice a second-order (Strang-type) step, so chaining
 N slices converges to the exact evolution at O(dt^2) with Richardson ratio 4
-under step doubling.  K = diag(e^{i dt W/2}) T diag(e^{i dt W/2}) with T
-Toeplitz, so a slice is one deterministic FFT convolution: O(n log n) time,
-O(n) memory.
+under step doubling.  K is a ChirpStep, amp diag(e^{i dt W/2}) T diag(e^{i dt W/2})
+with T Toeplitz, so a slice is one deterministic FFT convolution: O(n log n)
+time, O(n) memory.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -27,9 +26,9 @@ from .opalg import Polynomial
 from .propagator import (
     AffineFlowExact,
     BoundaryLeak,
+    ChirpStep,
     UniformGrid,
     WaveFunction,
-    _chirp_operator,
     check_phase_step,
     evolve_exact,
     finite_on_grid,
@@ -37,7 +36,6 @@ from .propagator import (
 )
 
 __all__ = [
-    "KernelMatrix",
     "ConvergenceRow",
     "ConvergenceReport",
     "short_time_matrix",
@@ -49,37 +47,10 @@ __all__ = [
 EDGE_LEAK_WARN = 1e-6
 
 
-@dataclass(frozen=True)
-class KernelMatrix:
-    """One slice K_ij = amp exp{i (kin (x_i - x_j)^2 + pot_i + pot_j)}, where
-    amp = (m/(2 pi i dt))^(1/2) dx, kin = m/(2 dt) and pot = (dt/2) W(x)."""
-
-    grid: UniformGrid
-    dt: float
-    m: float
-    pot: np.ndarray
-
-    def _amp_kin(self) -> tuple[complex, float]:
-        amp = np.sqrt(self.m / (2j * math.pi * self.dt)) * self.grid.dx
-        return amp, self.m / (2 * self.dt)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense n x n view, built on first access; bitwise symmetric."""
-        amp, kin = self._amp_kin()
-        diff = self.grid.points()[:, None] - self.grid.points()
-        return amp * np.exp(1j * (kin * diff * diff + (self.pot[:, None] + self.pot)))
-
-    def operator(self):
-        """psi -> K psi by FFT: K = amp diag(e^{i pot}) T diag(e^{i pot}), T Toeplitz."""
-        amp, kin = self._amp_kin()
-        diag = np.exp(1j * self.pot)
-        return _chirp_operator(amp * diag, kin, self.grid.dx, diag)
-
-
 def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
-                      params: Mapping[str, float] | None = None) -> KernelMatrix:
-    """Build the slice kernel for force F on the given grid.
+                      params: Mapping[str, float] | None = None) -> ChirpStep:
+    """The slice kernel for force F on the given grid: amp = (m/(2 pi i dt))^(1/2) dx,
+    kin = m/(2 dt) and phase = (dt/2) W(x).
 
     Raises OverflowError where F or W is not finite on the grid, and
     GridTooCoarse unless the per-cell phase bound holds:
@@ -102,10 +73,11 @@ def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
     check_phase_step(grid.dx * (2 * m * grid.abs_max / dt
                                 + (dt / 2) * float(np.max(np.abs(f_vals.real)))),
                      "slice kernel", "refine dx, shrink the domain, or enlarge dt")
-    return KernelMatrix(grid=grid, dt=dt, m=m, pot=(dt / 2) * w_vals)
+    amp = np.sqrt(m / (2j * math.pi * dt)) * grid.dx
+    return ChirpStep(grid, amp, m / (2 * dt), (dt / 2) * w_vals)
 
 
-def propagate(kernel: KernelMatrix, psi0: WaveFunction, steps: int) -> WaveFunction:
+def propagate(kernel: ChirpStep, psi0: WaveFunction, steps: int) -> WaveFunction:
     """psi_N = K^N psi_0 by N FFT applications of K; warns on edge leakage."""
     if steps < 0:
         raise ValueError("steps must be non-negative")

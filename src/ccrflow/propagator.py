@@ -2,9 +2,9 @@
 
 For a flow X(t) = alpha X + beta P + gamma the position-space kernel is
 
-    U(x_b, x_a) = A exp{ i (a x_b^2 + b x_b x_a + c x_a^2 + d x_b + e x_a) }
+    U(x_b, x_a) = A exp{ i (a (x_b^2 + x_a^2) + b x_b x_a + d (x_b + x_a)) }
 
-with a = c = alpha/(2 beta), b = -1/beta, d = e = gamma/beta and
+with a = alpha/(2 beta), b = -1/beta, d = gamma/beta and
 A = (2 pi i beta)^(-1/2) on the principal branch.  The kernel solves the
 first-order relations
 
@@ -33,6 +33,7 @@ __all__ = [
     "BoundaryLeak",
     "UniformGrid",
     "AffineFlowExact",
+    "ChirpStep",
     "GaussianKernel",
     "WaveFunction",
     "gaussian_kernel",
@@ -92,6 +93,11 @@ class UniformGrid(NamedTuple):
 
     def points(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n)
+
+    @property
+    def fft_size(self) -> int:
+        """The power-of-two length L >= 2n - 1 of a ChirpStep's FFT on this grid."""
+        return 1 << (2 * self.n - 2).bit_length()
 
 
 @dataclass(frozen=True)
@@ -175,21 +181,59 @@ class AffineFlowExact:
         return -self.F0 * self.F0 * t ** 3 / (24 * self.m) * g
 
 
-@dataclass(frozen=True)
-class GaussianKernel:
-    """Quadratic-form propagator coefficients plus amplitude."""
+class ChirpStep(NamedTuple):
+    """One grid kernel U_ij = amp exp{i (kin ((i - j) dx)^2 + phase_i + phase_j)},
+    the form of every Gaussian kernel and path-integral slice on a grid."""
+
+    grid: UniformGrid
+    amp: complex
+    kin: float
+    phase: np.ndarray
+
+    def operator(self):
+        """v -> U v = amp diag(e^{i phase}) T diag(e^{i phase}) v.  The Toeplitz T,
+        T_ij = exp{i kin ((i-j) dx)^2}, is embedded in a circulant of length
+        grid.fft_size, where the lags -(n-1)..n-1 stay distinct, so U v is one
+        zero-padded FFT convolution (Bluestein's chirp-z identity): O(n log n),
+        deterministic."""
+        n, size = self.grid.n, self.grid.fft_size
+        diag = np.exp(1j * self.phase)
+        left = self.amp * diag
+        lag = self.grid.dx * np.arange(n)
+        col = np.exp(1j * self.kin * lag * lag)
+        spectrum = np.fft.fft(np.concatenate([col, np.zeros(size - 2 * n + 1), col[:0:-1]]))
+        return lambda v: left * np.fft.ifft(spectrum * np.fft.fft(diag * v, size))[:n]
+
+    def rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows start..stop of the dense matrix U; bitwise symmetric, and the
+        same bits whatever rows are asked for: amp * <a large temporary> would
+        run in place as temporary * amp, which numpy may round differently."""
+        n = self.grid.n
+        stop = n if stop is None else stop
+        lag = self.grid.dx * (np.arange(start, stop)[:, None] - np.arange(n))
+        phase = self.kin * lag * lag + (self.phase[start:stop, None] + self.phase)
+        return np.multiply(self.amp, np.exp(1j * phase))
+
+
+class GaussianKernel(NamedTuple):
+    """U(x_b, x_a) = A exp{i (a (x_b^2 + x_a^2) + b x_b x_a + d (x_b + x_a))}."""
 
     a: complex
     b: complex
-    c: complex
     d: complex
-    e: complex
     A: complex
 
     def __call__(self, x_b, x_a):
-        phase = (self.a * x_b * x_b + self.b * x_b * x_a + self.c * x_a * x_a
-                 + self.d * x_b + self.e * x_a)
+        phase = (self.a * x_b * x_b + self.b * x_b * x_a + self.a * x_a * x_a
+                 + self.d * x_b + self.d * x_a)
         return self.A * np.exp(1j * phase)
+
+    def step(self, grid: UniformGrid) -> ChirpStep:
+        """This kernel on grid: b x_b x_a = (b/2)(x_b^2 + x_a^2 - (x_b - x_a)^2)
+        gives kin = -b/2 and phase = (a + b/2) x^2 + d x."""
+        x = grid.points()
+        half_b = self.b / 2
+        return ChirpStep(grid, self.A, -half_b, (self.a + half_b) * x * x + self.d * x)
 
 
 def _at_caustic(beta: float, m: float, t: float) -> bool:
@@ -215,7 +259,7 @@ def gaussian_kernel(flow: AffineFlowExact, t: float) -> GaussianKernel:
     amp = 1.0 / cmath.sqrt(2j * math.pi * beta)
     if not all(map(cmath.isfinite, (beta, gamma, a, b, d, amp))):
         raise OverflowError(f"the kernel at t = {t} is beyond the float range")
-    return GaussianKernel(a=a, b=b, c=a, d=d, e=d, A=amp)
+    return GaussianKernel(a=a, b=b, d=d, A=amp)
 
 
 def closed_form_kernel(model: str, params: Mapping[str, float], t: float,
@@ -367,35 +411,12 @@ def finite_on_grid(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _chirp_operator(left: np.ndarray, kappa: float, dx: float, right: np.ndarray):
-    """v -> diag(left) T diag(right) v, Toeplitz T_ij = exp{i kappa ((i-j) dx)^2}.
-
-    T is embedded in a circulant of power-of-two length L >= 2n - 1, where the
-    lags -(n-1)..n-1 stay distinct mod L, so one application is one zero-padded
-    FFT convolution (Bluestein's chirp-z identity): O(n log n), deterministic.
-    """
-    n = left.size
-    size = 1 << (2 * n - 2).bit_length()
-    lag = dx * np.arange(n)
-    col = np.exp(1j * kappa * lag * lag)
-    spectrum = np.fft.fft(np.concatenate([col, np.zeros(size - 2 * n + 1), col[:0:-1]]))
-    return lambda v: left * np.fft.ifft(spectrum * np.fft.fft(right * v, size))[:n]
-
-
 def evolve_exact(kernel: GaussianKernel, psi: WaveFunction) -> WaveFunction:
-    """Apply the kernel by trapezoid quadrature: psi_out(x_b) = sum_a U psi dx.
-
-    With b x_b x_a = (b/2)(x_b^2 + x_a^2 - (x_b - x_a)^2), U is chirp * Toeplitz
-    * chirp on the grid, applied by FFT with no n x n array; deterministic.
-    """
+    """Apply the kernel by trapezoid quadrature: psi_out(x_b) = sum_a U psi dx,
+    as its ChirpStep on psi's grid: by FFT, with no n x n array; deterministic."""
     grid = psi.grid
-    # |d(phase)/dx| is at most (2|a| + |b|) |x| + max(|d|, |e|) on the grid
+    # |d(phase)/dx| is at most (2|a| + |b|) |x| + |d| on the grid
     check_phase_step(grid.dx * ((2 * abs(kernel.a) + abs(kernel.b)) * grid.abs_max
-                                + max(abs(kernel.d), abs(kernel.e))),
+                                + abs(kernel.d)),
                      "kernel", "refine dx or shrink the domain")
-    x = grid.points()
-    half_b = kernel.b / 2
-    left = kernel.A * np.exp(1j * ((kernel.a + half_b) * x * x + kernel.d * x))
-    right = np.exp(1j * ((kernel.c + half_b) * x * x + kernel.e * x))
-    apply = _chirp_operator(left, -half_b, grid.dx, right)
-    return WaveFunction(grid, apply(psi.samples * psi.weights()))
+    return WaveFunction(grid, kernel.step(grid).operator()(psi.samples * psi.weights()))

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -101,6 +102,15 @@ def test_parse_errors_carry_byte_offsets():
     assert err.value.offset == 2
     with pytest.raises(ExpressionError):
         parse_expression("1/0")
+
+
+@pytest.mark.parametrize("text, offset", [("X/2", 1), ("P^2/2", 3), ("(1 + X/2)", 6),
+                                          ("2^2/3", 3)])
+def test_division_is_of_integer_literals_only(text, offset):
+    # these ended in "trailing input" or "expected ')'", which named no rule
+    with pytest.raises(ExpressionError, match=f"^'/' divides integer literals only "
+                                              rf"\(byte {offset}\)$"):
+        parse_expression(text)
 
 
 def test_parser_caps_nesting_and_power_length(capsys):
@@ -236,15 +246,24 @@ def _reference_lines(rows) -> list[str]:
                                   AffineFlowExact.linear(2.0, 3.0)])
 @pytest.mark.parametrize("n", [2, 3, 384])
 def test_kernel_csv_lines_match_per_row_formatting(flow, n):
+    # the CSV prints the values of the kernel's ChirpStep, which agree with
+    # the pointwise kernel
     kernel = gaussian_kernel(flow, 0.9)
     grid = UniformGrid.from_bounds(-4.0, 3.0, n)
     x = grid.points()
+    values = kernel.step(grid).rows()
     rows = [(xb, xa, val.real, val.imag)
-            for xb in x for xa, val in zip(x, kernel(xb, x))]
+            for xb, row in zip(x, values) for xa, val in zip(x, row)]
     lines = kernel_csv_lines(kernel, grid)
     assert lines[0] == "x_b,x_a,re,im"
     assert len(lines) - 1 == n * n
     assert lines[1:] == _reference_lines(rows)
+    pointwise = kernel(x[:, None], x)
+    assert np.linalg.norm(values - pointwise) <= 1e-12 * np.linalg.norm(pointwise)
+    # U(x_b, x_a) = U(x_a, x_b) to the last digit; the row-by-row evaluation
+    # printed 61k-71k of the 147,456 values at n = 384 unlike their transposes
+    printed = np.array([line.split(",", 2)[2] for line in lines[1:]]).reshape(n, n)
+    assert np.array_equal(printed, printed.T)
 
 
 def test_wavefunction_csv_lines_match_per_row_formatting():
@@ -355,6 +374,22 @@ def test_kernel_workers_grow_with_the_work(n, workers, tmp_path, monkeypatch):
     assert path.read_bytes() == expected.encode()
     assert len(forks) == workers
     _assert_no_child_left()
+
+
+def test_kernel_csv_holds_no_n_by_n_array(tmp_path, monkeypatch):
+    # each block of rows is built as it is formatted: the whole n x n array
+    # at n = 1024 took 16 MiB before the first line was written
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    path = tmp_path / "k.csv"
+    tracemalloc.start()
+    try:
+        assert main(["kernel", *_KERNEL_FLAGS["harmonic"], "--t", "0.9", "--x-min", "-4",
+                     "--x-max", "3", "--n", "1024", "--output", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 1024 * 1024 * 80
+    assert peak < 2 ** 22
 
 
 def test_kernel_phase_overflow_is_one_line_before_any_fork(tmp_path, capsys, monkeypatch):
@@ -893,7 +928,8 @@ def test_verify_interrupted_kills_and_reaps_its_child(monkeypatch):
 # ---- exit codes, leading '-', and the import graph ----
 
 _SMALL = ["--model", "free", "--m", "1", "--t", "1", "--x-min", "-1", "--x-max", "1"]
-_OVERSIZED = _SMALL + ["--n", "100000000000"]  # fails at allocation, allocating nothing
+# evolve fails at allocation, allocating nothing; kernel and pathint pass their caps
+_OVERSIZED = _SMALL + ["--n", "100000000000"]
 # beta = t/m and gamma = F0 t^2/(2m) overflow: these printed nan and exited 0
 _BEYOND_FLOAT = ["--model", "linear", "--m", "1e-300", "--F0", "1e300", "--t", "1e10",
                  "--x-min", "-1", "--x-max", "1", "--n", "4"]
@@ -908,7 +944,7 @@ _TOO_MANY_DIGITS = "X+" + "9" * (sys.get_int_max_str_digits() + 1)
 # a name goes on with letters, decimals and '_' only: 'X²' and 'X½' printed 0
 # as a commutator and 'X½*1' as a word
 _BYTE_OFFSETS = {"X ? P": 2, "X^-1": 1, "X+²": 2, _TOO_MANY_DIGITS: 2,
-                 "X²": 1, "X½": 1}  # in the error on the first expression
+                 "X²": 1, "X½": 1, "X/2": 1, "P^2/2": 3}  # in the error on the first expression
 # x^700 - 3 x^699 is inf - inf = NaN at |x| = 3: the slices printed 64 rows
 # of nan after five numpy warnings and exited 0
 _NAN_FORCE = ["pathint", "--force=X^700-3*X^699", "--m", "4", "--t-total", "3",
@@ -937,6 +973,8 @@ _HUGE_SPAN = ["--x-min", "-1e308", "--x-max", "1e308", "--n", "4"]
     pytest.param(["normord", _TOO_MANY_DIGITS], 2, id="integer-beyond-int-digits"),
     pytest.param(["comm", "X²", "P"], 2, id="superscript-after-name"),
     pytest.param(["normord", "X½"], 2, id="vulgar-fraction-after-name"),
+    pytest.param(["normord", "X/2"], 2, id="division-of-a-word"),
+    pytest.param(["normord", "P^2/2"], 2, id="division-of-a-power"),
     pytest.param(["kernel", "--model", "free", "--t", "1", "--x-min", "-1", "--x-max", "1",
                   "--n", "4"], 2, id="missing-mass"),
     pytest.param(["series", "--model", "harmonic", "--order", "-2"], 2, id="negative-order"),
@@ -951,7 +989,7 @@ _HUGE_SPAN = ["--x-min", "-1e308", "--x-max", "1e308", "--n", "4"]
     # BoundaryLeak warning first
     pytest.param(_OVERFLOW, 3, id="overflow"),
     pytest.param(["normord", "123456789^4096"], 3, id="too-long-to-print"),
-    pytest.param(["kernel", *_OVERSIZED], 3, id="oversized-kernel"),
+    pytest.param(["kernel", *_OVERSIZED], 2, id="oversized-kernel"),
     # a width whose square underflows raised ZeroDivisionError (exit 1), and a
     # packet narrower than a cell sampled to zeros and exited 0
     pytest.param(["evolve", *_SMALL, "--n", "64", "--sigma", "1e-200"], 2,
@@ -966,7 +1004,10 @@ _HUGE_SPAN = ["--x-min", "-1e308", "--x-max", "1e308", "--n", "4"]
     pytest.param(["evolve", *_OVERSIZED], 3, id="oversized-evolve"),
     pytest.param(["pathint", "--force=-X", "--m", "1", "--t-total", "1", "--steps", "2",
                   "--x-min", "-1", "--x-max", "1", "--n", "100000000000"],
-                 3, id="oversized-pathint"),
+                 2, id="oversized-pathint"),
+    pytest.param(["series", "--model", "free", "--order", "2049"], 2, id="series-order-past-cap"),
+    pytest.param(["kernel", *_SMALL, "--n", "4097"], 2, id="kernel-rows-past-cap"),
+    pytest.param([*_PATHINT, "--steps", str(2 ** 24 + 1)], 2, id="pathint-steps-past-cap"),
     pytest.param(["kernel", *_BEYOND_FLOAT, "--coefficients"], 3, id="nan-coefficients"),
     pytest.param(["kernel", *_BEYOND_FLOAT], 3, id="nan-kernel-csv"),
     pytest.param(["evolve", *_BEYOND_FLOAT], 3, id="nan-evolve"),
@@ -1017,6 +1058,37 @@ def test_exit_code_sweep(argv, code, capsys):
     if code == 2 and "--convergence" in argv:  # named the library's n_list, or int()
         value = argv[argv.index("--convergence") + 1]
         assert f"--convergence: expected increasing positive step counts, got {value!r}" in err
+
+
+class _Reached(Exception):
+    """Raised where a command that passed its work cap would start the work."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+@pytest.mark.parametrize("argv, limit, module, work", [
+    (["series", "--model", "harmonic", "--order", "{}"], 2048, "heisenberg", "taylor_flow"),
+    (["kernel", *_SMALL, "--n", "{}"], 4096, "cli", "_write_kernel_csv"),  # n^2 = 2^24
+    # 1024 points: FFTs of 2048 = 2^11 points, so 2^17 steps in all
+    ([*_PATHINT[:-1], "1024", "--steps", "{}"], 2 ** 17, "pathint", "short_time_matrix"),
+    ([*_PATHINT[:-1], "1024", "--convergence", "1,{}"], 2 ** 17 - 1, "pathint",
+     "convergence_study"),
+], ids=["series-order", "kernel-rows", "pathint-steps", "pathint-convergence"])
+def test_work_cap_admits_its_limit_and_rejects_one_past(argv, limit, module, work, capsys,
+                                                        monkeypatch):
+    # any --order, step count or n^2 ran to its end, for as long as it took
+    monkeypatch.setattr(importlib.import_module(f"ccrflow.{module}"), work, _reached)
+    with pytest.raises(_Reached):
+        main([arg.format(limit) for arg in argv])
+    assert capsys.readouterr() == ("", "")
+    assert main([arg.format(limit + 1) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    name = next(name for name in cli._WORK_CAPS if name.startswith(argv[0]))
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"ccrflow: error: {name} ")
+    assert err.endswith(f" exceeds its cap of {cli._WORK_CAPS[name]}\n")
 
 
 @pytest.mark.parametrize("argv, step", [
@@ -1195,9 +1267,10 @@ _EXPORTS = {
     "heisenberg": ["AffineFlow", "NonAffineFlow", "OperatorTimeSeries", "extract_affine",
                    "force_for_model", "generator", "newtonian_velocity", "taylor_flow",
                    "time_derivative"],
-    "pathint": ["ConvergenceReport", "ConvergenceRow", "KernelMatrix", "convergence_study",
-                "propagate", "short_time_matrix"],
-    "propagator": ["AffineFlowExact", "BoundaryLeak", "CausticSingularity", "GaussianKernel",
+    "pathint": ["ConvergenceReport", "ConvergenceRow", "convergence_study", "propagate",
+                "short_time_matrix"],
+    "propagator": ["AffineFlowExact", "BoundaryLeak", "CausticSingularity", "ChirpStep",
+                   "GaussianKernel",
                    "GridTooCoarse", "UniformGrid", "WaveFunction", "evolve_exact",
                    "gaussian_kernel", "closed_form_kernel"],
 }
