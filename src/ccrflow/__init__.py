@@ -27,7 +27,7 @@ from .opalg import (
 __version__ = "0.1.0"
 
 _LAZY = {  # module loaded on first use -> the names the package exports from it
-    "heisenberg": ("AffineFlow", "NonAffineFlow", "OperatorTimeSeries", "extract_affine",
+    "heisenberg": ("AffineFlow", "NonAffineFlow", "commutator_series", "extract_affine",
                    "force_for_model", "generator", "newtonian_velocity", "taylor_flow",
                    "time_derivative"),
     "pathint": ("ConvergenceReport", "ConvergenceRow", "convergence_study", "propagate",

@@ -21,8 +21,8 @@ CSV convention: header row; complex values as two columns ``re``, ``im``;
 17 significant digits in scientific notation; '.' decimal separator; LF line
 endings.  Exit codes: 0 success, 1 verification failure, 2 usage or I/O
 error (such as a broken output pipe or a failed kernel CSV worker), 3 domain
-error (caustic, grid too coarse, non-affine flow, float overflow, a
-coefficient too long to print, out of memory).
+error (caustic, grid too coarse, float overflow, a coefficient too long to
+print, out of memory).
 """
 
 from __future__ import annotations
@@ -537,6 +537,11 @@ def kernel_coefficient_lines(kernel) -> list[str]:
     return [",".join(header), ",".join(values)]
 
 
+def series_lines(series: Iterable[OpExpr]) -> list[str]:
+    """One 'k: <c_k>' line per coefficient of an operator series."""
+    return [f"{k}: {c.canonical_text()}" for k, c in enumerate(series)]
+
+
 def wavefunction_csv_lines(psi: WaveFunction) -> list[str]:
     columns = psi.points(), psi.samples.real, psi.samples.imag
     return ["x,re,im"] + _format_text(*columns).splitlines()
@@ -703,9 +708,9 @@ def _cmd_series(args) -> int:
     force = force_for_model(args.model)
     gen = generator(force, newtonian_velocity())
     lines = [f"X(t) model={args.model} order={args.order}"]
-    lines += taylor_flow(X, gen, args.order).text_lines()
+    lines += series_lines(taylor_flow(X, gen, args.order))
     lines.append(f"P(t) model={args.model} order={args.order}")
-    lines += taylor_flow(P, gen, args.order).text_lines()
+    lines += series_lines(taylor_flow(P, gen, args.order))
     _write_lines(lines, args.output)
     return 0
 

@@ -23,12 +23,12 @@ from .opalg import (
 )
 
 __all__ = [
-    "OperatorTimeSeries",
     "AffineFlow",
     "NonAffineFlow",
     "generator",
     "time_derivative",
     "taylor_flow",
+    "commutator_series",
     "extract_affine",
     "newtonian_velocity",
     "force_for_model",
@@ -82,64 +82,23 @@ def time_derivative(op: OpExpr, G: OpExpr) -> OpExpr:
     return _I * commutator(G, op)
 
 
-class OperatorTimeSeries:
-    """Truncated operator Taylor series sum_k c_k t^k / k!.
-
-    Coefficients are OpExprs; ``order`` is the truncation K and
-    len(coeffs) == K + 1.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[OpExpr]):
-        if not coeffs:
-            raise ValueError("a series needs at least the order-0 coefficient")
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OperatorTimeSeries):
-            return NotImplemented
-        if self.order != other.order:
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    __hash__ = None
-
-    def multiply(self, other: "OperatorTimeSeries") -> "OperatorTimeSeries":
-        """Cauchy product in the t^k/k! convention, truncated at min(orders)."""
-        k_max = min(self.order, other.order)
-        out = []
-        for n in range(k_max + 1):
-            acc = OpExpr.zero()
-            for k in range(n + 1):
-                acc = acc + math.comb(n, k) * (self.coeffs[k] * other.coeffs[n - k])
-            out.append(acc)
-        return OperatorTimeSeries(out)
-
-    def commutator_series(self, other: "OperatorTimeSeries") -> "OperatorTimeSeries":
-        return OperatorTimeSeries(
-            [a - b for a, b in zip(self.multiply(other).coeffs, other.multiply(self).coeffs)]
-        )
-
-    def text_lines(self) -> list[str]:
-        return [f"{k}: {c.canonical_text()}" for k, c in enumerate(self.coeffs)]
-
-    def __repr__(self) -> str:
-        return f"OperatorTimeSeries(order={self.order})"
-
-
-def taylor_flow(op0: OpExpr, G: OpExpr, order: int) -> OperatorTimeSeries:
-    """Iterate c_{k+1} = i[G, c_k] starting from c_0 = op0."""
+def taylor_flow(op0: OpExpr, G: OpExpr, order: int) -> tuple[OpExpr, ...]:
+    """The coefficients (c_0, ..., c_order) of the operator Taylor series
+    sum_k c_k t^k/k!, from c_0 = op0 and c_{k+1} = i[G, c_k]."""
     if order < 0:
         raise ValueError("order must be non-negative")
     coeffs = [op0]
     for _ in range(order):
         coeffs.append(time_derivative(coeffs[-1], G))
-    return OperatorTimeSeries(coeffs)
+    return tuple(coeffs)
+
+
+def commutator_series(a: Sequence[OpExpr], b: Sequence[OpExpr]) -> tuple[OpExpr, ...]:
+    """[A(t), B(t)] of two series in the t^k/k! convention, truncated at the
+    lower order: c_n = sum_k C(n, k) [a_k, b_{n-k}]."""
+    return tuple(sum((math.comb(n, k) * commutator(a[k], b[n - k]) for k in range(n + 1)),
+                     OpExpr.zero())
+                 for n in range(min(len(a), len(b))))
 
 
 _AFFINE_WORDS = ((1, 0), (0, 1), (0, 0))  # X, P, 1
@@ -149,7 +108,7 @@ class AffineFlow(NamedTuple):
     """Scalar series (alpha, beta, gamma) with X(t) = alpha X + beta P + gamma.
 
     Each component is a tuple of ScalarCoeffs in the same t^k/k! convention
-    as OperatorTimeSeries.
+    as taylor_flow.
     """
 
     alpha: tuple
@@ -176,10 +135,11 @@ class AffineFlow(NamedTuple):
         return tuple(out)
 
 
-def extract_affine(series: OperatorTimeSeries) -> AffineFlow:
-    """Split an affine series into (alpha, beta, gamma); reject anything else."""
+def extract_affine(series: Sequence[OpExpr]) -> AffineFlow:
+    """Split the coefficients of an affine series into (alpha, beta, gamma);
+    reject anything else."""
     alpha, beta, gamma = [], [], []
-    for k, c in enumerate(series.coeffs):
+    for k, c in enumerate(series):
         bad = [w for w in c.terms if w not in _AFFINE_WORDS]
         if bad:
             a, b = min(bad, key=word_sort_key)

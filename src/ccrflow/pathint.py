@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ from .propagator import (
     UniformGrid,
     WaveFunction,
     check_phase_step,
+    check_real_force,
     evolve_exact,
     finite_on_grid,
     gaussian_kernel,
@@ -52,7 +52,8 @@ def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
     """The slice kernel for force F on the given grid: amp = (m/(2 pi i dt))^(1/2) dx,
     kin = m/(2 dt) and phase = (dt/2) W(x).
 
-    Raises OverflowError where F or W is not finite on the grid, and
+    Raises ValueError for a force that is not real (check_real_force),
+    OverflowError where F or W is not finite on the grid, and
     GridTooCoarse unless the per-cell phase bound holds:
     dx * (2 m X_max / dt + (dt/2) max|F|) <= pi/2, the oscillation rule with
     the kinetic quadratic coefficient a = m/(2 dt) plus the W-phase gradient.
@@ -61,17 +62,16 @@ def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
         raise ValueError("dt must be positive")
     if not m > 0:
         raise ValueError("mass must be positive")
+    check_real_force(force)
     x = grid.points()
     with np.errstate(all="ignore"):  # finite_on_grid, not a warning, reports overflow
         # a constant polynomial evaluates to a scalar
         f_vals = finite_on_grid(np.broadcast_to(force.evaluate(x, params), x.shape),
-                                "the force")
-        if np.max(np.abs(f_vals.imag)) > 1e-12 * max(1.0, float(np.max(np.abs(f_vals)))):
-            raise ValueError("force evaluated to complex values; check parameters")
+                                "the force").real
         w_vals = finite_on_grid(np.broadcast_to(force.antiderivative().evaluate(x, params),
                                                 x.shape), "the force's antiderivative").real
     check_phase_step(grid.dx * (2 * m * grid.abs_max / dt
-                                + (dt / 2) * float(np.max(np.abs(f_vals.real)))),
+                                + (dt / 2) * float(np.max(np.abs(f_vals)))),
                      "slice kernel", "refine dx, shrink the domain, or enlarge dt")
     amp = np.sqrt(m / (2j * math.pi * dt)) * grid.dx
     return ChirpStep(grid, amp, m / (2 * dt), (dt / 2) * w_vals)
@@ -104,17 +104,13 @@ class ConvergenceRow(NamedTuple):
     ratio: float  # previous error / this error; nan on the first row
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Per-N errors against a reference evolution, and the finest-N state;
     flow is the closed-form reference's, None when the finest N is the reference."""
 
     flow: AffineFlowExact | None
     rows: tuple
     finest: WaveFunction
-
-    def final_error(self) -> float:
-        return self.rows[-1].l2_error
 
 
 def convergence_study(force: Polynomial, m: float, psi0: WaveFunction,

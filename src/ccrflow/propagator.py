@@ -40,6 +40,7 @@ __all__ = [
     "closed_form_kernel",
     "evolve_exact",
     "check_phase_step",
+    "check_real_force",
     "finite_on_grid",
     "CAUSTIC_EPS",
     "EDGE_SAMPLES",
@@ -138,30 +139,29 @@ class AffineFlowExact:
     @classmethod
     def from_force(cls, force: Polynomial, m: float,
                    params: Mapping[str, float] | None = None) -> "AffineFlowExact | None":
-        """The flow of F = c0 + c1 X; None for a higher degree or a non-real c_k."""
-        numeric = {k: complex(c.evaluate(params)) for k, c in force.coeffs.items()}
-        if max(numeric, default=0) > 1 or any(abs(v.imag) > 1e-12 for v in numeric.values()):
+        """The flow of F = c0 + c1 X; None for a higher degree.  Raises
+        ValueError for a force that is not real (check_real_force)."""
+        check_real_force(force)
+        if max(force.coeffs, default=0) > 1:
             return None
-        return cls(m, kappa=numeric.get(1, 0j).real / m, F0=numeric.get(0, 0j).real)
+        numeric = {k: c.evaluate(params).real for k, c in force.coeffs.items()}
+        return cls(m, kappa=numeric.get(1, 0.0) / m, F0=numeric.get(0, 0.0))
 
-    def _flow(self, t: float) -> tuple[float, float, float]:
+    def at(self, t: float) -> tuple[float, float, float]:
+        """(alpha, beta, gamma) at time t.  Raises OverflowError where cosh
+        leaves the float range or m w (or m w^2) underflows to 0."""
         if self.kappa == 0:
             return 1.0, t / self.m, self.F0 * t * t / (2 * self.m)
         w = math.sqrt(abs(self.kappa))
         if self.kappa > 0 and w * abs(t) > 710:
             raise OverflowError(f"cosh({w * abs(t):.4g}) is beyond the float range")
         cos, sin = (math.cos, math.sin) if self.kappa < 0 else (math.cosh, math.sinh)
-        return (cos(w * t), sin(w * t) / (self.m * w),
-                2 * self.F0 * sin(w * t / 2) ** 2 / (self.m * w * w))
-
-    def alpha(self, t: float) -> float:
-        return self._flow(t)[0]
-
-    def beta(self, t: float) -> float:
-        return self._flow(t)[1]
-
-    def gamma(self, t: float) -> float:
-        return self._flow(t)[2]
+        try:
+            return (cos(w * t), sin(w * t) / (self.m * w),
+                    2 * self.F0 * sin(w * t / 2) ** 2 / (self.m * w * w))
+        except ZeroDivisionError:
+            raise OverflowError(f"m w^2 at m = {self.m:.4g}, w = {w:.4g} underflows to 0; "
+                                "the flow is beyond the float range") from None
 
     def phase(self, t: float) -> float:
         """The constant action phase the kernel omits (V(0) = 0):
@@ -248,7 +248,7 @@ def gaussian_kernel(flow: AffineFlowExact, t: float) -> GaussianKernel:
     gamma or a coefficient is not a finite float.  A is on the principal branch,
     with no phase continuation past a caustic; flow.phase(t) is not included.
     """
-    alpha, beta, gamma = flow._flow(t)
+    alpha, beta, gamma = flow.at(t)
     if _at_caustic(beta, flow.m, t):
         raise CausticSingularity(
             f"beta({t}) = {beta:.3e}; the kernel is singular at this time"
@@ -340,11 +340,13 @@ class WaveFunction:
         if width * width == 0:
             raise ValueError(f"width {width:.4g} is too small: its square underflows to 0")
         x = grid.points()
-        # far from a narrow packet the exponent overflows to -inf: exp gives the right 0
-        with np.errstate(over="ignore"):
-            psi = (math.pi * width * width) ** -0.25 * np.exp(
+        with np.errstate(all="ignore"):  # finite_on_grid, not a warning, reports overflow
+            finite_on_grid(momentum * (x - center), "the packet's phase p (x - c)")
+            # far from a narrow packet the exponent overflows to -inf: exp gives the right
+            # 0; only inf/inf, a NaN exponent, leaves a sample that is not finite
+            psi = finite_on_grid((math.pi * width * width) ** -0.25 * np.exp(
                 -((x - center) ** 2) / (2 * width * width) + 1j * momentum * (x - center)
-            )
+            ), "the packet's exponent (x - c)^2/(2 width^2)")
         return cls(grid, psi)
 
     # -- integrals --
@@ -401,6 +403,15 @@ def check_phase_step(step: float, kernel: str, remedy: str) -> None:
     if not step <= math.pi / 2:
         raise GridTooCoarse(f"{kernel} phase advances {step:.4g} rad per cell "
                             f"(limit pi/2 = {math.pi / 2:.3f}); {remedy}")
+
+
+def check_real_force(force: Polynomial) -> None:
+    """The one realness rule of a force: no weight of any coefficient may have
+    an imaginary part.  Parameters bind to real floats, so such a force is
+    real at every binding; any other raises ValueError."""
+    if any(q for coeff in force.coeffs.values() for _p, q, _d in coeff.terms.values()):
+        raise ValueError("the force has a coefficient with an imaginary part; "
+                         "a force must be real")
 
 
 def finite_on_grid(values: np.ndarray, what: str) -> np.ndarray:

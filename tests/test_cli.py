@@ -959,6 +959,36 @@ _PATHINT_WIDE = ["pathint", "--m", "1", "--t-total", "1", "--x-min", "-3", "--x-
 # (x_max - x_min)/3 is inf: the grid held nan points, and these printed up to
 # two numpy warnings before their exit-3 line (--coefficients exited 0)
 _HUGE_SPAN = ["--x-min", "-1e308", "--x-max", "1e308", "--n", "4"]
+# m w = 5e-324 * 1e-9 underflows to 0: sin(wt)/(m w) ended in a ZeroDivisionError
+# traceback, exit 1
+_UNDERFLOW = ["--model", "harmonic", "--m", "5e-324", "--omega", "1e-9", "--t", "6",
+              "--x-min", "-6", "--x-max", "6", "--n", "3"]
+# p (x - c) or (x - c)^2/(2 width^2) left the float range: numpy warned, and then
+# the packet's width was blamed for its NaN norm; the last was found by the seeded sweep
+_PACKET_PHASE = ["--m", "1", "--x-min", "-6", "--x-max", "6", "--n", "64", "--p0", "1e308"]
+_PACKET_EXPONENT = ["evolve", "--model", "free", "--m", "1", "--t", "1", "--x-min", "-1e300",
+                    "--x-max", "0", "--n", "200", "--sigma", "1e300"]
+_SWEEP_FOUND = ["evolve", "--model", "free", "--m", "0.5", "--omega", "0.1", "--t", "3",
+                "--x-min", "0", "--x-max", "12", "--n", "4", "--p0", "1e308"]
+# a force whose X coefficient has imaginary part 3e-12 passed the slices' relative
+# rule and failed the closed form's absolute one: exit 0, measured against the finest N
+_IMAGINARY_FORCE = ["pathint", "--force=(-4,3/1000000000000)*X", "--m", "4", "--t-total", "3",
+                    "--x-min", "-2.55", "--x-max", "2.55", "--n", "896", "--x0", "0.3",
+                    "--sigma", "0.5", "--convergence", "5,10,20,40"]
+_NAMED = {  # argv -> what its one line must name
+    ("kernel", *_UNDERFLOW, "--coefficients"): "m w^2 at m = 4.941e-324, w = 1e-09 underflows",
+    ("evolve", *_UNDERFLOW): "m w^2 at m = 4.941e-324, w = 1e-09 underflows",
+    ("evolve", "--model", "free", "--t", "1", *_PACKET_PHASE): "the packet's phase p (x - c)",
+    ("pathint", "--force=0", "--t-total", "1", *_PACKET_PHASE, "--steps", "2"):
+        "the packet's phase p (x - c)",
+    tuple(_PACKET_EXPONENT): "the packet's exponent (x - c)^2/(2 width^2)",
+    tuple(_SWEEP_FOUND): "the packet's phase p (x - c)",
+    tuple(_IMAGINARY_FORCE): "the force has a coefficient with an imaginary part",
+    # these named the library's n_list, or int()
+    **{(*_PATHINT, "--convergence", value):
+       f"--convergence: expected increasing positive step counts, got {value!r}"
+       for value in ("5,10,0", "10,5", "5,x")},
+}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -1031,6 +1061,15 @@ _HUGE_SPAN = ["--x-min", "-1e308", "--x-max", "1e308", "--n", "4"]
                  id="coefficient-overflows"),
     pytest.param([*_PATHINT_WIDE, "--force=F0*omega*X", "--F0", "1e200", "--omega", "1e200",
                   "--convergence", "1,2"], 3, id="coefficient-product-overflows"),
+    pytest.param(["kernel", *_UNDERFLOW, "--coefficients"], 3, id="m-omega-underflows-kernel"),
+    pytest.param(["evolve", *_UNDERFLOW], 3, id="m-omega-underflows-evolve"),
+    pytest.param(["evolve", "--model", "free", "--t", "1", *_PACKET_PHASE], 3,
+                 id="packet-phase-overflows-evolve"),
+    pytest.param(["pathint", "--force=0", "--t-total", "1", *_PACKET_PHASE, "--steps", "2"], 3,
+                 id="packet-phase-overflows-pathint"),
+    pytest.param(_PACKET_EXPONENT, 3, id="packet-exponent-is-nan"),
+    pytest.param(_SWEEP_FOUND, 3, id="packet-phase-overflows-on-four-points"),
+    pytest.param(_IMAGINARY_FORCE, 2, id="imaginary-force"),
     pytest.param([*_PATHINT, "--convergence", "5,10,0"], 2, id="convergence-zero"),
     pytest.param([*_PATHINT, "--convergence", "10,5"], 2, id="convergence-decreasing"),
     pytest.param([*_PATHINT, "--convergence", "5,x"], 2, id="convergence-not-int"),
@@ -1050,14 +1089,149 @@ def test_exit_code_sweep(argv, code, capsys):
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("ccrflow: domain error: " if code == 3 else "ccrflow: error: ")
+    assert _NAMED.get(tuple(argv), "") in err
     for force, coeff in _UNBINDABLE.items():
         if force in argv:
             assert f"force coefficient {coeff} is beyond the float range" in err
     if argv[:1] in (["normord"], ["comm"]) and len(argv) > 1 and argv[1] in _BYTE_OFFSETS:
         assert err.endswith(f" (byte {_BYTE_OFFSETS[argv[1]]})\n")
-    if code == 2 and "--convergence" in argv:  # named the library's n_list, or int()
-        value = argv[argv.index("--convergence") + 1]
-        assert f"--convergence: expected increasing positive step counts, got {value!r}" in err
+
+
+# The seeded sweep's grammar.  Floats are extremes a third of the time and
+# plain values otherwise, so that many draws pass validation and reach the
+# numbers; the plain values of m and t often satisfy the slice rule.
+_EXTREME_FLOATS = ["0", "-0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e-154", "-1e-154",
+                   "1e154", "-1e154", "1e300", "-1e300", "1e308"]
+_PLAIN_FLOATS = {"positive": ["0.1", "0.5", "1", "2", "3", "6", "10"],
+                 "signed": ["-1", "0", "0.5", "1", "-3", "6"]}
+_SWEEP_GRIDS = [("-6", "6"), ("-2.55", "2.55"), ("-1", "1"), ("0", "12")]
+_DIGITS = "9" * (sys.get_int_max_str_digits() + 1)  # 4,301 digits by default
+_ATOMS = ["X", "P", "1", "2/3", "3/0", "(1,2)", "(-1/2,3)", "m", "omega", "F0", "hbar", "٣",
+          "X²", "²", _DIGITS, "X/2", "P^2/2", "(" * 100 + "X" + ")" * 100,
+          "(" * 101 + "X" + ")" * 101]
+_FORCE_ATOMS = ["X", "X^3", "1", "4/5", "(-4,1)", "m", "omega^-1", "F0", "hbar", "٣",
+                "(" * 100 + "X" + ")" * 100, "P"]
+
+
+def _sweep_float(rng: random.Random, kind: str = "signed") -> str:
+    return rng.choice(_EXTREME_FLOATS if rng.random() < 1 / 3 else _PLAIN_FLOATS[kind])
+
+
+def _sweep_expression(rng: random.Random, atoms: list, depth: int = 2) -> str:
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice(atoms)
+    a, b = (_sweep_expression(rng, atoms, depth - 1) for _ in range(2))
+    return rng.choice([f"{a}+{b}", f"{a}*{b}", f"-{a}", f"({a}-{b})^{rng.randint(0, 4)}",
+                       f"{a}^-1"])
+
+
+def _sweep_argv(rng: random.Random, command: str) -> list[str]:
+    """One argv of command; each flag is left out now and then."""
+    if command == "normord":
+        return [command, _sweep_expression(rng, _ATOMS)]
+    if command == "comm":
+        return [command, _sweep_expression(rng, _ATOMS), _sweep_expression(rng, _ATOMS)]
+    if command == "verify":
+        return [command]
+    argv = [command]
+
+    def flag(name, value, keep=0.95):
+        if rng.random() < keep:
+            argv.extend([name, value])
+
+    if command == "series":
+        flag("--model", rng.choice(["free", "harmonic", "linear", "quartic"]))
+        flag("--order", str(rng.choice([-1, 0, 1, 3, 16, 64, 2049])))
+        return argv
+    if command == "pathint":
+        flag("--force", _sweep_expression(rng, _FORCE_ATOMS))
+    else:
+        flag("--model", rng.choice(["free", "harmonic", "linear"]))
+    flag("--m", _sweep_float(rng, "positive"))
+    flag("--omega", _sweep_float(rng, "positive"), 0.7)
+    flag("--F0", _sweep_float(rng), 0.7)
+    flag("--t-total" if command == "pathint" else "--t", _sweep_float(rng, "positive"))
+    x_min, x_max = (rng.choice(_SWEEP_GRIDS) if rng.random() < 2 / 3
+                    else (_sweep_float(rng), _sweep_float(rng)))
+    flag("--x-min", x_min)
+    flag("--x-max", x_max)
+    n = rng.choice([2, 3, 4, 64, 200] + [4097] * (command == "kernel"))  # 4097^2 > 2^24
+    flag("--n", str(n))
+    if command == "kernel":
+        if rng.random() < 0.3:
+            argv.append("--coefficients")
+        return argv
+    flag("--x0", _sweep_float(rng), 0.5)
+    flag("--p0", _sweep_float(rng), 0.5)
+    flag("--sigma", _sweep_float(rng, "positive"), 0.5)
+    if command == "pathint":
+        past_cap = cli._WORK_CAPS["pathint steps x FFT length"] // (1 << (2 * n - 2).bit_length())
+        steps = sorted({rng.randint(1, 16) for _ in range(rng.randint(1, 4))})
+        if rng.random() < 0.2:  # past the cap, or not a count
+            steps = rng.choice([[past_cap + 1], [1, past_cap], [0], [4, 2]])
+        flag("--steps" if len(steps) == 1 and rng.random() < 0.5 else "--convergence",
+             ",".join(map(str, steps)))
+    return argv
+
+
+_NUMERIC = ("kernel", "evolve", "pathint")
+
+
+def _sweep_error(argv: list[str], code: int, out: str, err: str) -> str | None:
+    """What breaks the three-exit contract in one run of main, or None.  Every
+    stderr line but the error line, the last on exit 2 or 3, must be a
+    BoundaryLeak warning (one per slice chain), so a traceback fails too."""
+    if code not in (0, 2, 3) and not (code == 1 and argv[0] == "verify"):
+        return f"exit {code}"
+    lines = err.splitlines()
+    error = {2: "ccrflow: error: ", 3: "ccrflow: domain error: "}.get(code)
+    if error and not (lines and lines[-1].startswith(error)):
+        return f"exit {code} without its error line: {err!r}"
+    if not all(line.startswith("ccrflow: warning: edge mass fraction ")
+               for line in (lines[:-1] if error else lines)):
+        return f"exit {code} with stderr {err!r}"
+    if error and out:
+        return f"exit {code} after writing {len(out)} characters"
+    if code == 0 and argv[0] in _NUMERIC:
+        rows = out.splitlines()
+        for prev, row in zip([""] + rows, rows):
+            fields = row.split(",")
+            if prev == "steps,dt,l2_error,ratio":  # the first ratio is nan by design
+                fields = fields[:-1]
+            for field in fields:
+                try:
+                    value = float(field)
+                except ValueError:
+                    continue  # a header
+                if not math.isfinite(value):
+                    return f"exit 0 with {field} in {row!r}"
+    return None
+
+
+def test_seeded_sweep_ends_every_input_in_one_of_three_ways(capsys, monkeypatch):
+    # every input ends in a result, a usage line (2) or a domain line (3);
+    # the inputs this sweep found are rows of test_exit_code_sweep
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # no draw forks
+    rng = random.Random(20261019)
+    commands = [rng.choice(["normord", "comm", "series", "kernel", "evolve", "pathint"])
+                for _ in range(318)]
+    commands[100:100] = ["verify"]
+    commands[200:200] = ["verify"]
+    broken = []
+    for command in commands:
+        argv = _sweep_argv(rng, command)
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:
+            capsys.readouterr()
+            broken.append((argv, f"raised {type(exc).__name__}: {exc}"))
+            continue
+        problem = _sweep_error(argv, code, *capsys.readouterr())
+        if problem:
+            broken.append((argv, problem))
+    assert not broken, "\n".join(f"{argv}: {problem}" for argv, problem in broken)
+    assert len(commands) == 320 and set(commands) == {*_NUMERIC, "normord", "comm",
+                                                       "series", "verify"}
 
 
 class _Reached(Exception):
@@ -1264,7 +1438,7 @@ def test_module_run_loads_cli_once():
 _EXPORTS = {
     "opalg": ["ONE", "InversePower", "OpExpr", "P", "Polynomial", "ScalarCoeff", "X",
               "apply_to_polynomial", "commutator", "inverse_power_rule"],
-    "heisenberg": ["AffineFlow", "NonAffineFlow", "OperatorTimeSeries", "extract_affine",
+    "heisenberg": ["AffineFlow", "NonAffineFlow", "commutator_series", "extract_affine",
                    "force_for_model", "generator", "newtonian_velocity", "taylor_flow",
                    "time_derivative"],
     "pathint": ["ConvergenceReport", "ConvergenceRow", "convergence_study", "propagate",
@@ -1316,6 +1490,6 @@ def test_readme_quick_example_runs_as_written():
     scope = {}
     exec(block, scope)
     exact = AffineFlowExact.harmonic(2.0, 1.3)
-    want = (exact.alpha(0.5), exact.beta(0.5), exact.gamma(0.5))
+    want = exact.at(0.5)
     got = scope["flow"].evaluate(0.5, {"m": 2.0, "omega": 1.3})
     assert got == pytest.approx(want, rel=0, abs=1e-9)

@@ -7,7 +7,7 @@ import pytest
 from ccrflow.heisenberg import (
     AffineFlow,
     NonAffineFlow,
-    OperatorTimeSeries,
+    commutator_series,
     extract_affine,
     force_for_model,
     generator,
@@ -109,39 +109,39 @@ def test_symmetrized_forms_agree():
 
 def test_taylor_flow_free():
     series = taylor_flow(X, free_gen(), 5)
-    assert series.coeffs[0] == X
-    assert series.coeffs[1] == P * M_INV
-    assert all(c.is_zero for c in series.coeffs[2:])
+    assert series[0] == X
+    assert series[1] == P * M_INV
+    assert all(c.is_zero for c in series[2:])
 
 
 def test_taylor_flow_harmonic_first_terms():
     series = taylor_flow(X, harmonic_gen(), 3)
     w2 = ScalarCoeff.param("omega", 2)
-    assert series.coeffs[0] == X
-    assert series.coeffs[1] == P * M_INV
-    assert series.coeffs[2] == X * -w2
-    assert series.coeffs[3] == P * -(w2 * M_INV)
+    assert series[0] == X
+    assert series[1] == P * M_INV
+    assert series[2] == X * -w2
+    assert series[3] == P * -(w2 * M_INV)
 
 
 def test_taylor_flow_constant_force():
     series = taylor_flow(X, linear_gen(), 4)
-    assert series.coeffs[0] == X
-    assert series.coeffs[1] == P * M_INV
-    assert series.coeffs[2] == OpExpr.scalar(ScalarCoeff.param("F0") * M_INV)
-    assert all(c.is_zero for c in series.coeffs[3:])
+    assert series[0] == X
+    assert series[1] == P * M_INV
+    assert series[2] == OpExpr.scalar(ScalarCoeff.param("F0") * M_INV)
+    assert all(c.is_zero for c in series[3:])
 
 
 def test_taylor_flow_momentum_constant_force():
     series = taylor_flow(P, linear_gen(), 3)
-    assert series.coeffs[0] == P
-    assert series.coeffs[1] == OpExpr.scalar(ScalarCoeff.param("F0"))
-    assert all(c.is_zero for c in series.coeffs[2:])
+    assert series[0] == P
+    assert series[1] == OpExpr.scalar(ScalarCoeff.param("F0"))
+    assert all(c.is_zero for c in series[2:])
 
 
 def test_harmonic_flow_matches_closed_form_series():
     order = 12
     series = taylor_flow(X, harmonic_gen(), order)
-    for k, coeff in enumerate(series.coeffs):
+    for k, coeff in enumerate(series):
         if k % 2 == 0:
             sign = 1 if k % 4 == 0 else -1
             wk = ScalarCoeff.param("omega", k) if k else ScalarCoeff.rational(1)
@@ -157,24 +157,40 @@ def test_ccr_preserved_along_flows():
         gen = generator(force_for_model(model), newtonian_velocity())
         xs = taylor_flow(X, gen, 8)
         ps = taylor_flow(P, gen, 8)
-        comm = xs.commutator_series(ps)
-        assert comm.coeffs[0] == OpExpr.scalar(I)
-        assert all(c.is_zero for c in comm.coeffs[1:])
+        comm = commutator_series(xs, ps)
+        assert comm[0] == OpExpr.scalar(I)
+        assert all(c.is_zero for c in comm[1:])
 
 
-def test_series_multiply_binomial_convention():
-    # (X + P t)(X + P t) in the t^k/k! basis: c0=X^2, c1=XP+PX, c2=2P^2
-    s = taylor_flow(X, free_gen(), 2)  # coeffs X, P/m, 0
-    prod = s.multiply(s)
-    m2 = ScalarCoeff.param("m", -2)
-    assert prod.coeffs[0] == X * X
-    assert prod.coeffs[1] == (X * P + P * X) * M_INV
-    assert prod.coeffs[2] == P * P * (m2 * 2)
+def _random_series(rng: random.Random, order: int) -> list[OpExpr]:
+    return [sum((OpExpr.word(rng.choice(["", "X", "P", "XP", "PX", "XXP", "PPX"]),
+                             ScalarCoeff.rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                                  rng.randint(-2, 2)))
+                 for _ in range(rng.randint(0, 3))), OpExpr.zero())
+            for _ in range(order + 1)]
+
+
+def _cauchy_product(a: list[OpExpr], b: list[OpExpr]) -> list[OpExpr]:
+    """(sum a_k t^k/k!)(sum b_k t^k/k!) = sum_n t^n/n! sum_k C(n, k) a_k b_{n-k}."""
+    return [sum((math.comb(n, k) * (a[k] * b[n - k]) for k in range(n + 1)), OpExpr.zero())
+            for n in range(min(len(a), len(b)))]
+
+
+def test_commutator_series_is_ab_minus_ba_of_the_cauchy_products():
+    rng = random.Random(1707)
+    for order_a, order_b in ((0, 3), (4, 2), (5, 6), (3, 3)):
+        a, b = _random_series(rng, order_a), _random_series(rng, order_b)
+        want = [ab - ba for ab, ba in zip(_cauchy_product(a, b), _cauchy_product(b, a))]
+        got = commutator_series(a, b)
+        assert isinstance(got, tuple) and len(got) == min(order_a, order_b) + 1
+        assert list(got) == want
+        assert list(commutator_series(b, a)) == [-c for c in want]
+    # the t^k/k! convention: [X + tP, P + tX] = i - i t^2 = i - 2i t^2/2!
+    zero, i = OpExpr.zero(), OpExpr.scalar(I)
+    assert commutator_series((X, P, zero), (P, X, zero)) == (i, zero, i * -2)
 
 
 def test_series_requires_coefficients():
-    with pytest.raises(ValueError):
-        OperatorTimeSeries([])
     with pytest.raises(ValueError):
         taylor_flow(X, free_gen(), -1)
 
@@ -201,7 +217,7 @@ def test_extract_affine_reassembles_exactly():
     for gen in (free_gen(), harmonic_gen(), linear_gen()):
         series = taylor_flow(X, gen, 6)
         flow = extract_affine(series)
-        for k, coeff in enumerate(series.coeffs):
+        for k, coeff in enumerate(series):
             rebuilt = (X * flow.alpha[k] + P * flow.beta[k]
                        + OpExpr.scalar(flow.gamma[k]))
             assert rebuilt == coeff

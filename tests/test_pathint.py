@@ -125,6 +125,20 @@ def test_symbolic_force_needs_parameters():
     assert kernel.rows().shape == (64, 64)
 
 
+@pytest.mark.parametrize("imag", [Fraction(3, 10 ** 12), Fraction(1, 10 ** 30), 1])
+def test_slices_and_closed_form_share_one_realness_rule(imag):
+    # an imaginary part of 3e-12 passed the slices' rule (below 1e-12 max|F|)
+    # and failed the closed form's (above 1e-12), which returned None
+    grid = UniformGrid.from_bounds(-2.55, 2.55, 64)
+    force = Polynomial.monomial(1, ScalarCoeff.param("m") * ScalarCoeff.rational(-1, imag))
+    for build in (lambda: AffineFlowExact.from_force(force, 4.0, {"m": 4.0}),
+                  lambda: short_time_matrix(force, 4.0, 3.0, grid, {"m": 4.0})):
+        with pytest.raises(ValueError, match="^the force has a coefficient with an imaginary"):
+            build()
+    real = Polynomial.monomial(1, ScalarCoeff.param("m") * ScalarCoeff.rational(-1))
+    assert AffineFlowExact.from_force(real, 4.0, {"m": 4.0}) == AffineFlowExact(4.0, kappa=-1.0)
+
+
 # ---- propagation ----
 
 def test_zero_steps_is_identity():
@@ -255,7 +269,7 @@ def test_harmonic_convergence():
     assert all(b < a for a, b in zip(errors, errors[1:]))
     for row in report.rows[1:]:
         assert 3.2 <= row.ratio <= 4.8
-    assert report.final_error() < 1e-3
+    assert report.rows[-1].l2_error < 1e-3
 
 
 def test_linear_convergence():
@@ -267,7 +281,7 @@ def test_linear_convergence():
     assert all(b < a for a, b in zip(errors, errors[1:]))
     for row in report.rows[1:]:
         assert 3.2 <= row.ratio <= 4.8
-    assert report.final_error() < 1e-3
+    assert report.rows[-1].l2_error < 1e-3
     # second-order phase defect has a closed form here: F0^2 t^3/(24 m N^2)
     for row in report.rows:
         predicted = 0.8 ** 2 / (24 * row.steps ** 2)
@@ -301,7 +315,7 @@ def test_affine_force_convergence_against_closed_form(coeffs, m, box, n, t_total
     assert [row.steps for row in report.rows] == n_list
     for row in report.rows[1:]:
         assert 3.2 <= row.ratio <= 4.8
-    assert report.final_error() < 2e-3
+    assert report.rows[-1].l2_error < 2e-3
 
 
 def test_general_force_self_convergence():

@@ -61,7 +61,7 @@ def test_amplitude_magnitude_invariant():
             if flow.kappa < 0:
                 t = rng.uniform(0.1, 3.0) / math.sqrt(-flow.kappa)
             k = gaussian_kernel(flow, t)
-            want = (2 * math.pi * abs(flow.beta(t))) ** -0.5
+            want = (2 * math.pi * abs(flow.at(t)[1])) ** -0.5
             assert abs(abs(k.A) - want) < 1e-14 * want
 
 
@@ -98,13 +98,14 @@ def test_affine_flow_matches_taylor_route(coeffs, m):
     flow = AffineFlowExact.from_force(force, m)
     for t in (0.05, 0.3, 0.7, 1.0):
         want = series.evaluate(t, {"m": m})
-        got = (flow.alpha(t), flow.beta(t), flow.gamma(t))
+        got = flow.at(t)
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
 
 
 def test_from_force_rejects_non_affine_forces():
     assert AffineFlowExact.from_force(Polynomial.from_list([0, 0, 1]), 1.0) is None
-    assert AffineFlowExact.from_force(Polynomial.monomial(0, ScalarCoeff.imag_unit()), 1.0) is None
+    with pytest.raises(ValueError, match="imaginary part"):  # this returned None
+        AffineFlowExact.from_force(Polynomial.monomial(0, ScalarCoeff.imag_unit()), 1.0)
     assert AffineFlowExact.from_force(Polynomial.from_list([2, -3]), 1.5) == \
         AffineFlowExact(1.5, kappa=-2.0, F0=2.0)
 
@@ -139,7 +140,7 @@ def test_affine_flow_continuous_at_kappa_zero_and_phase_series_switch():
 
     def values(kappa):
         flow = AffineFlowExact(m, kappa=kappa, F0=F0)
-        return np.array([flow.alpha(t), flow.beta(t), flow.gamma(t), flow.phase(t)])
+        return np.array([*flow.at(t), flow.phase(t)])
 
     at_zero = values(0.0)
     for kappa in (-1e-12, 1e-12):
@@ -203,7 +204,7 @@ def test_defining_equation_residual_second_order():
     ]
     for flow, t in cases:
         k = gaussian_kernel(flow, t)
-        al, be, ga = flow.alpha(t), flow.beta(t), flow.gamma(t)
+        al, be, ga = flow.at(t)
         for xb, xa in ((0.4, -0.3), (1.1, 0.8)):
             def residual(h):
                 deriv = (k(xb, xa + h) - k(xb, xa - h)) / (2 * h)
@@ -328,7 +329,8 @@ def test_ehrenfest_all_models():
     psi = WaveFunction.gaussian_packet(grid, center=x0, width=1.0, momentum=p0)
     for flow in cases:
         out = evolve_exact(gaussian_kernel(flow, t), psi)
-        want = flow.alpha(t) * x0 + flow.beta(t) * p0 + flow.gamma(t)
+        al, be, ga = flow.at(t)
+        want = al * x0 + be * p0 + ga
         assert abs(out.mean_x() - want) < 1e-6
         assert abs(out.norm() - 1.0) < 1e-6
 
