@@ -339,14 +339,17 @@ class WaveFunction:
             raise ValueError("width must be positive")
         if width * width == 0:
             raise ValueError(f"width {width:.4g} is too small: its square underflows to 0")
+        amplitude = (math.pi * width * width) ** -0.25
         x = grid.points()
         with np.errstate(all="ignore"):  # finite_on_grid, not a warning, reports overflow
             finite_on_grid(momentum * (x - center), "the packet's phase p (x - c)")
             # far from a narrow packet the exponent overflows to -inf: exp gives the right
             # 0; only inf/inf, a NaN exponent, leaves a sample that is not finite
-            psi = finite_on_grid((math.pi * width * width) ** -0.25 * np.exp(
+            psi = finite_on_grid(amplitude * np.exp(
                 -((x - center) ** 2) / (2 * width * width) + 1j * momentum * (x - center)
             ), "the packet's exponent (x - c)^2/(2 width^2)")
+        if amplitude == 0:  # after the grid's checks, which name a NaN exponent first
+            raise ValueError(f"width {width:.4g} is too large: pi width^2 overflows")
         return cls(grid, psi)
 
     # -- integrals --

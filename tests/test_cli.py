@@ -472,12 +472,24 @@ def test_kernel_failed_fork_falls_back_to_this_process(tmp_path, capsys, monkeyp
         _assert_no_child_left()
 
 
-def test_kernel_to_closed_pipe_is_one_line():
+def _cli_env(unbuffered: str | None) -> dict:
+    """os.environ for ``python -m ccrflow.cli`` with PYTHONUNBUFFERED as given.
+    Set, stdout writes through and a dead pipe fails a write in main; unset,
+    stdout buffers and the pipe may fail first in run's flush."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(ccrflow.__file__).parents[1])
+    return env if unbuffered is None else env | {"PYTHONUNBUFFERED": unbuffered}
+
+
+_UNBUFFERED = pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+
+
+@_UNBUFFERED
+def test_kernel_to_closed_pipe_is_one_line(unbuffered):
     # kernel ... | head -1: the writer stops at the broken pipe and kills its workers
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ccrflow.__file__).parents[1]))
     proc = subprocess.Popen([sys.executable, "-m", "ccrflow.cli", "kernel",
                              *_KERNEL_FLAGS["free"], "--t", "1", "--x-min", "-4", "--x-max", "4",
-                             "--n", "400"], env=env, stdout=subprocess.PIPE,
+                             "--n", "400"], env=_cli_env(unbuffered), stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
     try:
         assert proc.stdout.readline() == b"x_b,x_a,re,im\n"
@@ -488,7 +500,91 @@ def test_kernel_to_closed_pipe_is_one_line():
         proc.kill()
         proc.wait()
         proc.stderr.close()
-    assert err.count(b"\n") <= 1 and b"Traceback" not in err
+    assert err.count(b"\n") == 1 and err.startswith(b"ccrflow: error: ")
+
+
+@_UNBUFFERED
+@pytest.mark.parametrize("argv", [
+    pytest.param(["normord", "(X+P)^3"], id="normord"),
+    # buffered, the report still waits in stdout when --output fails: main's
+    # line is the one line
+    pytest.param(["pathint", "--force=0", "--m", "1", "--t-total", "1", "--x-min", "-6",
+                  "--x-max", "6", "--n", "512", "--convergence", "2,4",
+                  "--output", "missing/out.csv"], id="report-then-bad-output"),
+])
+def test_dead_pipe_at_exit_is_one_line(argv, unbuffered, tmp_path):
+    # output into a pipe whose reader has gone: buffered, the output waited
+    # for the interpreter's teardown, which printed two lines of its own and
+    # exited 120
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        done = subprocess.run([sys.executable, "-m", "ccrflow.cli", *argv], cwd=tmp_path,
+                              env=_cli_env(unbuffered), stdout=write_fd, stderr=subprocess.PIPE,
+                              timeout=60)
+    finally:
+        os.close(write_fd)
+    assert done.returncode == 2
+    err = done.stderr.decode()
+    assert err.count("\n") == 1 and err.startswith("ccrflow: error: [Errno ")
+
+
+def test_closed_stdout_is_one_line():
+    # normord "P*X" >&- ended in an AttributeError traceback, exit 1
+    done = subprocess.run(["sh", "-c", 'exec "$0" -m ccrflow.cli normord "P*X" >&-',
+                           sys.executable], env=_cli_env(None), capture_output=True, timeout=60)
+    assert (done.returncode, done.stderr) == (2, b"ccrflow: error: stdout is closed\n")
+
+
+_AT_EXIT = """
+import atexit, sys
+from ccrflow.cli import run
+
+atexit.register(print, "teardown ran", file=sys.stderr)
+sys.argv[1:] = {argv!r}
+run()
+"""
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    pytest.param(["normord", "P*X"], 0, "X*P - (0,1)*1\n", id="result"),
+    pytest.param(["--help"], 0, "usage: ccrflow", id="help"),
+    pytest.param(["normord", "X ? P"], 2, "", id="usage-error"),
+    pytest.param(["normord", "123456789^4096"], 3, "", id="domain-error"),
+])
+def test_run_exits_with_mains_status_before_teardown(argv, code, out):
+    done = subprocess.run([sys.executable, "-c", _AT_EXIT.format(argv=argv)],
+                          env=_cli_env(None), capture_output=True, text=True, timeout=60)
+    assert done.returncode == code
+    assert done.stdout.startswith(out) and (out or done.stdout == "")
+    assert done.stderr.count("\n") == (code > 0) and "teardown ran" not in done.stderr
+
+
+def test_run_under_a_profiler_keeps_its_report():
+    # os._exit would end the process before cProfile prints its table
+    done = subprocess.run([sys.executable, "-m", "cProfile", "-m", "ccrflow.cli", "normord",
+                           "P*X"], env=_cli_env(None), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    first, table = done.stdout.split("\n", 1)
+    assert first == "X*P - (0,1)*1" and "function calls" in table
+
+
+def test_hooked_sees_trace_profile_and_monitoring_tools(monkeypatch):
+    class Monitoring:  # sys.monitoring (Python >= 3.12) with one tool in use
+        def __init__(self, used):
+            self.used = used
+
+        def get_tool(self, tool):
+            return "coverage" if tool == self.used else None
+
+    monkeypatch.setattr(sys, "monitoring", Monitoring(None), raising=False)
+    hooked = sys.gettrace() is not None or sys.getprofile() is not None
+    assert cli._hooked() is hooked
+    monkeypatch.setattr(sys, "monitoring", Monitoring(5))
+    assert cli._hooked()
+    monkeypatch.delattr(sys, "monitoring")
+    assert cli._hooked() is hooked
 
 
 # ---- subcommands ----
@@ -975,7 +1071,16 @@ _SWEEP_FOUND = ["evolve", "--model", "free", "--m", "0.5", "--omega", "0.1", "--
 _IMAGINARY_FORCE = ["pathint", "--force=(-4,3/1000000000000)*X", "--m", "4", "--t-total", "3",
                     "--x-min", "-2.55", "--x-max", "2.55", "--n", "896", "--x0", "0.3",
                     "--sigma", "0.5", "--convergence", "5,10,20,40"]
+# a spike on three points overflowed the sampled norm, with numpy's warning first
+_NORM_OVERFLOW = ["evolve", "--model", "free", "--m", "1", "--t", "1", "--x-min", "-1e300",
+                  "--x-max", "1e300", "--n", "3", "--sigma", "1e-154"]
+# an amplitude (pi width^2)^(-1/4) of 0: 512 rows of zeros and exit 0
+_EVOLVE_WIDE = ["evolve", "--model", "free", "--m", "1", "--t", "1", "--x-min", "-6",
+                "--x-max", "6", "--n", "512"]
 _NAMED = {  # argv -> what its one line must name
+    tuple(_NORM_OVERFLOW): "sampled norm of inf",
+    (*_EVOLVE_WIDE, "--sigma", "1e200"): "width 1e+200 is too large: pi width^2 overflows",
+    (*_EVOLVE_WIDE, "--sigma", "1e154"): "width 1e+154 is too large: pi width^2 overflows",
     ("kernel", *_UNDERFLOW, "--coefficients"): "m w^2 at m = 4.941e-324, w = 1e-09 underflows",
     ("evolve", *_UNDERFLOW): "m w^2 at m = 4.941e-324, w = 1e-09 underflows",
     ("evolve", "--model", "free", "--t", "1", *_PACKET_PHASE): "the packet's phase p (x - c)",
@@ -1070,6 +1175,9 @@ _NAMED = {  # argv -> what its one line must name
     pytest.param(_PACKET_EXPONENT, 3, id="packet-exponent-is-nan"),
     pytest.param(_SWEEP_FOUND, 3, id="packet-phase-overflows-on-four-points"),
     pytest.param(_IMAGINARY_FORCE, 2, id="imaginary-force"),
+    pytest.param(_NORM_OVERFLOW, 3, id="packet-norm-overflows"),
+    pytest.param([*_EVOLVE_WIDE, "--sigma", "1e200"], 2, id="width-squared-overflows"),
+    pytest.param([*_EVOLVE_WIDE, "--sigma", "1e154"], 2, id="pi-width-squared-overflows"),
     pytest.param([*_PATHINT, "--convergence", "5,10,0"], 2, id="convergence-zero"),
     pytest.param([*_PATHINT, "--convergence", "10,5"], 2, id="convergence-decreasing"),
     pytest.param([*_PATHINT, "--convergence", "5,x"], 2, id="convergence-not-int"),
@@ -1482,6 +1590,24 @@ def test_exports_name_what_the_modules_define():
     for name, lazy in ccrflow._LAZY.items():
         module = importlib.import_module(f"ccrflow.{name}")
         assert sorted(set(lazy) - set(module.__all__)) == [], name
+
+
+def test_bench_files_name_only_benchmark_workloads():
+    # BENCH_*.json: the final JSON line of every perfbench/run.py run in a
+    # before/after series, with the command and the env line of each run
+    root = pathlib.Path(__file__).parents[1]
+    listed = {workload["name"] for workload in
+              json.loads((root / "BENCHMARK.json").read_text())["workloads"]}
+    paths = sorted(root.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        bench = json.loads(path.read_text())
+        assert bench["revision"] and bench["series"], path.name
+        for series in bench["series"]:
+            assert f" --workload {series['workload']} " in series["command"], path.name
+            names = {series["workload"]} | {run["env"]["workload"] for run in series["runs"]}
+            assert names <= listed, path.name
+            assert all("metrics" in run["result"] for run in series["runs"]), path.name
 
 
 def test_readme_quick_example_runs_as_written():
