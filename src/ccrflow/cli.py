@@ -332,36 +332,22 @@ def _force_polynomial(e: OpExpr) -> Polynomial:
 # CSV output
 # ---------------------------------------------------------------------------
 
-_FLOAT_FORMAT = "%.16e"
 _WRITE_BLOCK = 4096  # lines per write
+_FORMAT_BLOCK = 4096  # floats per csvtext.fields call, so that its temporaries stay small
 # Formatted floats each share of the kernel CSV's rows must hold for the
 # rows to be split across CPUs (2n^2 + n floats make two shares first at
-# n = 181).  Measured on a 2-vCPU VM: a worker costs 2-3 ms (fork, pipe,
-# reap), formatting 2^15 floats about 40 ms, and two shares break even
-# with one at about 2^13 floats (n = 64), so each share pays for its fork
-# several times over.
-_SHARE_MIN_FLOATS = 1 << 15
+# n = 887).  A worker pays for its fork, for the pages its share's text
+# fills before it sends it, and this process for copying that text, while
+# csvtext formats a float in about 0.3 us.  Measured on a 2-vCPU VM (one
+# share against two, medians of 21 alternating launches): 355 against 390
+# ms at n = 512, 561 against 644 ms at n = 724, 711 against 565 ms at
+# n = 896 and 812 against 621 ms at n = 1024; n = 768 went either way.
+_SHARE_MIN_FLOATS = 3 << 18
 
 
 def format_float(x: float) -> str:
-    """17 significant digits, scientific notation."""
-    return _FLOAT_FORMAT % x
-
-
-def _format_text(*columns) -> str:
-    """One LF-terminated CSV line per index: a list column holds text, written
-    as it is, and any other column floats, through the format_float spec.
-
-    A single ``%`` over the whole block keeps Python's per-value work to the
-    float formatting itself; the bytes equal joining format_float per row.
-    """
-    width = len(columns)
-    values = [None] * (width * len(columns[0]))
-    for k, column in enumerate(columns):
-        values[k::width] = column if isinstance(column, list) else column.tolist()
-    template = ",".join("%s" if isinstance(column, list) else _FLOAT_FORMAT
-                        for column in columns) + "\n"
-    return template * len(columns[0]) % tuple(values)
+    """17 significant digits, scientific notation: the spec of every CSV float."""
+    return "%.16e" % x
 
 
 def _open_output(path: str | None):
@@ -399,18 +385,24 @@ def _kernel_step(kernel, grid: UniformGrid):
     return step
 
 
-def _kernel_rows_text(step, x_text: list[str], rows: range) -> str:
-    """The CSV lines of kernel rows x_b = x[i], i in rows, as one text."""
+def _kernel_rows_text(step, x_fields, rows: range) -> bytes:
+    """The CSV lines of kernel rows x_b = x[i], i in rows; x_fields holds the
+    grid's csvtext fields."""
+    import numpy as np
+
+    from .csvtext import FIELD, fields, lines
+
     block = step.rows(rows.start, rows.stop)
-    return _format_text([x_text[i] for i in rows for _ in x_text], x_text * len(rows),
-                        block.real.ravel(), block.imag.ravel())
+    return lines(np.repeat(x_fields[rows.start:rows.stop], len(x_fields), axis=0),
+                 np.tile(x_fields, (len(rows), 1)),
+                 fields(block.view(np.float64)).reshape(-1, 2 * FIELD))
 
 
-def _kernel_blocks(step, x_text: list[str], rows: range):
-    """_kernel_rows_text over rows, about _WRITE_BLOCK lines at a time."""
-    per_block = max(1, _WRITE_BLOCK // len(x_text))
+def _kernel_blocks(step, x_fields, rows: range):
+    """_kernel_rows_text over rows, about _FORMAT_BLOCK floats at a time."""
+    per_block = max(1, _FORMAT_BLOCK // (2 * len(x_fields)))
     for start in range(0, len(rows), per_block):
-        yield _kernel_rows_text(step, x_text, rows[start:start + per_block])
+        yield _kernel_rows_text(step, x_fields, rows[start:start + per_block])
 
 
 def kernel_csv_lines(kernel, grid: UniformGrid) -> list[str]:
@@ -505,18 +497,20 @@ def _write_kernel_csv(step, fh) -> None:
     process does the first, then copies their bytes in row order.  The bytes
     do not depend on the split.
     """
-    x_text = _format_text(step.grid.points()).splitlines()
-    n = len(x_text)
+    from .csvtext import fields
+
+    x_fields = fields(step.grid.points())
+    n = len(x_fields)
     shares = max(1, min(_usable_cpus(), (2 * n * n + n) // _SHARE_MIN_FLOATS))
     rows = [range(n * k // shares, n * (k + 1) // shares) for k in range(shares)]
     fh.write(_KERNEL_HEADER + "\n")
     fh.flush()
     with ExitStack() as stack:
         children = [stack.enter_context(_forked(
-                        lambda rows=share: map(str.encode, _kernel_blocks(step, x_text, rows))))
+                        lambda rows=share: _kernel_blocks(step, x_fields, rows)))
                     for share in rows[1:]]
-        for block in _kernel_blocks(step, x_text, rows[0]):
-            fh.write(block)
+        for block in _kernel_blocks(step, x_fields, rows[0]):
+            fh.write(block.decode("ascii"))
         for share, chunks in zip(rows[1:], children):
             lines = status = 0
             try:
@@ -548,8 +542,17 @@ def series_lines(series: Iterable[OpExpr]) -> list[str]:
 
 
 def wavefunction_csv_lines(psi: WaveFunction) -> list[str]:
-    columns = psi.points(), psi.samples.real, psi.samples.imag
-    return ["x,re,im"] + _format_text(*columns).splitlines()
+    import numpy as np
+
+    from .csvtext import FIELD, fields, lines
+
+    table = np.column_stack((psi.points(), psi.samples.real, psi.samples.imag))
+    rows = _FORMAT_BLOCK // 3
+    csv = ["x,re,im"]
+    for start in range(0, len(table), rows):
+        text = lines(fields(table[start:start + rows]).reshape(-1, 3 * FIELD))
+        csv += text.decode("ascii").splitlines()
+    return csv
 
 
 def report_csv_lines(report: ConvergenceReport) -> list[str]:
@@ -884,8 +887,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _say(line: str) -> None:
+    """Print one line on stderr.  Where stderr is closed (None) or cannot be
+    written (fd 2 reused read-only), the exit status is the whole report."""
+    if sys.stderr is not None:  # print(file=None) would write to stdout
+        with suppress(OSError):
+            print(line, file=sys.stderr, flush=True)
+
+
 def _show_warning(message, category, filename, lineno, file=None, line=None):
-    print(f"ccrflow: warning: {message}", file=sys.stderr)
+    _say(f"ccrflow: warning: {message}")
 
 
 def main(argv=None) -> int:
@@ -899,10 +910,10 @@ def main(argv=None) -> int:
                 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # a user's value wins
             return args.func(args)
         except (DomainError, OverflowError, MemoryError) as exc:
-            print(f"ccrflow: domain error: {exc}", file=sys.stderr)
+            _say(f"ccrflow: domain error: {exc}")
             return 3
         except (ExpressionError, ValueError, OSError) as exc:
-            print(f"ccrflow: error: {exc}", file=sys.stderr)
+            _say(f"ccrflow: error: {exc}")
             return 2
 
 
@@ -939,8 +950,7 @@ def run() -> None:
             failed = True  # teardown would flush the stream again and report that too
             if status in (0, 1):
                 status = 2
-                with suppress(OSError):
-                    print(f"ccrflow: error: {exc}", file=sys.stderr, flush=True)
+                _say(f"ccrflow: error: {exc}")
     if _hooked() and not failed:
         sys.exit(status)
     os._exit(status)

@@ -1,0 +1,135 @@
+"""The exact bytes of ``format_float`` (``'%.16e' % v``) for float64 arrays,
+formatted by numpy, and CSV lines made of them.
+
+Only the numeric commands import this module.  A value v with
+|v| = d.ddddddddddddddddd x 10^e prints its 17 digits N = round(|v| 10^(16-e)),
+10^16 <= N < 10^17, rounded half to even from the exact binary value.  The
+scaled value S = |v| 10^(16-e) is computed as P + L: the power 10^(16-e) as a
+double-double hi + lo built from exact integers, P = fl(|v| hi), and
+L = (|v| hi - P) + |v| lo, where |v| hi - P is exact by Dekker's product
+(T. J. Dekker, Numer. Math. 18, 224 (1971)).  Since 10^16 > 2^53, P is an
+integer and N = P + rint(L).  Where the kernel cannot prove N (|v| outside
+[_LOW, _HIGH], NaN, or L within _MARGIN of a rounding boundary) the field
+comes from format_float itself, which stays the spec.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+
+from .cli import format_float
+
+# Where |v| lies in [_LOW, _HIGH], every power 10^(16-e) and every partial
+# product of Dekker's product is a normal double, so the products are exact.
+_LOW, _HIGH = 1e-200, 1e200
+# The computed L is within about 5e-15 of S - P (|S| < 1.1e17, unit roundoff
+# u = 2^-53: hi + lo is within u^2 hi of the power, a lo and the sum
+# err + a lo round by at most u^2 S and u |L| <= 21 u), so below 1e-14 of a
+# unit of N.  A value whose L lies within _MARGIN of a half-integer is left to
+# format_float; any other value rounds the same way as its exact S.  An exact
+# integer S (a short decimal such as a grid point -6.0) is no rounding
+# decision, so it needs no margin.
+_MARGIN = 1e-6
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
+
+FIELD = 25  # bytes per field: up to 24 of text, NUL-padded, then ','
+# '-'|NUL, 'd.', 16 digits, 'e+dd', third exponent digit|NUL, ','
+_LAYOUT = np.dtype({"names": ["sign", "lead", "digits", "exponent", "tail"],
+                    "formats": ["u1", "<u2", ("<u4", 4), "<u4", "<u2"],
+                    "offsets": [0, 1, 3, 19, 23], "itemsize": FIELD})
+_LEADS = (np.arange(ord("0"), ord("9") + 1) | ord(".") << 8).astype("<u2")  # 'd.'
+_QUADS = sum((np.arange(10000) // 10 ** (3 - k) % 10 + ord("0")) << 8 * k
+             for k in range(4)).astype("<u4")  # '0000' ... '9999'
+_EXPONENTS = range(-201, 201)  # every final e of a value in [_LOW, _HIGH]
+_HEADS = np.array([int.from_bytes(f"e{e:+03d}"[:4].encode(), "little") for e in _EXPONENTS],
+                  "<u4")
+_TAILS = np.array([(ord(",") << 8) | (ord(str(abs(e))[-1]) if abs(e) >= 100 else 0)
+                   for e in _EXPONENTS], "<u2")
+
+
+@lru_cache(maxsize=None)
+def _power(p: int) -> tuple[float, float]:
+    """10^p as hi + lo: hi = fl(10^p) and lo = fl(10^p - hi), from exact integers."""
+    num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+    hi = num / den
+    hi_num, hi_den = hi.as_integer_ratio()
+    return hi, (num * hi_den - hi_num * den) / (den * hi_den)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a 10^(16 - e) as P + L, P = fl(a hi) (see the module docstring)."""
+    first = int(e.min())
+    his, los = zip(*(_power(16 - k) for k in range(first, int(e.max()) + 1)))
+    index = e - first
+    hi = np.take(his, index)
+    p = a * hi
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _SPLIT * hi
+    h_hi = c - (c - hi)
+    h_lo = hi - h_hi
+    err = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo
+    return p, err + a * np.take(los, index)
+
+
+def fields(values) -> np.ndarray:
+    """The (len, FIELD) uint8 matrix whose row k is format_float(values[k])
+    followed by ',' at byte FIELD - 1, NUL-padded in between."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    a = np.abs(v)
+    proven = (a >= _LOW) & (a <= _HIGH)
+    a[~proven] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p, rest = _scaled(a, e)
+    # log10 may be one off next to a power of ten: move e by the unrounded S.
+    # Where S lies within the error of 10^16 or 10^17 either e prints the
+    # same bytes, since 10 S or S / 10 then rounds to the carry below.
+    low = (p - 1e16) + rest < 0
+    high = (p - 1e17) + rest >= 0
+    moved = np.flatnonzero(low | high)
+    if moved.size:
+        e[moved] += high[moved].astype(np.int64) - low[moved]
+        p[moved], rest[moved] = _scaled(a[moved], e[moved])
+    step = np.rint(rest)
+    proven &= np.abs(rest - step) < 0.5 - _MARGIN
+    n = p.astype(np.int64) + step.astype(np.int64)
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    e += carry
+
+    out = np.empty(len(v), _LAYOUT)
+    out["sign"] = np.signbit(v) * np.uint8(ord("-"))
+    high9 = n // 10 ** 8
+    low8 = n - high9 * 10 ** 8
+    lead = high9 // 10 ** 8
+    high8 = high9 - lead * 10 ** 8
+    out["lead"] = np.take(_LEADS, lead)
+    quads = np.empty((len(v), 4), np.int64)
+    quads[:, 0] = high8 // 10 ** 4
+    quads[:, 1] = high8 - quads[:, 0] * 10 ** 4
+    quads[:, 2] = low8 // 10 ** 4
+    quads[:, 3] = low8 - quads[:, 2] * 10 ** 4
+    out["digits"] = np.take(_QUADS, quads)
+    e -= _EXPONENTS.start
+    np.clip(e, 0, len(_EXPONENTS) - 1, out=e)  # rows left to format_float may be anywhere
+    out["exponent"] = np.take(_HEADS, e)
+    out["tail"] = np.take(_TAILS, e)
+
+    text = out.view(np.uint8).reshape(len(v), FIELD)
+    left = np.flatnonzero(~proven)
+    if left.size:
+        spec = [format_float(x).encode() for x in v[left].tolist()]
+        text[left, :FIELD - 1] = np.array(spec, dtype=f"S{FIELD - 1}").view(np.uint8).reshape(
+            left.size, FIELD - 1)
+    return text
+
+
+def lines(*columns: np.ndarray) -> bytes:
+    """The CSV lines of uint8 field matrices with one row per line, side by
+    side: the NULs dropped and each row's last ',' made an LF."""
+    table = np.concatenate(columns, axis=1) if len(columns) > 1 else columns[0].copy()
+    table[:, -1] = ord("\n")
+    return table.tobytes().replace(b"\0", b"")

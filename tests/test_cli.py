@@ -326,6 +326,13 @@ def _count_forks(monkeypatch, fail_on: int = 0) -> list:
     return forks
 
 
+@pytest.fixture
+def small_shares(monkeypatch):
+    """Kernel CSV shares of 2^15 floats, so that grids of a few hundred
+    points split and the tests of the split stay fast."""
+    monkeypatch.setattr(cli, "_SHARE_MIN_FLOATS", 1 << 15)
+
+
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
 
@@ -347,7 +354,7 @@ def _kernel_csv(model: str, n: int) -> tuple[list[str], str]:
     (223, (1, 2, 3)),  # above 3 * 2^15; 223 rows split unevenly in two and three
 ])
 def test_kernel_writer_bytes_do_not_depend_on_cpus(model, n, shares, tmp_path, capsys,
-                                                   monkeypatch):
+                                                   monkeypatch, small_shares):
     argv, expected = _kernel_csv(model, n)
     forks = _count_forks(monkeypatch)
     for cpus, count in zip((1, 2, 3), shares):
@@ -363,15 +370,14 @@ def test_kernel_writer_bytes_do_not_depend_on_cpus(model, n, shares, tmp_path, c
         _assert_no_child_left()
 
 
-@pytest.mark.parametrize("n, workers", [(181, 1), (300, 4)])
-def test_kernel_workers_grow_with_the_work(n, workers, tmp_path, monkeypatch):
-    # on a host with many CPUs every share still holds at least 2^15 floats
-    argv, expected = _kernel_csv("harmonic", n)
+@pytest.mark.parametrize("n, workers", [(886, 0), (887, 1)])
+def test_kernel_workers_grow_with_the_work(n, workers, monkeypatch):
+    # on a host with many CPUs every share still holds at least 3 * 2^18
+    # floats; each share's line count is checked as it is copied
     forks = _count_forks(monkeypatch)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
-    path = tmp_path / "k.csv"
-    assert main(argv + ["--output", str(path)]) == 0
-    assert path.read_bytes() == expected.encode()
+    assert main(["kernel", *_KERNEL_FLAGS["harmonic"], "--t", "0.9", "--x-min", "-4",
+                 "--x-max", "3", "--n", str(n), "--output", os.devnull]) == 0
     assert len(forks) == workers
     _assert_no_child_left()
 
@@ -392,7 +398,8 @@ def test_kernel_csv_holds_no_n_by_n_array(tmp_path, monkeypatch):
     assert peak < 2 ** 22
 
 
-def test_kernel_phase_overflow_is_one_line_before_any_fork(tmp_path, capsys, monkeypatch):
+def test_kernel_phase_overflow_is_one_line_before_any_fork(tmp_path, capsys, monkeypatch,
+                                                           small_shares):
     # finite coefficients, but b x^2 overflows: this printed nan with exit 0
     # after numpy's warnings, each worker repeating them
     forks = _count_forks(monkeypatch)
@@ -407,7 +414,8 @@ def test_kernel_phase_overflow_is_one_line_before_any_fork(tmp_path, capsys, mon
         assert err.count("\n") == 1 and err.startswith("ccrflow: domain error: ")
 
 
-def test_kernel_interrupted_wait_still_reaps_the_worker(tmp_path, monkeypatch):
+def test_kernel_interrupted_wait_still_reaps_the_worker(tmp_path, monkeypatch,
+                                                        small_shares):
     # Ctrl-C while the parent waits for a worker that has sent its rows
     real_waitpid = os.waitpid
     waited = []
@@ -429,7 +437,8 @@ def test_kernel_interrupted_wait_still_reaps_the_worker(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("fault, status", [("raises", 1), ("short", 0), ("exits", 7)])
-def test_kernel_worker_failure_is_one_line(fault, status, tmp_path, capsys, monkeypatch):
+def test_kernel_worker_failure_is_one_line(fault, status, tmp_path, capsys, monkeypatch,
+                                           small_shares):
     parent = os.getpid()
     rows_text = cli._kernel_rows_text
     real_exit = os._exit
@@ -456,7 +465,8 @@ def test_kernel_worker_failure_is_one_line(fault, status, tmp_path, capsys, monk
 
 
 @_NEEDS_FORK
-def test_kernel_failed_fork_falls_back_to_this_process(tmp_path, capsys, monkeypatch):
+def test_kernel_failed_fork_falls_back_to_this_process(tmp_path, capsys, monkeypatch,
+                                                       small_shares):
     # the second of two workers cannot fork: this exited 2 with "[Errno 11]"
     argv, expected = _kernel_csv("linear", 223)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
@@ -486,10 +496,11 @@ _UNBUFFERED = pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered"
 
 @_UNBUFFERED
 def test_kernel_to_closed_pipe_is_one_line(unbuffered):
-    # kernel ... | head -1: the writer stops at the broken pipe and kills its workers
+    # kernel ... | head -1: the writer stops at the broken pipe and kills its
+    # workers (--n 887 makes two shares)
     proc = subprocess.Popen([sys.executable, "-m", "ccrflow.cli", "kernel",
                              *_KERNEL_FLAGS["free"], "--t", "1", "--x-min", "-4", "--x-max", "4",
-                             "--n", "400"], env=_cli_env(unbuffered), stdout=subprocess.PIPE,
+                             "--n", "887"], env=_cli_env(unbuffered), stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
     try:
         assert proc.stdout.readline() == b"x_b,x_a,re,im\n"
@@ -534,6 +545,20 @@ def test_closed_stdout_is_one_line():
     done = subprocess.run(["sh", "-c", 'exec "$0" -m ccrflow.cli normord "P*X" >&-',
                            sys.executable], env=_cli_env(None), capture_output=True, timeout=60)
     assert (done.returncode, done.stderr) == (2, b"ccrflow: error: stdout is closed\n")
+
+
+@pytest.mark.parametrize("fd2", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["normord", "X ?"], 2, id="usage-error"),
+    pytest.param(["normord", "123456789^4096"], 3, id="domain-error"),
+])
+def test_unwritable_stderr_keeps_the_exit_status(argv, code, fd2):
+    # fd 2 closed: the error line went to stdout (print(file=None)); fd 2
+    # read-only: main's print raised OSError from its own except clause, exit 1
+    done = subprocess.run(["sh", "-c", f'exec "$0" -m ccrflow.cli "$@" {fd2}',
+                           sys.executable, *argv], env=_cli_env(None),
+                          stdout=subprocess.PIPE, timeout=60)
+    assert (done.returncode, done.stdout) == (code, b"")
 
 
 _AT_EXIT = """
