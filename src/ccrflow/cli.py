@@ -20,10 +20,10 @@ the whole expression has spent (see _Caps).
 CSV convention: header row; complex values as two columns ``re``, ``im``;
 17 significant digits in scientific notation; '.' decimal separator; LF line
 endings.  Exit codes: 0 success, 1 verification failure, 2 usage or I/O
-error (such as a broken output pipe or a failed kernel CSV worker), 3 domain
-error (caustic, grid too coarse, float overflow, a coefficient too long to
-print, out of memory).  ``python -m ccrflow.cli`` and the ``ccrflow`` script
-enter through run, which skips the interpreter's teardown; programs call main.
+error (such as a broken output pipe), 3 domain error (caustic, grid too
+coarse, float overflow, a coefficient too long to print, out of memory).
+``python -m ccrflow.cli`` and the ``ccrflow`` script enter through run, which
+skips the interpreter's teardown; programs call main.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import math
 import os
 import sys
 import warnings
-from contextlib import ExitStack, contextmanager, nullcontext, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -87,11 +87,13 @@ _LIMB_BITS = 256  # a coefficient counts as one more term per this many bits
 _LIMB_NAMES = 8  # and a parameter monomial per this many parameters
 _PRINT_BITS = 14286  # 2^14285 > 10^4300: a longer number has too many digits to print
 # The work of a command, as counted here, may not pass its cap: a usage
-# error, checked before any allocation, fork or loop (times on a 2-vCPU VM).
+# error, checked before any allocation or loop (times on a 2-vCPU VM).
 _WORK_CAPS = {
     "series order": _MAX_DEGREE,  # order 2048 takes 0.35 s
     "pathint steps x FFT length": 1 << 28,  # 4-6e-8 s a point: about 10-17 s
-    "kernel rows": 1 << 24,  # n^2: 1.7 s at n = 1024, 5 s at 2048, 1.6 GB of CSV at 4096
+    # n^2: 0.9 s at n = 1024 and 2.7 s at 2048 to a file; at 4096, 7 s and
+    # 1.6 GB of CSV to /dev/null
+    "kernel rows": 1 << 24,
 }
 
 
@@ -334,15 +336,6 @@ def _force_polynomial(e: OpExpr) -> Polynomial:
 
 _WRITE_BLOCK = 4096  # lines per write
 _FORMAT_BLOCK = 4096  # floats per csvtext.fields call, so that its temporaries stay small
-# Formatted floats each share of the kernel CSV's rows must hold for the
-# rows to be split across CPUs (2n^2 + n floats make two shares first at
-# n = 887).  A worker pays for its fork, for the pages its share's text
-# fills before it sends it, and this process for copying that text, while
-# csvtext formats a float in about 0.3 us.  Measured on a 2-vCPU VM (one
-# share against two, medians of 21 alternating launches): 355 against 390
-# ms at n = 512, 561 against 644 ms at n = 724, 711 against 565 ms at
-# n = 896 and 812 against 621 ms at n = 1024; n = 768 went either way.
-_SHARE_MIN_FLOATS = 3 << 18
 
 
 def format_float(x: float) -> str:
@@ -385,24 +378,28 @@ def _kernel_step(kernel, grid: UniformGrid):
     return step
 
 
-def _kernel_rows_text(step, x_fields, rows: range) -> bytes:
-    """The CSV lines of kernel rows x_b = x[i], i in rows; x_fields holds the
-    grid's csvtext fields."""
+def _write_kernel_csv(step, fh) -> None:
+    """Write the CSV of the kernel step on its grid to the text file fh, the
+    rows built and formatted about _FORMAT_BLOCK floats at a time, so that no
+    n x n array is ever held."""
     import numpy as np
 
     from .csvtext import FIELD, fields, lines
 
-    block = step.rows(rows.start, rows.stop)
-    return lines(np.repeat(x_fields[rows.start:rows.stop], len(x_fields), axis=0),
-                 np.tile(x_fields, (len(rows), 1)),
-                 fields(block.view(np.float64)).reshape(-1, 2 * FIELD))
-
-
-def _kernel_blocks(step, x_fields, rows: range):
-    """_kernel_rows_text over rows, about _FORMAT_BLOCK floats at a time."""
-    per_block = max(1, _FORMAT_BLOCK // (2 * len(x_fields)))
-    for start in range(0, len(rows), per_block):
-        yield _kernel_rows_text(step, x_fields, rows[start:start + per_block])
+    x_fields = fields(step.grid.points())
+    n = len(x_fields)
+    per_block = max(1, _FORMAT_BLOCK // (2 * n))
+    fh.write(_KERNEL_HEADER + "\n")
+    for start in range(0, n, per_block):
+        stop = min(start + per_block, n)
+        block = step.rows(start, stop)
+        # text lives on while the next block is built, so malloc does not hand
+        # its pages back and fault them in again (n = 384: 6k minor faults a
+        # launch, against 17k when it is freed at once)
+        text = lines(np.repeat(x_fields[start:stop], n, axis=0),
+                     np.tile(x_fields, (stop - start, 1)),
+                     fields(block.view(np.float64)).reshape(-1, 2 * FIELD))
+        fh.write(text.decode("ascii"))
 
 
 def kernel_csv_lines(kernel, grid: UniformGrid) -> list[str]:
@@ -485,44 +482,6 @@ def _forked(produce: Callable[[], Iterable[bytes]]) -> Iterator[Iterator[bytes]]
 
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _write_kernel_csv(step, fh) -> None:
-    """Write the CSV of the kernel step on its grid to the text file fh a
-    block at a time.
-
-    The rows are split into one contiguous share per usable CPU, but never
-    into shares of fewer than _SHARE_MIN_FLOATS floats.  Forked workers build
-    and format every share but the first, a block of rows at a time; this
-    process does the first, then copies their bytes in row order.  The bytes
-    do not depend on the split.
-    """
-    from .csvtext import fields
-
-    x_fields = fields(step.grid.points())
-    n = len(x_fields)
-    shares = max(1, min(_usable_cpus(), (2 * n * n + n) // _SHARE_MIN_FLOATS))
-    rows = [range(n * k // shares, n * (k + 1) // shares) for k in range(shares)]
-    fh.write(_KERNEL_HEADER + "\n")
-    fh.flush()
-    with ExitStack() as stack:
-        children = [stack.enter_context(_forked(
-                        lambda rows=share: _kernel_blocks(step, x_fields, rows)))
-                    for share in rows[1:]]
-        for block in _kernel_blocks(step, x_fields, rows[0]):
-            fh.write(block.decode("ascii"))
-        for share, chunks in zip(rows[1:], children):
-            lines = status = 0
-            try:
-                for chunk in chunks:
-                    lines += chunk.count(b"\n")
-                    fh.write(chunk.decode("ascii"))
-            except ChildProcessError as exc:
-                status = exc.args[0]
-            if status or lines != len(share) * n:
-                raise ChildProcessError(
-                    f"a kernel CSV worker exited with status {status} after "
-                    f"{lines} of {len(share) * n} lines")
 
 
 def kernel_coefficient_lines(kernel) -> list[str]:

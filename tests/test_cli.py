@@ -296,7 +296,7 @@ def test_write_lines_bytes_across_blocks(count, tmp_path, capsys):
     assert path.read_bytes() == expected.encode()
 
 
-# ---- the kernel CSV writer: rows split across forked workers ----
+# ---- the kernel CSV writer: one process, a block of rows at a time ----
 
 _NEEDS_FORK = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -326,13 +326,6 @@ def _count_forks(monkeypatch, fail_on: int = 0) -> list:
     return forks
 
 
-@pytest.fixture
-def small_shares(monkeypatch):
-    """Kernel CSV shares of 2^15 floats, so that grids of a few hundred
-    points split and the tests of the split stay fast."""
-    monkeypatch.setattr(cli, "_SHARE_MIN_FLOATS", 1 << 15)
-
-
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
 
@@ -348,44 +341,35 @@ def _kernel_csv(model: str, n: int) -> tuple[list[str], str]:
 
 
 @pytest.mark.parametrize("model", sorted(_KERNEL_FLAGS))
-@pytest.mark.parametrize("n, shares", [  # shares with 1, 2, 3 usable CPUs
-    (180, (1, 1, 1)),  # 2n^2 + n floats: below 2 * 2^15
-    (181, (1, 2, 2)),  # above it, but below 3 * 2^15
-    (223, (1, 2, 3)),  # above 3 * 2^15; 223 rows split unevenly in two and three
-])
-def test_kernel_writer_bytes_do_not_depend_on_cpus(model, n, shares, tmp_path, capsys,
-                                                   monkeypatch, small_shares):
+@pytest.mark.parametrize("n", [180, 223])
+def test_kernel_writer_bytes_do_not_depend_on_cpus(model, n, tmp_path, capsys):
     argv, expected = _kernel_csv(model, n)
-    forks = _count_forks(monkeypatch)
-    for cpus, count in zip((1, 2, 3), shares):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        del forks[:]
-        assert main(argv) == 0
-        assert capsys.readouterr() == (expected, "")
-        path = tmp_path / f"k{cpus}.csv"
-        assert main(argv + ["--output", str(path)]) == 0
-        assert path.read_bytes() == expected.encode()
-        assert capsys.readouterr() == ("", "")
-        assert len(forks) == 2 * (count - 1)
-        _assert_no_child_left()
+    assert main(argv) == 0
+    assert capsys.readouterr() == (expected, "")
+    path = tmp_path / "k.csv"
+    assert main(argv + ["--output", str(path)]) == 0
+    assert path.read_bytes() == expected.encode()
+    assert capsys.readouterr() == ("", "")
 
 
-@pytest.mark.parametrize("n, workers", [(886, 0), (887, 1)])
-def test_kernel_workers_grow_with_the_work(n, workers, monkeypatch):
-    # on a host with many CPUs every share still holds at least 3 * 2^18
-    # floats; each share's line count is checked as it is copied
+def test_kernel_never_forks(tmp_path, capsys, monkeypatch):
+    # one process writes every row, whatever the CPU count: at --n 887 the
+    # rows were split across forked workers, each holding its whole share
+    argv, expected = _kernel_csv("harmonic", 887)
     forks = _count_forks(monkeypatch)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
-    assert main(["kernel", *_KERNEL_FLAGS["harmonic"], "--t", "0.9", "--x-min", "-4",
-                 "--x-max", "3", "--n", str(n), "--output", os.devnull]) == 0
-    assert len(forks) == workers
+    assert main(argv) == 0
+    assert capsys.readouterr() == (expected, "")
+    path = tmp_path / "k.csv"
+    assert main(argv + ["--output", str(path)]) == 0
+    assert path.read_bytes() == expected.encode()
+    assert forks == []
     _assert_no_child_left()
 
 
-def test_kernel_csv_holds_no_n_by_n_array(tmp_path, monkeypatch):
+def test_kernel_csv_holds_no_n_by_n_array(tmp_path):
     # each block of rows is built as it is formatted: the whole n x n array
     # at n = 1024 took 16 MiB before the first line was written
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     path = tmp_path / "k.csv"
     tracemalloc.start()
     try:
@@ -398,12 +382,10 @@ def test_kernel_csv_holds_no_n_by_n_array(tmp_path, monkeypatch):
     assert peak < 2 ** 22
 
 
-def test_kernel_phase_overflow_is_one_line_before_any_fork(tmp_path, capsys, monkeypatch,
-                                                           small_shares):
+def test_kernel_phase_overflow_is_one_line_before_any_fork(tmp_path, capsys, monkeypatch):
     # finite coefficients, but b x^2 overflows: this printed nan with exit 0
-    # after numpy's warnings, each worker repeating them
+    # after numpy's warnings
     forks = _count_forks(monkeypatch)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     argv = ["kernel", "--model", "free", "--m", "1e290", "--t", "1e-10", "--x-min", "-1e10",
             "--x-max", "1e10", "--n", "200"]
     path = tmp_path / "k.csv"
@@ -412,74 +394,6 @@ def test_kernel_phase_overflow_is_one_line_before_any_fork(tmp_path, capsys, mon
         out, err = capsys.readouterr()
         assert out == "" and forks == [] and not path.exists()
         assert err.count("\n") == 1 and err.startswith("ccrflow: domain error: ")
-
-
-def test_kernel_interrupted_wait_still_reaps_the_worker(tmp_path, monkeypatch,
-                                                        small_shares):
-    # Ctrl-C while the parent waits for a worker that has sent its rows
-    real_waitpid = os.waitpid
-    waited = []
-
-    def waitpid(pid, options):
-        waited.append(pid)
-        if len(waited) == 1:
-            raise KeyboardInterrupt
-        return real_waitpid(pid, options)
-
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(os, "waitpid", waitpid)
-    with pytest.raises(KeyboardInterrupt):
-        main(["kernel", *_KERNEL_FLAGS["free"], "--t", "1", "--x-min", "-4", "--x-max", "4",
-              "--n", "200", "--output", str(tmp_path / "k.csv")])
-    monkeypatch.undo()
-    assert waited == [waited[0]] * 2
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize("fault, status", [("raises", 1), ("short", 0), ("exits", 7)])
-def test_kernel_worker_failure_is_one_line(fault, status, tmp_path, capsys, monkeypatch,
-                                           small_shares):
-    parent = os.getpid()
-    rows_text = cli._kernel_rows_text
-    real_exit = os._exit
-
-    def faulty(*args):
-        text = rows_text(*args)
-        if os.getpid() == parent:
-            return text
-        if fault == "raises":
-            raise RuntimeError("worker fault")
-        return text[:-1] if fault == "short" else text  # "short": one line short
-
-    monkeypatch.setattr(cli, "_kernel_rows_text", faulty)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    if fault == "exits":  # every line sent, then a nonzero exit
-        monkeypatch.setattr(os, "_exit", lambda code: real_exit(code or status))
-    code = main(["kernel", *_KERNEL_FLAGS["free"], "--t", "1", "--x-min", "-4", "--x-max", "4",
-                 "--n", "200", "--output", str(tmp_path / "k.csv")])
-    err = capsys.readouterr().err
-    assert code not in (0, 1)
-    assert err.count("\n") == 1 and err.startswith("ccrflow: error: ")
-    assert f"status {status} after" in err
-    _assert_no_child_left()
-
-
-@_NEEDS_FORK
-def test_kernel_failed_fork_falls_back_to_this_process(tmp_path, capsys, monkeypatch,
-                                                       small_shares):
-    # the second of two workers cannot fork: this exited 2 with "[Errno 11]"
-    argv, expected = _kernel_csv("linear", 223)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-    fds = _open_fds()
-    path = tmp_path / "k.csv"
-    forks = _count_forks(monkeypatch, fail_on=2)
-    for output in ([], ["--output", str(path)]):
-        del forks[:]
-        assert main(argv + output) == 0
-        assert capsys.readouterr() == ("" if output else expected, "")
-        assert not output or path.read_bytes() == expected.encode()
-        assert len(forks) == 2 and _open_fds() == fds
-        _assert_no_child_left()
 
 
 def _cli_env(unbuffered: str | None) -> dict:
@@ -496,8 +410,7 @@ _UNBUFFERED = pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered"
 
 @_UNBUFFERED
 def test_kernel_to_closed_pipe_is_one_line(unbuffered):
-    # kernel ... | head -1: the writer stops at the broken pipe and kills its
-    # workers (--n 887 makes two shares)
+    # kernel ... | head -1: the writer stops at the broken pipe
     proc = subprocess.Popen([sys.executable, "-m", "ccrflow.cli", "kernel",
                              *_KERNEL_FLAGS["free"], "--t", "1", "--x-min", "-4", "--x-max", "4",
                              "--n", "887"], env=_cli_env(unbuffered), stdout=subprocess.PIPE,
@@ -1043,6 +956,27 @@ def test_verify_interrupted_kills_and_reaps_its_child(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         main(["verify"])
     assert forks == [1]
+    _assert_no_child_left()
+
+
+@_NEEDS_FORK
+def test_verify_interrupted_wait_still_reaps_its_child(monkeypatch):
+    # Ctrl-C while this process waits for a child that has sent its results
+    real_waitpid = os.waitpid
+    waited = []
+
+    def waitpid(pid, options):
+        waited.append(pid)
+        if len(waited) == 1:
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify"])
+    monkeypatch.undo()
+    assert waited == [waited[0]] * 2
     _assert_no_child_left()
 
 

@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import ccrflow.cli as cli
 import ccrflow.csvtext as csvtext
 from ccrflow.cli import format_float, kernel_csv_lines
 from ccrflow.csvtext import fields, lines
@@ -108,7 +107,6 @@ def test_readme_kernel_values_take_the_fast_path(monkeypatch):
         raise AssertionError(f"{value!r} left the fast path")
 
     monkeypatch.setattr(csvtext, "format_float", fallback)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     csv = kernel_csv_lines(gaussian_kernel(AffineFlowExact.free(1.0), 1.0),
                            UniformGrid.from_bounds(-5.0, 5.0, 1024))
     assert len(csv) == 1 + 1024 * 1024
