@@ -352,10 +352,11 @@ def test_kernel_writer_bytes_do_not_depend_on_cpus(model, n, tmp_path, capsys):
     assert capsys.readouterr() == ("", "")
 
 
-def test_kernel_never_forks(tmp_path, capsys, monkeypatch):
-    # one process writes every row, whatever the CPU count: at --n 887 the
-    # rows were split across forked workers, each holding its whole share
-    argv, expected = _kernel_csv("harmonic", 887)
+@pytest.mark.parametrize("n", [886, 887])
+def test_kernel_never_forks(n, tmp_path, capsys, monkeypatch):
+    # one process writes every row, whatever the CPU count: from --n 887 on
+    # the rows were split across forked workers, each holding its whole share
+    argv, expected = _kernel_csv("harmonic", n)
     forks = _count_forks(monkeypatch)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
     assert main(argv) == 0
