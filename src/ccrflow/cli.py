@@ -46,6 +46,7 @@ from .opalg import (
     Polynomial,
     ScalarCoeff,
     X,
+    commutator,
     too_long_to_print,
 )
 
@@ -176,6 +177,12 @@ class _Caps:
         self.spent = 0
 
     def product(self, a: OpExpr, b: OpExpr, offset: int | None) -> OpExpr:
+        self.charge(a, b, offset)
+        return a * b
+
+    def charge(self, a: OpExpr, b: OpExpr, offset: int | None) -> None:
+        """Spend a * b's term products without building it; raise where the
+        product would pass a cap."""
         deg_a, _, p_a, size_a = _shape(a)
         deg_b, x_b, _, size_b = _shape(b)
         overlap = min(p_a, x_b)
@@ -186,7 +193,7 @@ class _Caps:
         elif self.spent > _MAX_PRODUCTS:
             message = f"more than {_MAX_PRODUCTS} term products"
         else:
-            return a * b
+            return
         raise ValueError(message) if offset is None else ExpressionError(message, offset)
 
 
@@ -664,8 +671,9 @@ def _cmd_comm(args) -> int:
     a = parse_expression(args.expr_a)
     b = parse_expression(args.expr_b)
     caps = _Caps()  # the commutator's two products, bounded like the parser's
-    _write_lines([(caps.product(a, b, None) - caps.product(b, a, None)).canonical_text()],
-                 args.output)
+    caps.charge(a, b, None)
+    caps.charge(b, a, None)
+    _write_lines([commutator(a, b).canonical_text()], args.output)
     return 0
 
 

@@ -10,7 +10,12 @@ CCR gives for two ordered monomials,
     X^a P^b X^c P^d = sum_r C(b, r) c!/(c-r)! (-i)^r X^(a+c-r) P^(b+d-r),
 
 (Blasiak, Penson and Solomon, Phys. Lett. A 309, 198 (2003), read with
-a+ = X and a = iP), so there is no second representation to reduce.
+a+ = X and a = iP), so there is no second representation to reduce.  The
+r = 0 terms of X^a P^b X^c P^d and X^c P^d X^a P^b are the same word with
+weight 1, so a commutator is built in one pass from the r >= 1 terms alone,
+
+    [X^a P^b, X^c P^d] = sum_{r>=1} (C(b, r) c!/(c-r)! - C(d, r) a!/(a-r)!)
+                                    (-i)^r X^(a+c-r) P^(b+d-r).
 """
 
 from __future__ import annotations
@@ -77,8 +82,8 @@ def _complex_rational(re, im=0) -> tuple[int, int, int]:
     for v in (re, im):
         if not isinstance(v, (int, Fraction)):
             raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
-    return _reduced(re.numerator * im.denominator, im.numerator * re.denominator,
-                    re.denominator * im.denominator)
+    (p, d), (q, e) = re.as_integer_ratio(), im.as_integer_ratio()
+    return _reduced(p * e, q * d, d * e)
 
 
 def _minus_i_power(n: int, r: int) -> tuple[int, int, int]:
@@ -330,12 +335,18 @@ class OpExpr:
     # -- constructors --
     @classmethod
     def word(cls, word: str, coeff=1) -> "OpExpr":
-        """coeff times the product of the letters of word, e.g. "PXP"."""
+        """coeff times the product of the letters of word, e.g. "PXP".
+
+        Each run X^a P^b between two "PX" boundaries is already one ordered
+        monomial, so the product multiplies runs: the closed form acts at
+        every boundary where a P meets an X."""
         if any(g not in "XP" for g in word):
             raise ValueError(f"word may contain only X and P, got {word!r}")
-        out = cls.scalar(coeff)
-        for g in word:
-            out = out * cls({(1, 0) if g == "X" else (0, 1): ScalarCoeff.rational(1)})
+        runs = [(run.count("X"), run.count("P"))
+                for run in word.replace("PX", "P X").split(" ")]
+        out = cls({runs[0]: _coerce_scalar(coeff)})
+        for run in runs[1:]:
+            out = out * cls({run: ScalarCoeff.rational(1)})
         return out
 
     @classmethod
@@ -472,8 +483,25 @@ ONE = OpExpr.scalar(1)
 
 
 def commutator(a: OpExpr, b: OpExpr) -> OpExpr:
-    """[a, b] = ab - ba; bilinear and antisymmetric."""
-    return a * b - b * a
+    """[a, b] = ab - ba; bilinear and antisymmetric.  Built in one pass from
+    the r >= 1 terms of the two products (see the module docstring): the
+    r = 0 terms cancel."""
+    out: dict[tuple[int, int], ScalarCoeff] = {}
+    for (a1, b1), c1 in a.terms.items():
+        for (a2, b2), c2 in b.terms.items():
+            coeff = None
+            w1 = w2 = 1  # C(b1, r) a2!/(a2-r)! and C(b2, r) a1!/(a1-r)!
+            for r in range(1, max(min(b1, a2), min(b2, a1)) + 1):
+                w1 = w1 * (b1 - r + 1) * (a2 - r + 1) // r
+                w2 = w2 * (b2 - r + 1) * (a1 - r + 1) // r
+                if w1 == w2:
+                    continue
+                if coeff is None:
+                    coeff = c1 * c2
+                word = (a1 + a2 - r, b1 + b2 - r)
+                term = coeff._scaled(_minus_i_power(w1 - w2, r))
+                out[word] = out[word] + term if word in out else term
+    return OpExpr(out)
 
 
 class InversePower(NamedTuple):
@@ -537,8 +565,13 @@ class Polynomial:
             return NotImplemented
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return Polynomial(out)
+            if k in out:
+                c = out[k] + c
+                if c.is_zero:
+                    del out[k]
+                    continue
+            out[k] = c
+        return Polynomial._nonzero(out)
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-other)
@@ -550,7 +583,10 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             if isinstance(other, (ScalarCoeff, int, Fraction)):
                 c = _coerce_scalar(other)
-                return Polynomial({k: cf * c for k, cf in self.coeffs.items()})
+                if c.is_zero:
+                    return Polynomial()
+                # exact scalars form an integral domain: no product is zero
+                return Polynomial._nonzero({k: cf * c for k, cf in self.coeffs.items()})
             return NotImplemented
         out: dict[int, ScalarCoeff] = {}
         for k1, c1 in self.coeffs.items():
@@ -572,7 +608,8 @@ class Polynomial:
     __hash__ = None
 
     def derivative(self) -> "Polynomial":
-        return Polynomial._nonzero({k - 1: c * k for k, c in self.coeffs.items() if k > 0})
+        return Polynomial._nonzero({k - 1: c._scaled((k, 0, 1))
+                                    for k, c in self.coeffs.items() if k > 0})
 
     def antiderivative(self) -> "Polynomial":
         """The antiderivative with zero constant term."""
@@ -617,7 +654,9 @@ def apply_to_polynomial(e: OpExpr, q: Polynomial) -> Polynomial:
     for (a, b), coeff in e.terms.items():
         for k, c in q.coeffs.items():
             if k >= b:
-                term = (coeff * c)._scaled(_minus_i_power(math.perm(k, b), b))
+                term = coeff * c
+                if b:
+                    term = term._scaled(_minus_i_power(math.perm(k, b), b))
                 deg = k - b + a
                 out[deg] = out[deg] + term if deg in out else term
     return Polynomial(out)

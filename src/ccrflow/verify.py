@@ -13,6 +13,9 @@ where the fork fails, every check runs here, in order.  _forked reaps the
 child once its results are read, and kills and reaps it if this process
 stops first; a child that exits nonzero fails each of its checks with its
 status.  The report is the same bytes either way.
+
+The exact half is the critical path: on a 2-vCPU VM checks 1-4 take 136 ms,
+the numpy import plus checks 5-8 125 ms (medians of 21 fresh processes).
 """
 
 from __future__ import annotations

@@ -929,6 +929,65 @@ def test_verify_child_that_dies_fails_its_checks(capsys, monkeypatch):
     _assert_no_child_left()
 
 
+def _top_ccr_terms(a: OpExpr, b: OpExpr) -> OpExpr:
+    """The highest-r term C(q, r) c!/(c-r)! (-i)^r X^(p+c-r) P^(q+d-r),
+    r = min(q, c) >= 1, of each product X^p P^q X^c P^d of a term of a and
+    a term of b, summed without an operator product."""
+    out = OpExpr.zero()
+    for (p, q), c1 in a.terms.items():
+        for (c, d), c2 in b.terms.items():
+            r = min(q, c)
+            if r:
+                weight = c1 * c2 * ScalarCoeff.rational(0, -1) ** r * (
+                    math.comb(q, r) * math.perm(c, r))
+                out = out + OpExpr({(p + c - r, q + d - r): weight})
+    return out
+
+
+@_NEEDS_FORK
+def test_verify_catches_a_product_that_drops_a_term(capsys, monkeypatch):
+    # a planted fault in OpExpr.__mul__ fails check 2, which builds its
+    # words through the product, in the forked child
+    real_mul = OpExpr.__mul__
+
+    def dropping_mul(self, other):
+        out = real_mul(self, other)
+        return out - _top_ccr_terms(self, other) if isinstance(other, OpExpr) else out
+
+    monkeypatch.setattr(OpExpr, "__mul__", dropping_mul)
+    forks = _verify_forks(monkeypatch, 2)
+    assert main(["verify"]) == 1
+    assert forks == [1]
+    out = capsys.readouterr().out
+    assert ("check 2 oracle-equivalence: FAIL (letter-by-letter and ordered actions "
+            "differ)\n") in out
+    assert "result: FAIL (" in out
+    _assert_no_child_left()
+
+
+@_NEEDS_FORK
+def test_verify_catches_a_commutator_that_drops_a_term(capsys, monkeypatch):
+    # the same fault planted in the one-pass commutator fails check 1
+    import ccrflow.heisenberg as heisenberg_mod
+    import ccrflow.opalg as opalg_mod
+    import ccrflow.verify as verify_mod
+
+    real_commutator = opalg_mod.commutator
+
+    def dropping_commutator(a, b):
+        return real_commutator(a, b) - _top_ccr_terms(a, b) + _top_ccr_terms(b, a)
+
+    for mod in (opalg_mod, heisenberg_mod, verify_mod):
+        monkeypatch.setattr(mod, "commutator", dropping_commutator)
+    forks = _verify_forks(monkeypatch, 2)
+    assert main(["verify"]) == 1
+    assert forks == [1]
+    out = capsys.readouterr().out
+    assert "check 1 derivative-rules: FAIL (failed on a polynomial in X)\n" in out
+    assert "result: FAIL (" in out
+    _assert_no_child_left()
+
+
 @_NEEDS_FORK
 def test_verify_failed_fork_runs_every_check_here(capsys, monkeypatch):
     # this exited 2 with "[Errno 11] Resource temporarily unavailable"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -83,16 +84,39 @@ def test_multiply_normal_orders_px():
     assert P * X * P != X * P * P
 
 
+def letter_fold(word, coeff=1):
+    """coeff times the letters of word, multiplied in one at a time."""
+    out = OpExpr.scalar(coeff)
+    for g in word:
+        out = out * (X if g == "X" else P)
+    return out
+
+
 def test_multiply_closed_form_against_letter_fold():
     # X^a P^b X^c P^d built by the closed form equals the letters folded one by one
     for a, b, c, d in ((0, 3, 2, 0), (1, 2, 3, 1), (2, 4, 4, 2), (0, 5, 1, 3)):
         left = OpExpr({(a, b): ScalarCoeff.rational(1)})
         right = OpExpr({(c, d): ScalarCoeff.rational(1)})
-        assert left * right == OpExpr.word("X" * a + "P" * b + "X" * c + "P" * d)
+        assert left * right == letter_fold("X" * a + "P" * b + "X" * c + "P" * d)
 
 
 def _term_order(e):
     return [(word, list(coeff.terms.items())) for word, coeff in e.terms.items()]
+
+
+def test_word_multiplies_runs_like_the_letter_fold():
+    # OpExpr.word multiplies whole X^a P^b runs; every word of length <= 10
+    # gives the letter fold's terms in the fold's order of words and monomials
+    coeff = ScalarCoeff.rational(Fraction(2, 3), -1) + ScalarCoeff.param("m", -1) * 5
+    count = 0
+    for length in range(11):
+        for letters in itertools.product("XP", repeat=length):
+            word = "".join(letters)
+            assert _term_order(OpExpr.word(word, coeff)) == _term_order(
+                letter_fold(word, coeff)), word
+            count += 1
+    assert count == 2047
+    assert OpExpr.word("PXP", 0).is_zero
 
 
 def test_signed_sum_keeps_the_left_fold_order():
@@ -176,6 +200,28 @@ def test_commutator_x_cubed():
 
 def test_commutator_p_squared_x():
     assert commutator(P ** 2, X) == P * (I * -2)
+
+
+def test_commutator_is_the_difference_of_products():
+    # the one-pass commutator against ab - ba, over parameter monomials and
+    # over zero and scalar-only operands
+    rng = random.Random(16)
+    names = ["m", "omega", "F0"]
+
+    def operand():
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            coeff = rnd_scalar(rng)
+            for _ in range(rng.randint(0, 2)):
+                coeff = coeff * ScalarCoeff.param(rng.choice(names), rng.choice([-2, -1, 1, 3]))
+            terms[rng.randint(0, 5), rng.randint(0, 5)] = coeff
+        return rng.choice([OpExpr(terms), OpExpr(terms), OpExpr.scalar(rnd_scalar(rng))])
+
+    for _ in range(400):
+        a, b = operand(), operand()
+        assert commutator(a, b) == a * b - b * a
+        assert commutator(a, OpExpr.zero()).is_zero and commutator(OpExpr.zero(), b).is_zero
+        assert commutator(a, a).is_zero
 
 
 def test_commutator_antisymmetric_bilinear():
