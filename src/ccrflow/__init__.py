@@ -2,31 +2,34 @@
 
 The exact layer (opalg, heisenberg) works over complex rationals with named
 parameters; the numeric layer (propagator, pathint) evolves wavepackets on
-uniform grids; the cli module exposes everything as subcommands.  Only opalg
-loads with the package.  The names of heisenberg and of the numeric modules
-load on first use (PEP 562), so importing the package, or running normord or
-comm, imports neither heisenberg nor numpy.
+uniform grids; the cli module exposes everything as subcommands.  The
+package itself loads no module: each name below loads its module on first
+use (PEP 562), so a command imports only the layers it runs.  Its two error
+bases live here, so that catching them loads no layer.
 """
 
 from importlib import import_module
 
-from .opalg import (
-    ONE,
-    DomainError,
-    InversePower,
-    OpExpr,
-    P,
-    Polynomial,
-    ScalarCoeff,
-    X,
-    apply_to_polynomial,
-    commutator,
-    inverse_power_rule,
-)
-
 __version__ = "0.1.0"
 
+
+class DomainError(ValueError):
+    """Well-formed input outside the domain a result exists on (a caustic, a
+    grid too coarse, a flow that is not affine).  The layers' domain errors
+    subclass it, so catching it needs no import of a layer."""
+
+
+class ExpressionError(ValueError):
+    """Syntax or semantic error in an operator expression, with byte offset."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (byte {offset})")
+        self.offset = offset
+
+
 _LAZY = {  # module loaded on first use -> the names the package exports from it
+    "opalg": ("ONE", "InversePower", "OpExpr", "P", "Polynomial", "ScalarCoeff", "X",
+              "apply_to_polynomial", "commutator", "inverse_power_rule"),
     "heisenberg": ("AffineFlow", "NonAffineFlow", "commutator_series", "extract_affine",
                    "force_for_model", "generator", "newtonian_velocity", "taylor_flow",
                    "time_derivative"),

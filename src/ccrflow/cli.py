@@ -1,96 +1,52 @@
-"""Command-line front end: expression parsing, model runs, bit-stable output.
+"""Command-line front end: subcommands, model runs, bit-stable output.
 
-Grammar for operator expressions (whitespace-insensitive)::
-
-    expr    := ['+'|'-'] term (('+'|'-') term)*
-    term    := factor ('*' factor)*
-    factor  := primary ['^' ['+'|'-'] integer]
-    primary := rational | '(' rational ',' rational ')'   # (real, imag)
-             | 'X' | 'P' | name | '(' expr ')'
-    rational := integer ['/' integer]
-
-Products are left-associative and preserve noncommutative order.  Negative
-exponents are accepted only on scalar parameter factors (so ``m^-1`` is the
-inverse mass); ``X^-1`` and ``P^-1`` are rejected.  Any identifier other than
-X and P names a real parameter.  Parentheses nest at most 100 deep.  Every
-product is normal-ordered as it is built, so before each '*' and each step of
-a '^' the parser bounds the ordered result: its degree, and the term products
-the whole expression has spent (see _Caps).
-
-CSV convention: header row; complex values as two columns ``re``, ``im``;
-17 significant digits in scientific notation; '.' decimal separator; LF line
-endings.  Exit codes: 0 success, 1 verification failure, 2 usage or I/O
-error (such as a broken output pipe), 3 domain error (caustic, grid too
-coarse, float overflow, a coefficient too long to print, out of memory).
-``python -m ccrflow.cli`` and the ``ccrflow`` script enter through run, which
-skips the interpreter's teardown; programs call main.
+Operator expressions follow the grammar of ccrflow.expr, read by
+parse_expression.  CSV convention: header row; complex values as two columns
+``re``, ``im``; 17 significant digits in scientific notation; '.' decimal
+separator; LF line endings.  Exit codes: 0 success, 1 verification failure,
+2 usage or I/O error (such as a broken output pipe), 3 domain error (caustic,
+grid too coarse, float overflow, a coefficient too long to print, out of
+memory).  ``python -m ccrflow.cli`` and the ``ccrflow`` script enter through
+run, which skips the interpreter's teardown; programs call main.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import sys
 import warnings
 from contextlib import contextmanager, nullcontext, suppress
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .opalg import (
-    ONE,
-    DomainError,
-    OpExpr,
-    P,
-    Polynomial,
-    ScalarCoeff,
-    X,
-    commutator,
-    too_long_to_print,
-)
+from . import DomainError, ExpressionError
 
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterable, Iterator
 
+    from .opalg import OpExpr, Polynomial
     from .pathint import ConvergenceReport
     from .propagator import AffineFlowExact, UniformGrid, WaveFunction
 
-# Each command imports the modules it needs when it runs: series imports
-# heisenberg, and the numeric commands numpy and the numeric modules, so
-# normord, comm and --help start with opalg alone.  The numeric commands
-# make no BLAS call (FFTs, ufuncs and sums only), so main starts numpy with
-# one OpenBLAS thread for them: the pool's idle threads would only spin.  A
-# later BLAS or LAPACK user in the library (such as an eigh reference) would
-# run on one thread from the CLI too, and must be timed that way.
+# Each command imports the layers it runs when it runs, so --help loads
+# none: normord and comm import the parser (expr) and opalg, series opalg
+# and heisenberg, and kernel and evolve propagator, which loads numpy only
+# where it builds an array (kernel --coefficients never does).  The
+# numeric commands make no BLAS call (FFTs, ufuncs and sums only), so main
+# starts numpy with one OpenBLAS thread for them: the pool's idle threads
+# would only spin.  A later BLAS or LAPACK user in the library (such as an
+# eigh reference) would run on one thread from the CLI too, and must be
+# timed that way.
 _NUMERIC_COMMANDS = ("kernel", "evolve", "pathint", "verify")
 
 __all__ = ["main", "run", "parse_expression", "ExpressionError", "format_float"]
 
 
-class ExpressionError(ValueError):
-    """Syntax or semantic error in an operator expression, with byte offset."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte {offset})")
-        self.offset = offset
-
-
-# ---------------------------------------------------------------------------
-# tokenizer / recursive-descent parser
-# ---------------------------------------------------------------------------
-
-_SYMBOLS = set("+-*/^(),")
-_MAX_DEPTH = 100  # nested parentheses; each level costs four Python frames
-_MAX_DEGREE = 2048  # of any product: a + b of its X^a P^b
-_MAX_PRODUCTS = 65_536  # term products per expression
-_LIMB_BITS = 256  # a coefficient counts as one more term per this many bits
-_LIMB_NAMES = 8  # and a parameter monomial per this many parameters
-_PRINT_BITS = 14286  # 2^14285 > 10^4300: a longer number has too many digits to print
 # The work of a command, as counted here, may not pass its cap: a usage
 # error, checked before any allocation or loop (times on a 2-vCPU VM).
 _WORK_CAPS = {
-    "series order": _MAX_DEGREE,  # order 2048 takes 0.35 s
+    "series order": 2048,  # the parser's degree cap; order 2048 takes 0.35 s
     "pathint steps x FFT length": 1 << 28,  # 4-6e-8 s a point: about 10-17 s
     # n^2: 0.9 s at n = 1024 and 2.7 s at 2048 to a file; at 4096, 7 s and
     # 1.6 GB of CSV to /dev/null
@@ -103,232 +59,18 @@ def _check_cap(name: str, work: int) -> None:
         raise ValueError(f"{name} {work} exceeds its cap of {_WORK_CAPS[name]}")
 
 
-class _Token:
-    __slots__ = ("kind", "value", "offset")
-
-    def __init__(self, kind: str, value, offset: int):
-        self.kind = kind  # "int" | "name" | one of _SYMBOLS | "end"
-        self.value = value
-        self.offset = offset
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i = offset = 0  # offset: the UTF-8 length of text[:i]
-    while i < len(text):
-        ch = text[i]
-        start = i
-        if ch.isspace():
-            i += 1
-        elif ch.isdecimal():  # what int() reads; a digit such as '²' is not
-            while i < len(text) and text[i].isdecimal():
-                i += 1
-            try:
-                value = int(text[start:i])
-            except ValueError:  # longer than sys.get_int_max_str_digits()
-                raise ExpressionError(f"integer of more than {sys.get_int_max_str_digits()} "
-                                      "digits", offset) from None
-            tokens.append(_Token("int", value, offset))
-        elif ch.isalpha() or ch == "_":
-            while i < len(text) and (text[i].isalpha() or text[i].isdecimal()
-                                     or text[i] == "_"):  # not '²' or '½'
-                i += 1
-            tokens.append(_Token("name", text[start:i], offset))
-        elif ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, offset))
-            i += 1
-        else:
-            raise ExpressionError(f"unexpected character {ch!r}", offset)
-        offset += len(text[start:i].encode("utf-8"))
-    tokens.append(_Token("end", None, offset))
-    return tokens
-
-
-def _shape(e: OpExpr) -> tuple[int, int, int, int]:
-    """(degree, highest X power, highest P power, size) of e.  The size counts
-    the scalar monomials of all coefficients, each once more for every
-    _LIMB_BITS bits of its longest numerator or denominator and for every
-    _LIMB_NAMES parameters it holds; it is at least 1, so that even a
-    product with zero spends budget."""
-    degree = x_max = p_max = size = 0
-    for (a, b), coeff in e.terms.items():
-        degree, x_max, p_max = max(degree, a + b), max(x_max, a), max(p_max, b)
-        for names, bits in coeff.monomial_sizes():
-            if bits >= _PRINT_BITS:
-                raise too_long_to_print()
-            size += 1 + bits // _LIMB_BITS + names // _LIMB_NAMES
-    return degree, x_max, p_max, max(size, 1)
-
-
-class _Caps:
-    """Bounds the ordered result of each product before it is built.
-
-    Its degree may not exceed _MAX_DEGREE, and all products together may not
-    spend more than _MAX_PRODUCTS term products.  a * b spends
-    size(a) * size(b) * (1 + overlap) * (1 + weight_bits // _LIMB_BITS):
-    overlap = min(highest P power of a, highest X power of b) bounds the
-    extra terms the CCR adds per pair, and weight_bits, overlap times the
-    bit length of the larger of the two powers, scales with the longest CCR
-    weight C(b, r) c!/(c-r)!.  A factor with a coefficient too long to print
-    ends the parse as a domain error, the one its printing would raise.
-    """
-
-    def __init__(self):
-        self.spent = 0
-
-    def product(self, a: OpExpr, b: OpExpr, offset: int | None) -> OpExpr:
-        self.charge(a, b, offset)
-        return a * b
-
-    def charge(self, a: OpExpr, b: OpExpr, offset: int | None) -> None:
-        """Spend a * b's term products without building it; raise where the
-        product would pass a cap."""
-        deg_a, _, p_a, size_a = _shape(a)
-        deg_b, x_b, _, size_b = _shape(b)
-        overlap = min(p_a, x_b)
-        weight_bits = overlap * max(p_a, x_b).bit_length()
-        self.spent += size_a * size_b * (1 + overlap) * (1 + weight_bits // _LIMB_BITS)
-        if deg_a + deg_b > _MAX_DEGREE:
-            message = f"product of degree {deg_a + deg_b} exceeds {_MAX_DEGREE}"
-        elif self.spent > _MAX_PRODUCTS:
-            message = f"more than {_MAX_PRODUCTS} term products"
-        else:
-            return
-        raise ValueError(message) if offset is None else ExpressionError(message, offset)
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
-        self.caps = _Caps()
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExpressionError(f"expected {kind!r}", tok.offset)
-        return self.advance()
-
-    def parse(self) -> OpExpr:
-        e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionError("trailing input", tok.offset)
-        return e
-
-    def expr(self) -> OpExpr:
-        parts = []
-        while not parts or self.peek().kind in ("+", "-"):
-            sign = 1
-            if self.peek().kind in ("+", "-"):
-                sign = -1 if self.advance().kind == "-" else 1
-            parts.append((sign, self.term()))
-        return OpExpr.signed_sum(parts)
-
-    def term(self) -> OpExpr:
-        total = self.factor()
-        while self.peek().kind == "*":
-            star = self.advance()
-            total = self.caps.product(total, self.factor(), star.offset)
-        if self.peek().kind == "/":  # rational() reads the '/' of a literal such as 3/2
-            raise ExpressionError("'/' divides integer literals only", self.peek().offset)
-        return total
-
-    def factor(self) -> OpExpr:
-        base = self.primary()
-        if self.peek().kind != "^":
-            return base
-        caret = self.advance()
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            sign = -1 if self.advance().kind == "-" else 1
-        exponent = sign * self.expect("int").value
-        if exponent < 0:
-            scalar = _as_scalar_monomial(base)
-            if scalar is None:
-                raise ExpressionError("negative powers unsupported in words", caret.offset)
-            base = OpExpr.scalar(scalar.inverse())
-        power = ONE
-        for _ in range(abs(exponent)):
-            power = self.caps.product(power, base, caret.offset)
-        return power
-
-    def primary(self) -> OpExpr:
-        tok = self.peek()
-        if tok.kind == "int":
-            return OpExpr.scalar(self.rational())
-        if tok.kind == "name":
-            self.advance()
-            if tok.value == "X":
-                return X
-            if tok.value == "P":
-                return P
-            return OpExpr.scalar(ScalarCoeff.param(tok.value))
-        if tok.kind == "(":
-            if self.depth == _MAX_DEPTH:
-                raise ExpressionError(
-                    f"parentheses nested deeper than {_MAX_DEPTH}", tok.offset)
-            self.advance()
-            saved = self.pos
-            try:
-                re = self.signed_rational()
-                if self.peek().kind == ",":
-                    self.advance()
-                    im = self.signed_rational()
-                    self.expect(")")
-                    return OpExpr.scalar(ScalarCoeff.rational(re, im))
-            except ExpressionError:
-                pass
-            self.pos = saved
-            self.depth += 1
-            inner = self.expr()
-            self.depth -= 1
-            self.expect(")")
-            return inner
-        raise ExpressionError("expected a coefficient, X, P, or '('", tok.offset)
-
-    def rational(self) -> Fraction:
-        num = self.expect("int").value
-        if self.peek().kind == "/":
-            self.advance()
-            den = self.expect("int").value
-            if den == 0:
-                raise ExpressionError("zero denominator", self.tokens[self.pos - 1].offset)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def signed_rational(self) -> Fraction:
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            sign = -1 if self.advance().kind == "-" else 1
-        return sign * self.rational()
-
-
-def _as_scalar_monomial(e: OpExpr) -> ScalarCoeff | None:
-    if set(e.terms) <= {(0, 0)}:
-        coeff = e.terms.get((0, 0), ScalarCoeff.zero())
-        if coeff.is_single_monomial():
-            return coeff
-    return None
-
-
 def parse_expression(text: str) -> OpExpr:
-    """Parse an operator expression; raises ExpressionError with byte offset."""
-    return _Parser(text).parse()
+    """Parse an operator expression (see ccrflow.expr); raises ExpressionError
+    with byte offset."""
+    from .expr import parse
+
+    return parse(text)
 
 
 def _force_polynomial(e: OpExpr) -> Polynomial:
     """Interpret a parsed expression as a polynomial in X alone."""
+    from .opalg import Polynomial
+
     coeffs = {}
     for (a, b), coeff in e.terms.items():
         if b:
@@ -385,10 +127,10 @@ def _kernel_step(kernel, grid: UniformGrid):
     return step
 
 
-def _write_kernel_csv(step, fh) -> None:
-    """Write the CSV of the kernel step on its grid to the text file fh, the
-    rows built and formatted about _FORMAT_BLOCK floats at a time, so that no
-    n x n array is ever held."""
+def _write_kernel_csv(step, write: Callable[[str], object]) -> None:
+    """Pass the CSV of the kernel step on its grid to write, a block of text
+    at a time, the rows built and formatted about _FORMAT_BLOCK floats at a
+    time, so that no n x n array is ever held."""
     import numpy as np
 
     from .csvtext import FIELD, fields, lines
@@ -396,7 +138,7 @@ def _write_kernel_csv(step, fh) -> None:
     x_fields = fields(step.grid.points())
     n = len(x_fields)
     per_block = max(1, _FORMAT_BLOCK // (2 * n))
-    fh.write(_KERNEL_HEADER + "\n")
+    write(_KERNEL_HEADER + "\n")
     for start in range(0, n, per_block):
         stop = min(start + per_block, n)
         block = step.rows(start, stop)
@@ -406,14 +148,15 @@ def _write_kernel_csv(step, fh) -> None:
         text = lines(np.repeat(x_fields[start:stop], n, axis=0),
                      np.tile(x_fields, (stop - start, 1)),
                      fields(block.view(np.float64)).reshape(-1, 2 * FIELD))
-        fh.write(text.decode("ascii"))
+        write(text.decode("ascii"))
 
 
 def kernel_csv_lines(kernel, grid: UniformGrid) -> list[str]:
-    """The lines _write_kernel_csv writes for kernel on grid."""
-    text = io.StringIO()
-    _write_kernel_csv(_kernel_step(kernel, grid), text)
-    return text.getvalue().splitlines()
+    """The lines _write_kernel_csv writes for kernel on grid, split a block
+    at a time, so that the whole text is never held beside them."""
+    csv: list[str] = []
+    _write_kernel_csv(_kernel_step(kernel, grid), lambda text: csv.extend(text.splitlines()))
+    return csv
 
 
 def _usable_cpus() -> int:
@@ -668,9 +411,12 @@ def _cmd_normord(args) -> int:
 
 
 def _cmd_comm(args) -> int:
+    from .expr import Caps
+    from .opalg import commutator
+
     a = parse_expression(args.expr_a)
     b = parse_expression(args.expr_b)
-    caps = _Caps()  # the commutator's two products, bounded like the parser's
+    caps = Caps()  # the commutator's two products, bounded like the parser's
     caps.charge(a, b, None)
     caps.charge(b, a, None)
     _write_lines([commutator(a, b).canonical_text()], args.output)
@@ -680,6 +426,7 @@ def _cmd_comm(args) -> int:
 def _cmd_series(args) -> int:
     from .heisenberg import (DEFAULT_ORDER, force_for_model, generator,
                              newtonian_velocity, taylor_flow)
+    from .opalg import P, X
 
     _require(args, ["model"])
     _default(args, order=DEFAULT_ORDER)
@@ -705,7 +452,7 @@ def _cmd_kernel(args) -> int:
         _check_cap("kernel rows", grid.n * grid.n)
         step = _kernel_step(kernel, grid)  # raises before the output is opened
         with _open_output(args.output) as fh:
-            _write_kernel_csv(step, fh)
+            _write_kernel_csv(step, fh.write)
     return 0
 
 

@@ -25,6 +25,8 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
+from . import DomainError
+
 __all__ = [
     "ScalarCoeff",
     "OpExpr",
@@ -39,12 +41,6 @@ __all__ = [
     "word_sort_key",
     "DomainError",
 ]
-
-
-class DomainError(ValueError):
-    """Well-formed input outside the domain a result exists on (a caustic, a
-    grid too coarse, a flow that is not affine).  The numeric modules'
-    errors subclass it, so catching it needs no numeric import."""
 
 
 def word_sort_key(word: tuple[int, int]) -> tuple[int, int]:

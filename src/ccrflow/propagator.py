@@ -13,7 +13,9 @@ first-order relations
 
 and reduces to delta(x_b - x_a) as t -> 0+.  Wavepackets evolve by trapezoid
 quadrature on a uniform grid; a per-cell phase bound keeps the oscillatory
-integrand resolved.
+integrand resolved.  The closed form (flows, kernel coefficients, the
+textbook kernels, the grid's bounds and the checks) is scalar math and
+cmath; the array code imports numpy where it runs.
 """
 
 from __future__ import annotations
@@ -21,11 +23,14 @@ from __future__ import annotations
 import math
 import cmath
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-import numpy as np
+from . import DomainError
 
-from .opalg import DomainError, Polynomial
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .opalg import Polynomial
 
 __all__ = [
     "CausticSingularity",
@@ -93,6 +98,8 @@ class UniformGrid(NamedTuple):
         return max(abs(self.x_min), abs(self.x_max))
 
     def points(self) -> np.ndarray:
+        import numpy as np
+
         return self.x_min + self.dx * np.arange(self.n)
 
     @property
@@ -196,6 +203,8 @@ class ChirpStep(NamedTuple):
         grid.fft_size, where the lags -(n-1)..n-1 stay distinct, so U v is one
         zero-padded FFT convolution (Bluestein's chirp-z identity): O(n log n),
         deterministic."""
+        import numpy as np
+
         n, size = self.grid.n, self.grid.fft_size
         diag = np.exp(1j * self.phase)
         left = self.amp * diag
@@ -208,6 +217,8 @@ class ChirpStep(NamedTuple):
         """Rows start..stop of the dense matrix U; bitwise symmetric, and the
         same bits whatever rows are asked for: amp * <a large temporary> would
         run in place as temporary * amp, which numpy may round differently."""
+        import numpy as np
+
         n = self.grid.n
         stop = n if stop is None else stop
         lag = self.grid.dx * (np.arange(start, stop)[:, None] - np.arange(n))
@@ -224,6 +235,8 @@ class GaussianKernel(NamedTuple):
     A: complex
 
     def __call__(self, x_b, x_a):
+        import numpy as np
+
         phase = (self.a * x_b * x_b + self.b * x_b * x_a + self.a * x_a * x_a
                  + self.d * x_b + self.d * x_a)
         return self.A * np.exp(1j * phase)
@@ -312,6 +325,8 @@ class WaveFunction:
     __slots__ = ("grid", "samples")
 
     def __init__(self, grid: UniformGrid, samples):
+        import numpy as np
+
         samples = np.asarray(samples, dtype=complex)
         if samples.shape != (grid.n,) or grid.n < 2 or not grid.dx > 0:
             raise ValueError("a wavefunction needs one sample per point of a grid "
@@ -327,6 +342,8 @@ class WaveFunction:
         return self.grid.points()
 
     def weights(self) -> np.ndarray:
+        import numpy as np
+
         w = np.full(self.n, self.grid.dx)
         w[0] = w[-1] = self.grid.dx / 2
         return w
@@ -335,6 +352,8 @@ class WaveFunction:
     def gaussian_packet(cls, grid: UniformGrid, center: float = 0.0,
                         width: float = 1.0, momentum: float = 0.0) -> "WaveFunction":
         """Unit-norm packet exp{-(x-c)^2/(2 width^2) + i p (x-c)} / (pi width^2)^(1/4)."""
+        import numpy as np
+
         if not width > 0:
             raise ValueError("width must be positive")
         if width * width == 0:
@@ -354,14 +373,20 @@ class WaveFunction:
 
     # -- integrals --
     def norm(self) -> float:
+        import numpy as np
+
         return math.sqrt(float(np.sum(np.abs(self.samples) ** 2 * self.weights()).real))
 
     def mean_x(self) -> float:
+        import numpy as np
+
         w = self.weights()
         prob = np.abs(self.samples) ** 2 * w
         return float(np.sum(self.points() * prob) / np.sum(prob))
 
     def var_x(self) -> float:
+        import numpy as np
+
         w = self.weights()
         prob = np.abs(self.samples) ** 2 * w
         mass = np.sum(prob)
@@ -370,6 +395,8 @@ class WaveFunction:
 
     def mean_p(self) -> float:
         """<p> by spectral differentiation; accurate for edge-decayed states."""
+        import numpy as np
+
         k = 2 * math.pi * np.fft.fftfreq(self.n, self.grid.dx)
         dpsi = np.fft.ifft(1j * k * np.fft.fft(self.samples))
         w = self.weights()
@@ -378,6 +405,8 @@ class WaveFunction:
         return float(num.real / den)
 
     def edge_mass_fraction(self, samples: int = EDGE_SAMPLES) -> float:
+        import numpy as np
+
         prob = np.abs(self.samples) ** 2
         total = float(np.sum(prob))
         if total == 0.0:
@@ -392,6 +421,8 @@ class WaveFunction:
     def l2_distance(self, other: "WaveFunction") -> float:
         if other.grid != self.grid:
             raise ValueError("wavefunctions live on different grids")
+        import numpy as np
+
         diff = np.abs(self.samples - other.samples) ** 2 * self.weights()
         return math.sqrt(float(np.sum(diff).real))
 
@@ -420,6 +451,8 @@ def check_real_force(force: Polynomial) -> None:
 def finite_on_grid(values: np.ndarray, what: str) -> np.ndarray:
     """values, if all are finite; else OverflowError, where numpy would only
     have warned that what left the float range."""
+    import numpy as np
+
     if not np.isfinite(values).all():
         raise OverflowError(f"{what} on this grid is beyond the float range")
     return values

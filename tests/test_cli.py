@@ -544,7 +544,9 @@ def test_normord_long_word(capsys):
 def test_symbolic_outputs_match_golden_bytes(capsys):
     # stdout captured before the algebra was keyed by exponent pairs: the
     # README normord/comm/series examples, verify, and a set of benchmark
-    # symbolic jobs ((aX+bP)^k, comm of powers, c*P^k*X^k, long series)
+    # symbolic jobs ((aX+bP)^k, comm of powers, c*P^k*X^k, long series); and
+    # the README linear kernel --coefficients, whose bytes come from Python
+    # float arithmetic and cmath.sqrt alone (no numpy loop, no libm cos/sin)
     golden = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text())
     for case in golden:
         assert main(case["argv"]) == 0
@@ -1392,6 +1394,11 @@ def test_work_cap_admits_its_limit_and_rejects_one_past(argv, limit, module, wor
     assert err.endswith(f" exceeds its cap of {cli._WORK_CAPS[name]}\n")
 
 
+def test_series_order_cap_is_the_parser_degree_cap():
+    # the cli holds the number itself, so that its commands load no parser
+    assert cli._WORK_CAPS["series order"] == importlib.import_module("ccrflow.expr")._MAX_DEGREE
+
+
 @pytest.mark.parametrize("argv, step", [
     (["pathint", "--force=-X", "--m", "1", "--t-total", "1e-300", "--x-min", "-1",
       "--x-max", "1", "--n", "16", "--steps", "1"], "2.667e+299"),
@@ -1459,46 +1466,67 @@ def _fresh_python(script: str, *args: str, **env: str) -> str:
     return _python("-c", script, *args, **env).stdout
 
 
-# The modules a command imports only when it needs them, as newly loaded
-# after the exact commands and after series; dataclasses alone costs about
-# 10 ms of imports (inspect, ast, dis, tokenize).
+# The modules a command imports only when it needs them, as newly loaded by
+# each step of commands run in turn in one interpreter (argv[1], as JSON: a
+# step is a list of [argv, exit status] pairs; ["--help"] formats the help and
+# ["import", name] imports a module).  dataclasses alone costs about 10 ms of
+# imports (inspect, ast, dis, tokenize), numpy about 60 ms.
 _IMPORT_GRAPH = """
-import json, os, sys
+import importlib, json, os, sys
 started = set(sys.modules)
 from ccrflow.cli import build_parser, main
 
-late = {"numpy", "ccrflow.propagator", "ccrflow.pathint", "ccrflow.verify",
-        "ccrflow.heisenberg", "dataclasses", "signal"}
-def loaded():
-    return sorted(late & set(sys.modules) - started)
-
-for argv in (["normord", "P*X"], ["comm", "X^3", "P"]):
-    assert main(argv + ["--output", os.devnull]) == 0
-build_parser().format_help()
-exact = loaded()
-assert main(["series", "--model", "harmonic", "--order", "3", "--output", os.devnull]) == 0
-series = loaded()
-import ccrflow.verify
-verify = loaded()
-symbolic_blas = os.environ.get("OPENBLAS_NUM_THREADS")
-assert main(["kernel", "--model", "free", "--m", "1", "--t", "1", "--x-min", "-1",
-             "--x-max", "1", "--n", "4", "--coefficients", "--output", os.devnull]) == 0
-print(json.dumps([exact, series, verify, symbolic_blas, "numpy" in sys.modules,
-                  os.environ.get("OPENBLAS_NUM_THREADS")]))
+late = {"numpy", "fractions", "dataclasses", "signal", "ccrflow.opalg", "ccrflow.expr",
+        "ccrflow.heisenberg", "ccrflow.propagator", "ccrflow.pathint", "ccrflow.verify",
+        "ccrflow.csvtext"}
+steps = []
+for step in json.loads(sys.argv[1]):
+    for argv, status in step:
+        if argv == ["--help"]:
+            build_parser().format_help()
+        elif argv[0] == "import":
+            importlib.import_module(argv[1])
+        else:
+            assert main(argv + ["--output", os.devnull]) == status, argv
+    steps.append(sorted(late & set(sys.modules) - started - {m for s in steps for m in s}))
+print(json.dumps([steps, os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
 
 
+def _import_steps(*steps) -> tuple[list[list[str]], str | None]:
+    """The modules each step newly loads, and OPENBLAS_NUM_THREADS at the end."""
+    return tuple(json.loads(_fresh_python(_IMPORT_GRAPH, json.dumps(steps))))
+
+
 def test_symbolic_commands_do_not_import_numpy():
-    # normord, comm and --help load only opalg; series adds heisenberg alone;
-    # verify's checks import the numeric modules when they run
-    exact, series, verify, symbolic_blas, kernel_numpy, kernel_blas = json.loads(
-        _fresh_python(_IMPORT_GRAPH))
-    assert exact == []
-    assert series == ["ccrflow.heisenberg"]
-    assert verify == ["ccrflow.heisenberg", "ccrflow.verify"]
-    assert symbolic_blas is None
-    assert kernel_numpy
-    assert kernel_blas == "1"
+    # --help loads no layer; normord and comm load the parser and opalg alone,
+    # series adds heisenberg alone; verify's checks import the numeric modules
+    # when they run
+    steps, blas = _import_steps([[["--help"], 0]],
+                                [[["normord", "P*X"], 0], [["comm", "X^3", "P"], 0]],
+                                [[["series", "--model", "harmonic", "--order", "3"], 0]],
+                                [[["import", "ccrflow.verify"], 0]])
+    assert steps == [[], ["ccrflow.expr", "ccrflow.opalg", "fractions"],
+                     ["ccrflow.heisenberg"], ["ccrflow.verify"]]
+    assert blas is None
+
+
+_GRID = ["--x-min", "-1", "--x-max", "1", "--n"]
+
+
+def test_numeric_commands_load_no_exact_layer():
+    # kernel --coefficients is scalar math on every exit: no numpy; no command
+    # here parses an expression, so none loads the parser, opalg or fractions
+    harmonic = ["kernel", "--model", "harmonic", "--m", "1", "--omega", "1", "--coefficients"]
+    steps, blas = _import_steps(
+        [[["kernel", "--model", "linear", "--m", "2", "--F0", "3", "--t", "0.5", *_GRID, "4",
+           "--coefficients"], 0],
+         [[*harmonic, "--t", "3.141592653589793", *_GRID, "4"], 3],
+         [[*harmonic, "--t", "1", *_GRID, "1"], 2]],
+        [[["kernel", "--model", "free", "--m", "1", "--t", "1", *_GRID, "4"], 0]],
+        [[["evolve", "--model", "free", "--m", "1", "--t", "1", *_GRID, "64"], 0]])
+    assert steps == [["ccrflow.propagator", "dataclasses"], ["ccrflow.csvtext", "numpy"], []]
+    assert blas == "1"
 
 
 _EVOLVE = ["evolve", "--model", "free", "--m", "1", "--t", "1", "--x-min", "-4", "--x-max", "4"]
@@ -1603,7 +1631,7 @@ def test_package_exports_resolve_to_their_modules():
 def test_exports_name_what_the_modules_define():
     # a removed name left in __all__ or in the package's lazy table fails here,
     # not at the first `from ccrflow.<module> import *`
-    for name in ("opalg", "heisenberg", "propagator", "pathint", "verify", "cli"):
+    for name in ("opalg", "expr", "heisenberg", "propagator", "pathint", "verify", "cli"):
         module = importlib.import_module(f"ccrflow.{name}")
         assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
     for name, lazy in ccrflow._LAZY.items():
