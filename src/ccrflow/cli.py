@@ -13,6 +13,7 @@ run, which skips the interpreter's teardown; programs call main.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -83,7 +84,6 @@ def _force_polynomial(e: OpExpr) -> Polynomial:
 # CSV output
 # ---------------------------------------------------------------------------
 
-_WRITE_BLOCK = 4096  # lines per write
 _FORMAT_BLOCK = 4096  # floats per csvtext.fields call, so that its temporaries stay small
 
 
@@ -92,23 +92,28 @@ def format_float(x: float) -> str:
     return "%.16e" % x
 
 
-def _open_output(path: str | None):
-    if path is not None:
-        return open(path, "w", newline="")
-    if sys.stdout is None:  # the process started with its stdout closed (>&-)
+def _block(lines: Iterable[str]) -> bytes:
+    """LF-terminated lines as one block of bytes (no lines: one LF)."""
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _write_blocks(blocks: Iterable[bytes], path: str | None) -> None:
+    """Write the blocks in turn to a new file at path, or to stdout after the
+    text it holds.  A raw stdout (PYTHONUNBUFFERED) may take part of a block
+    a write; a stdout without bytes (io.StringIO) takes text."""
+    if path is None and sys.stdout is None:  # started with stdout closed (>&-)
         raise OSError("stdout is closed")
-    return nullcontext(sys.stdout)
+    with open(path, "wb") if path is not None else nullcontext(sys.stdout) as out:
+        out.flush()
+        sink = getattr(out, "buffer", out)
+        for block in blocks:  # bound while the next is built (kernel_csv_blocks)
+            data = block.decode() if isinstance(sink, io.TextIOBase) else memoryview(block)
+            while data:
+                data = data[sink.write(data):]
 
 
-def _write_lines(lines, path: str | None) -> None:
-    """Write LF-terminated lines (no lines: one LF), a block at a time so
-    the output's size does not set peak memory."""
-    with _open_output(path) as fh:
-        for start in range(0, len(lines) or 1, _WRITE_BLOCK):
-            fh.write("\n".join(lines[start:start + _WRITE_BLOCK]) + "\n")
-
-
-_KERNEL_HEADER = "x_b,x_a,re,im"
+def _text_lines(blocks: Iterable[bytes]) -> list[str]:
+    return [line for block in blocks for line in block.decode().splitlines()]
 
 
 def _kernel_step(kernel, grid: UniformGrid):
@@ -127,10 +132,9 @@ def _kernel_step(kernel, grid: UniformGrid):
     return step
 
 
-def _write_kernel_csv(step, write: Callable[[str], object]) -> None:
-    """Pass the CSV of the kernel step on its grid to write, a block of text
-    at a time, the rows built and formatted about _FORMAT_BLOCK floats at a
-    time, so that no n x n array is ever held."""
+def kernel_csv_blocks(step) -> Iterator[bytes]:
+    """The CSV of the kernel step on its grid as byte blocks of about
+    _FORMAT_BLOCK floats, so that no n x n array is ever held."""
     import numpy as np
 
     from .csvtext import FIELD, fields, lines
@@ -138,25 +142,20 @@ def _write_kernel_csv(step, write: Callable[[str], object]) -> None:
     x_fields = fields(step.grid.points())
     n = len(x_fields)
     per_block = max(1, _FORMAT_BLOCK // (2 * n))
-    write(_KERNEL_HEADER + "\n")
+    yield b"x_b,x_a,re,im\n"
     for start in range(0, n, per_block):
         stop = min(start + per_block, n)
         block = step.rows(start, stop)
-        # text lives on while the next block is built, so malloc does not hand
-        # its pages back and fault them in again (n = 384: 6k minor faults a
-        # launch, against 17k when it is freed at once)
-        text = lines(np.repeat(x_fields[start:stop], n, axis=0),
-                     np.tile(x_fields, (stop - start, 1)),
-                     fields(block.view(np.float64)).reshape(-1, 2 * FIELD))
-        write(text.decode("ascii"))
+        # the consumer holds a block while the next is built, so malloc keeps
+        # its pages (n = 384: 6k minor faults a launch, 17k if it is freed)
+        yield lines(np.repeat(x_fields[start:stop], n, axis=0),
+                    np.tile(x_fields, (stop - start, 1)),
+                    fields(block.view(np.float64)).reshape(-1, 2 * FIELD))
 
 
 def kernel_csv_lines(kernel, grid: UniformGrid) -> list[str]:
-    """The lines _write_kernel_csv writes for kernel on grid, split a block
-    at a time, so that the whole text is never held beside them."""
-    csv: list[str] = []
-    _write_kernel_csv(_kernel_step(kernel, grid), lambda text: csv.extend(text.splitlines()))
-    return csv
+    """The lines of kernel_csv_blocks, split a block at a time."""
+    return _text_lines(kernel_csv_blocks(_kernel_step(kernel, grid)))
 
 
 def _usable_cpus() -> int:
@@ -186,10 +185,8 @@ def _forked(produce: Callable[[], Iterable[bytes]]) -> Iterator[Iterator[bytes]]
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
-            # Python >= 3.12 warns on fork in a multi-threaded process.  From
-            # the CLI numpy has one BLAS thread (or is not loaded yet), but an
-            # in-process caller may have loaded numpy earlier with its pool;
-            # no child calls BLAS.
+            # Python >= 3.12 warns on fork in a multi-threaded process, such
+            # as a caller's with numpy's BLAS pool; no child calls BLAS.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except BaseException as exc:
@@ -236,13 +233,9 @@ def _forked(produce: Callable[[], Iterable[bytes]]) -> Iterator[Iterator[bytes]]
 
 def kernel_coefficient_lines(kernel) -> list[str]:
     """The kernel's six complex coefficients a, b, c = a, d, e = d, A as one CSV row."""
-    header = []
-    values = []
-    coefficients = kernel.a, kernel.b, kernel.a, kernel.d, kernel.d, kernel.A
-    for name, z in zip("abcdeA", map(complex, coefficients)):
-        header += [f"{name}_re", f"{name}_im"]
-        values += [format_float(z.real), format_float(z.imag)]
-    return [",".join(header), ",".join(values)]
+    coefficients = map(complex, (kernel.a, kernel.b, kernel.a, kernel.d, kernel.d, kernel.A))
+    return [",".join(f"{name}_re,{name}_im" for name in "abcdeA"),
+            ",".join(format_float(part) for z in coefficients for part in (z.real, z.imag))]
 
 
 def series_lines(series: Iterable[OpExpr]) -> list[str]:
@@ -250,26 +243,26 @@ def series_lines(series: Iterable[OpExpr]) -> list[str]:
     return [f"{k}: {c.canonical_text()}" for k, c in enumerate(series)]
 
 
-def wavefunction_csv_lines(psi: WaveFunction) -> list[str]:
+def wavefunction_csv_blocks(psi: WaveFunction) -> Iterator[bytes]:
+    """The CSV of psi as byte blocks of _FORMAT_BLOCK floats."""
     import numpy as np
 
     from .csvtext import FIELD, fields, lines
 
     table = np.column_stack((psi.points(), psi.samples.real, psi.samples.imag))
     rows = _FORMAT_BLOCK // 3
-    csv = ["x,re,im"]
+    yield b"x,re,im\n"
     for start in range(0, len(table), rows):
-        text = lines(fields(table[start:start + rows]).reshape(-1, 3 * FIELD))
-        csv += text.decode("ascii").splitlines()
-    return csv
+        yield lines(fields(table[start:start + rows]).reshape(-1, 3 * FIELD))
+
+
+def wavefunction_csv_lines(psi: WaveFunction) -> list[str]:
+    return _text_lines(wavefunction_csv_blocks(psi))
 
 
 def report_csv_lines(report: ConvergenceReport) -> list[str]:
-    lines = ["steps,dt,l2_error,ratio"]
-    for row in report.rows:
-        lines.append(",".join((str(row.steps), format_float(row.dt),
-                               format_float(row.l2_error), format_float(row.ratio))))
-    return lines
+    return ["steps,dt,l2_error,ratio"] + [",".join((str(row.steps), *map(format_float, row[1:])))
+                                          for row in report.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +399,7 @@ def _packet(args: argparse.Namespace, grid: UniformGrid) -> WaveFunction:
 
 def _cmd_normord(args) -> int:
     expr = parse_expression(args.expr)
-    _write_lines([expr.canonical_text()], args.output)
+    _write_blocks([_block([expr.canonical_text()])], args.output)
     return 0
 
 
@@ -419,7 +412,7 @@ def _cmd_comm(args) -> int:
     caps = Caps()  # the commutator's two products, bounded like the parser's
     caps.charge(a, b, None)
     caps.charge(b, a, None)
-    _write_lines([commutator(a, b).canonical_text()], args.output)
+    _write_blocks([_block([commutator(a, b).canonical_text()])], args.output)
     return 0
 
 
@@ -431,13 +424,12 @@ def _cmd_series(args) -> int:
     _require(args, ["model"])
     _default(args, order=DEFAULT_ORDER)
     _check_cap("series order", args.order)
-    force = force_for_model(args.model)
-    gen = generator(force, newtonian_velocity())
-    lines = [f"X(t) model={args.model} order={args.order}"]
-    lines += series_lines(taylor_flow(X, gen, args.order))
-    lines.append(f"P(t) model={args.model} order={args.order}")
-    lines += series_lines(taylor_flow(P, gen, args.order))
-    _write_lines(lines, args.output)
+    gen = generator(force_for_model(args.model), newtonian_velocity())
+    lines = []
+    for name, op in (("X", X), ("P", P)):
+        lines += [f"{name}(t) model={args.model} order={args.order}",
+                  *series_lines(taylor_flow(op, gen, args.order))]
+    _write_blocks([_block(lines)], args.output)
     return 0
 
 
@@ -447,12 +439,11 @@ def _cmd_kernel(args) -> int:
     grid, flow = _grid_and_flow(args)
     kernel = gaussian_kernel(flow, args.t)
     if args.coefficients:
-        _write_lines(kernel_coefficient_lines(kernel), args.output)
+        _write_blocks([_block(kernel_coefficient_lines(kernel))], args.output)
     else:
         _check_cap("kernel rows", grid.n * grid.n)
         step = _kernel_step(kernel, grid)  # raises before the output is opened
-        with _open_output(args.output) as fh:
-            _write_kernel_csv(step, fh.write)
+        _write_blocks(kernel_csv_blocks(step), args.output)
     return 0
 
 
@@ -463,7 +454,7 @@ def _cmd_evolve(args) -> int:
     grid, flow = _grid_and_flow(args)
     kernel = gaussian_kernel(flow, args.t)  # a caustic or overflow first, then the packet
     out = evolve_exact(kernel, _packet(args, grid))
-    _write_lines(wavefunction_csv_lines(out), args.output)
+    _write_blocks(wavefunction_csv_blocks(out), args.output)
     return 0
 
 
@@ -504,12 +495,12 @@ def _cmd_pathint(args) -> int:
     psi = _packet(args, grid)
     if args.convergence:
         report = convergence_study(force, args.m, psi, args.t_total, args.convergence, params)
-        _write_lines(report_csv_lines(report), args.report_output)
+        _write_blocks([_block(report_csv_lines(report))], args.report_output)
         out = report.finest
     else:
         kernel = short_time_matrix(force, args.m, args.t_total / args.steps, grid, params)
         out = propagate(kernel, psi, args.steps)
-    _write_lines(wavefunction_csv_lines(out), args.output)
+    _write_blocks(wavefunction_csv_blocks(out), args.output)
     return 0
 
 
@@ -517,7 +508,7 @@ def _cmd_verify(args) -> int:
     from . import verify
 
     lines, ok = verify.run_verification()
-    _write_lines(lines, args.output)
+    _write_blocks([_block(lines)], args.output)
     return 0 if ok else 1
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import cmath
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import DomainError
@@ -108,8 +107,13 @@ class UniformGrid(NamedTuple):
         return 1 << (2 * self.n - 2).bit_length()
 
 
-@dataclass(frozen=True)
-class AffineFlowExact:
+class _AffineFlowFields(NamedTuple):
+    m: float
+    kappa: float = 0.0
+    F0: float = 0.0
+
+
+class AffineFlowExact(_AffineFlowFields):
     """Closed-form flow X(t) = alpha X + beta P + gamma of the force
     F = F0 + m kappa X, the forces whose propagator is Gaussian.
 
@@ -121,13 +125,12 @@ class AffineFlowExact:
     shifted and inverted oscillators need no other code.
     """
 
-    m: float
-    kappa: float = 0.0
-    F0: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.m > 0 and all(map(math.isfinite, (self.m, self.kappa, self.F0)))):
+    def __new__(cls, m: float, kappa: float = 0.0, F0: float = 0.0) -> "AffineFlowExact":
+        if not (m > 0 and all(map(math.isfinite, (m, kappa, F0)))):
             raise ValueError("m must be positive, and m, kappa and F0 finite")
+        return super().__new__(cls, m, kappa, F0)
 
     @classmethod
     def free(cls, m: float) -> "AffineFlowExact":

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
@@ -19,7 +21,7 @@ import ccrflow
 import ccrflow.cli as cli
 from ccrflow.cli import (
     ExpressionError,
-    _write_lines,
+    _write_blocks,
     format_float,
     kernel_csv_lines,
     main,
@@ -285,14 +287,17 @@ def test_wavefunction_csv_lines_match_per_row_formatting():
     assert lines[1].split(",")[1] == "-0.0000000000000000e+00"
 
 
-@pytest.mark.parametrize("count", [1, 4095, 4096, 4097])
-def test_write_lines_bytes_across_blocks(count, tmp_path, capsys):
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097])
+def test_write_blocks_bytes_across_blocks(count, tmp_path, capsys):
+    # blocks of 4096 bytes end inside lines; no lines is one LF
     lines = [f"{k},{k * k}" for k in range(count)]
     expected = "\n".join(lines) + "\n"
-    _write_lines(lines, None)
+    data = cli._block(lines)
+    blocks = [data[start:start + 4096] for start in range(0, len(data), 4096)]
+    _write_blocks(blocks, None)
     assert capsys.readouterr().out == expected
     path = tmp_path / "out.csv"
-    _write_lines(lines, str(path))
+    _write_blocks(blocks, str(path))
     assert path.read_bytes() == expected.encode()
 
 
@@ -383,6 +388,20 @@ def test_kernel_csv_holds_no_n_by_n_array(tmp_path):
     assert peak < 2 ** 22
 
 
+def test_kernel_csv_blocks_in_process_hold_no_n_by_n_array():
+    # a library caller streams the n = 1024 kernel as the CLI writes it
+    kernel = gaussian_kernel(AffineFlowExact.harmonic(1.5, 0.8), 0.9)
+    step = cli._kernel_step(kernel, UniformGrid.from_bounds(-4.0, 3.0, 1024))
+    tracemalloc.start()
+    try:
+        size = sum(len(block) for block in cli.kernel_csv_blocks(step))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 1024 * 1024 * 80
+    assert peak < 2 ** 22
+
+
 def test_kernel_phase_overflow_is_one_line_before_any_fork(tmp_path, capsys, monkeypatch):
     # finite coefficients, but b x^2 overflows: this printed nan with exit 0
     # after numpy's warnings
@@ -459,6 +478,95 @@ def test_closed_stdout_is_one_line():
     done = subprocess.run(["sh", "-c", 'exec "$0" -m ccrflow.cli normord "P*X" >&-',
                            sys.executable], env=_cli_env(None), capture_output=True, timeout=60)
     assert (done.returncode, done.stderr) == (2, b"ccrflow: error: stdout is closed\n")
+
+
+@_UNBUFFERED
+def test_evolve_with_stdout_closed_is_one_line(unbuffered):
+    # the numeric commands end the same way as normord "P*X" >&-
+    done = subprocess.run(["sh", "-c", 'exec "$0" -m ccrflow.cli "$@" >&-', sys.executable,
+                           *_README["evolve"]], env=_cli_env(unbuffered), capture_output=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (2, b"ccrflow: error: stdout is closed\n")
+
+
+@_UNBUFFERED
+def test_kernel_into_head_c_is_one_line(unbuffered):
+    # kernel ... --n 384 | head -c 100: the writer stops at the broken pipe
+    proc = subprocess.Popen([sys.executable, "-m", "ccrflow.cli", "kernel",
+                             *_KERNEL_FLAGS["harmonic"], "--t", "0.9", "--x-min", "-4",
+                             "--x-max", "3", "--n", "384"], env=_cli_env(unbuffered),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(100).startswith(b"x_b,x_a,re,im\n")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err.count(b"\n") == 1 and err.startswith(b"ccrflow: error: [Errno ")
+
+
+_README = {
+    "kernel": ["kernel", "--model", "free", "--m", "1", "--t", "1", "--x-min", "-5", "--x-max",
+               "5", "--n", "64"],
+    "evolve": ["evolve", "--model", "harmonic", "--m", "1", "--omega", "1", "--t", "1.5707963",
+               "--x-min", "-6", "--x-max", "6", "--n", "512", "--x0", "1", "--p0", "0.5",
+               "--sigma", "1"],
+    "pathint": ["pathint", "--force=-4*X", "--m", "4", "--t-total", "3", "--x-min", "-2.55",
+                "--x-max", "2.55", "--n", "896", "--x0", "0.3", "--sigma", "0.5",
+                "--convergence", "5,10,20,40"],
+}
+
+
+@_UNBUFFERED
+@pytest.mark.parametrize("command", sorted(_README))
+def test_stdout_bytes_are_the_output_file_bytes(command, unbuffered, tmp_path):
+    # the same blocks go to stdout's bytes, to --output and, in process, as
+    # text to a stdout that has no bytes (io.StringIO)
+    report = tmp_path / "report.csv"
+    argv = _README[command] + (["--report-output", str(report)] if command == "pathint" else [])
+    shown = subprocess.run([sys.executable, "-m", "ccrflow.cli", *argv], env=_cli_env(unbuffered),
+                           capture_output=True, timeout=60, check=True)
+    reports = [report.read_bytes()] if command == "pathint" else []
+    path = tmp_path / "out.csv"
+    subprocess.run([sys.executable, "-m", "ccrflow.cli", *argv, "--output", str(path)],
+                   env=_cli_env(unbuffered), capture_output=True, timeout=60, check=True)
+    assert shown.stdout == path.read_bytes() and shown.stderr == b""
+    assert reports == ([report.read_bytes()] if command == "pathint" else [])
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    assert text.getvalue() == shown.stdout.decode()
+
+
+class _Trickle(io.RawIOBase):
+    """A raw stream that takes at most 7 bytes a write, as a raw stdout may."""
+
+    def __init__(self):
+        self.data = bytearray()
+        self.writes = 0
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes += 1
+        self.data += bytes(b[:7])
+        return min(7, len(b))
+
+
+def test_raw_stdout_gets_every_byte(tmp_path, monkeypatch):
+    # the text layer over a raw stdout drops what a short write leaves
+    path = tmp_path / "k.csv"
+    assert main(_README["kernel"] + ["--output", str(path)]) == 0
+    raw = _Trickle()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+    print("before", end="")
+    assert main(_README["kernel"]) == 0
+    assert raw.data == b"before" + path.read_bytes()
+    assert raw.writes > len(raw.data) // 7
 
 
 @pytest.mark.parametrize("fd2", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
@@ -1373,7 +1481,7 @@ def _reached(*args, **kwargs):
 
 @pytest.mark.parametrize("argv, limit, module, work", [
     (["series", "--model", "harmonic", "--order", "{}"], 2048, "heisenberg", "taylor_flow"),
-    (["kernel", *_SMALL, "--n", "{}"], 4096, "cli", "_write_kernel_csv"),  # n^2 = 2^24
+    (["kernel", *_SMALL, "--n", "{}"], 4096, "cli", "kernel_csv_blocks"),  # n^2 = 2^24
     # 1024 points: FFTs of 2048 = 2^11 points, so 2^17 steps in all
     ([*_PATHINT[:-1], "1024", "--steps", "{}"], 2 ** 17, "pathint", "short_time_matrix"),
     ([*_PATHINT[:-1], "1024", "--convergence", "1,{}"], 2 ** 17 - 1, "pathint",
@@ -1476,9 +1584,9 @@ import importlib, json, os, sys
 started = set(sys.modules)
 from ccrflow.cli import build_parser, main
 
-late = {"numpy", "fractions", "dataclasses", "signal", "ccrflow.opalg", "ccrflow.expr",
-        "ccrflow.heisenberg", "ccrflow.propagator", "ccrflow.pathint", "ccrflow.verify",
-        "ccrflow.csvtext"}
+late = {"numpy", "fractions", "dataclasses", "inspect", "ast", "dis", "tokenize", "signal",
+        "ccrflow.opalg", "ccrflow.expr", "ccrflow.heisenberg", "ccrflow.propagator",
+        "ccrflow.pathint", "ccrflow.verify", "ccrflow.csvtext"}
 steps = []
 for step in json.loads(sys.argv[1]):
     for argv, status in step:
@@ -1515,8 +1623,10 @@ _GRID = ["--x-min", "-1", "--x-max", "1", "--n"]
 
 
 def test_numeric_commands_load_no_exact_layer():
-    # kernel --coefficients is scalar math on every exit: no numpy; no command
-    # here parses an expression, so none loads the parser, opalg or fractions
+    # kernel --coefficients is scalar math on every exit: no numpy, and no
+    # dataclasses with its inspect, ast, dis and tokenize (AffineFlowExact was a
+    # dataclass); no command here parses an expression, so none loads the
+    # parser, opalg or fractions
     harmonic = ["kernel", "--model", "harmonic", "--m", "1", "--omega", "1", "--coefficients"]
     steps, blas = _import_steps(
         [[["kernel", "--model", "linear", "--m", "2", "--F0", "3", "--t", "0.5", *_GRID, "4",
@@ -1525,7 +1635,9 @@ def test_numeric_commands_load_no_exact_layer():
          [[*harmonic, "--t", "1", *_GRID, "1"], 2]],
         [[["kernel", "--model", "free", "--m", "1", "--t", "1", *_GRID, "4"], 0]],
         [[["evolve", "--model", "free", "--m", "1", "--t", "1", *_GRID, "64"], 0]])
-    assert steps == [["ccrflow.propagator", "dataclasses"], ["ccrflow.csvtext", "numpy"], []]
+    assert steps[0] == ["ccrflow.propagator"] and steps[2] == []
+    # numpy itself loads inspect and what it imports
+    assert set(steps[1]) - {"inspect", "ast", "dis", "tokenize"} == {"ccrflow.csvtext", "numpy"}
     assert blas == "1"
 
 
