@@ -14,8 +14,9 @@ child once its results are read, and kills and reaps it if this process
 stops first; a child that exits nonzero fails each of its checks with its
 status.  The report is the same bytes either way.
 
-The exact half is the critical path: on a 2-vCPU VM checks 1-4 take 136 ms,
-the numpy import plus checks 5-8 125 ms (medians of 21 fresh processes).
+On a 2-vCPU VM checks 1-4 take 153-177 ms and the numpy import plus checks
+5-8 137-166 ms (medians of 21 fresh processes, two series each), so which
+half is the critical path varies with the host's state.
 """
 
 from __future__ import annotations
@@ -285,23 +286,22 @@ def _check_pathint_convergence() -> tuple[bool, str]:
 
 
 def _check_report_determinism() -> tuple[bool, str]:
-    from .cli import kernel_csv_lines, series_lines, wavefunction_csv_lines
+    from .cli import _block, _kernel_step, kernel_csv_blocks, series_lines, wavefunction_csv_blocks
     from .propagator import (AffineFlowExact, UniformGrid, WaveFunction, evolve_exact,
                              gaussian_kernel)
 
-    def pipeline() -> bytes:
+    def pipeline():
+        """The blocks the kernel, evolve and series commands write for a run."""
         grid = UniformGrid.from_bounds(-2.0, 2.0, 64)
         kernel = gaussian_kernel(AffineFlowExact.free(1.0), 1.0)
-        lines = kernel_csv_lines(kernel, grid)
+        yield from kernel_csv_blocks(_kernel_step(kernel, grid))
         psi = WaveFunction.gaussian_packet(UniformGrid.from_bounds(-6.0, 6.0, 256))
         out = evolve_exact(gaussian_kernel(AffineFlowExact.free(1.0), 0.5), psi)
-        lines += wavefunction_csv_lines(out)
+        yield from wavefunction_csv_blocks(out)
         gen = generator(force_for_model("harmonic"), newtonian_velocity())
-        lines += series_lines(taylor_flow(X, gen, 6))
-        return ("\n".join(lines) + "\n").encode()
+        yield _block(series_lines(taylor_flow(X, gen, 6)))
 
-    first = pipeline()
-    second = pipeline()
+    first, second = (b"".join(pipeline()) for _ in range(2))
     if first != second:
         return False, "repeated pipelines produced different bytes"
     return True, f"byte-identical output on repeated runs ({len(first)} bytes)"

@@ -402,6 +402,36 @@ def test_kernel_csv_blocks_in_process_hold_no_n_by_n_array():
     assert peak < 2 ** 22
 
 
+def test_verify_determinism_check_holds_no_list_of_lines():
+    # check 8 joins the byte blocks the commands write: it peaked at 1.78 MiB
+    # when it joined one str per line from the adapters, 1.22 MiB on the blocks
+    import ccrflow.verify as verify_mod
+
+    verify_mod._check_report_determinism()  # imports and caches outside the count
+    tracemalloc.start()
+    try:
+        ok, detail = verify_mod._check_report_determinism()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ok, detail) == (True, "byte-identical output on repeated runs (402247 bytes)")
+    assert peak < 1.5 * 2 ** 20
+
+
+def test_library_never_calls_the_line_adapters():
+    # kernel_csv_lines and wavefunction_csv_lines stay for perfbench/traced.py;
+    # every output in the library, verify's check 8 too, is built from blocks
+    called = set()
+    for path in sorted(pathlib.Path(ccrflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("kernel_csv_lines", "wavefunction_csv_lines"):
+                    called.add((path.name, name))
+    assert called == set()
+    assert callable(cli.kernel_csv_lines) and callable(cli.wavefunction_csv_lines)
+
+
 def test_kernel_phase_overflow_is_one_line_before_any_fork(tmp_path, capsys, monkeypatch):
     # finite coefficients, but b x^2 overflows: this printed nan with exit 0
     # after numpy's warnings
@@ -969,6 +999,35 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         out = capsys.readouterr().out
         assert f"check {index + 1} broken: FAIL (synthetic failure)" in out
         assert "result: FAIL (7/8 checks)" in out
+    _assert_no_child_left()
+
+
+def _second_run_changed(monkeypatch, name: str, change) -> None:
+    """Patch cli.name so that its second call returns change(its blocks)."""
+    real = getattr(cli, name)
+    calls = []
+
+    def blocks(*args):
+        calls.append(1)
+        out = list(real(*args))
+        return change(out) if len(calls) == 2 else out
+
+    monkeypatch.setattr(cli, name, blocks)
+
+
+@pytest.mark.parametrize("name, change", [
+    ("wavefunction_csv_blocks",
+     lambda out: [out[0], bytes([out[1][0] ^ 1]) + out[1][1:], *out[2:]]),
+    ("kernel_csv_blocks", lambda out: out[:-1]),
+], ids=["one-flipped-byte", "one-block-short"])
+def test_verify_catches_a_second_run_that_differs(name, change, capsys, monkeypatch):
+    # planted faults in check 8's second run: a flipped byte, a missing block
+    _second_run_changed(monkeypatch, name, change)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert ("check 8 report-determinism: FAIL (repeated pipelines produced different "
+            "bytes)\n") in out
+    assert out.endswith("result: FAIL (7/8 checks)\n")
     _assert_no_child_left()
 
 
