@@ -66,11 +66,6 @@ def _c_add(x: tuple, y: tuple) -> tuple[int, int, int]:
     return _reduced(p * e + r * d, q * e + s * d, d * e)
 
 
-def _c_mul(x: tuple, y: tuple) -> tuple[int, int, int]:
-    (p, q, d), (r, s, e) = x, y
-    return _reduced(p * r - q * s, p * s + q * r, d * e)
-
-
 def _complex_rational(re, im=0) -> tuple[int, int, int]:
     """re + i im, each an int or a Fraction, as a complex rational."""
     if type(re) is int and type(im) is int:
@@ -102,14 +97,6 @@ class ScalarCoeff:
     def __init__(self, terms: Mapping[tuple, tuple[int, int, int]] | None = None):
         self.terms = {mono: w for mono, w in terms.items() if w[0] or w[1]} if terms else {}
 
-    @classmethod
-    def _nonzero(cls, terms: dict) -> "ScalarCoeff":
-        """A scalar over weights that are all nonzero, kept without the
-        filter: a product of nonzero complex rationals is never zero."""
-        out = object.__new__(cls)
-        out.terms = terms
-        return out
-
     # -- constructors --
     @classmethod
     def rational(cls, re, im=0) -> "ScalarCoeff":
@@ -117,9 +104,7 @@ class ScalarCoeff:
 
     @classmethod
     def param(cls, name: str, power: int = 1) -> "ScalarCoeff":
-        if power == 0:
-            return cls.rational(1)
-        return cls({((name, power),): (1, 0, 1)})
+        return cls({((name, power),) if power else (): (1, 0, 1)})
 
     @classmethod
     def zero(cls) -> "ScalarCoeff":
@@ -156,7 +141,7 @@ class ScalarCoeff:
     __radd__ = __add__
 
     def __neg__(self) -> "ScalarCoeff":
-        return ScalarCoeff._nonzero({m: (-p, -q, d) for m, (p, q, d) in self.terms.items()})
+        return self._scaled((-1, 0, 1))
 
     def __sub__(self, other) -> "ScalarCoeff":
         other = _coerce_scalar(other)
@@ -169,31 +154,38 @@ class ScalarCoeff:
 
     def __mul__(self, other) -> "ScalarCoeff":
         # own class first: Fraction is an ABC, and its isinstance test is slow
-        if not isinstance(other, ScalarCoeff):
+        if type(other) is not ScalarCoeff:
             if isinstance(other, (int, Fraction)):
                 return self._scaled(_complex_rational(other))
             return NotImplemented
-        if len(self.terms) == 1 == len(other.terms):
-            (m1, w1), = self.terms.items()
-            (m2, w2), = other.terms.items()
-            return ScalarCoeff._nonzero(
-                {_merge_monomials(m1, m2) if m1 and m2 else m1 or m2: _c_mul(w1, w2)})
+        if len(other.terms) == 1:
+            (mono, w), = other.terms.items()
+            return self._scaled(w, mono)
         out: dict[tuple, tuple[int, int, int]] = {}
-        for m1, w1 in self.terms.items():
-            for m2, w2 in other.terms.items():
+        for m1, (p, q, d) in self.terms.items():
+            for m2, (r, s, e) in other.terms.items():
                 mono = _merge_monomials(m1, m2) if m1 and m2 else m1 or m2
-                w = _c_mul(w1, w2)
+                w = _reduced(p * r - q * s, p * s + q * r, d * e)
                 out[mono] = _c_add(out[mono], w) if mono in out else w
         return ScalarCoeff(out)
 
     __rmul__ = __mul__
 
-    def _scaled(self, w: tuple[int, int, int]) -> "ScalarCoeff":
-        """Product with the constant complex rational w, such as an int or
-        a Gaussian integer: one product per monomial."""
-        if not (w[0] or w[1]):
+    def _scaled(self, w: tuple[int, int, int], mono: tuple = ()) -> "ScalarCoeff":
+        """Product with the one-term scalar {mono: w}, w with a positive
+        denominator, in lowest terms or not: one product per term, in this
+        scalar's order.  m -> m * mono is one to one, so no two terms meet."""
+        r, s, e = w
+        if not (r or s):
             return ScalarCoeff()
-        return ScalarCoeff._nonzero({m: _c_mul(v, w) for m, v in self.terms.items()})
+        out = object.__new__(ScalarCoeff)
+        out.terms = terms = {}
+        for m, (p, q, d) in self.terms.items():
+            p, q, d = p * r - q * s, p * s + q * r, d * e
+            g = math.gcd(p, q, d)
+            terms[_merge_monomials(m, mono) if m and mono else m or mono] = (
+                (p // g, q // g, d // g) if g > 1 else (p, q, d))
+        return out
 
     def __truediv__(self, other) -> "ScalarCoeff":
         if isinstance(other, (int, Fraction)):
@@ -342,7 +334,7 @@ class OpExpr:
                 for run in word.replace("PX", "P X").split(" ")]
         out = cls({runs[0]: _coerce_scalar(coeff)})
         for run in runs[1:]:
-            out = out * cls({run: ScalarCoeff.rational(1)})
+            out = out * cls({run: _UNIT})
         return out
 
     @classmethod
@@ -476,6 +468,7 @@ def _coerce_op(v):
 X = OpExpr.word("X")
 P = OpExpr.word("P")
 ONE = OpExpr.scalar(1)
+_UNIT = ScalarCoeff.rational(1)  # the coefficient of every run after a word's first
 
 
 def commutator(a: OpExpr, b: OpExpr) -> OpExpr:
@@ -581,6 +574,8 @@ class Polynomial:
                 c = _coerce_scalar(other)
                 if c.is_zero:
                     return Polynomial()
+                if len(c.terms) == 1 and () in c.terms:
+                    return self._scaled(c.terms[()])
                 # exact scalars form an integral domain: no product is zero
                 return Polynomial._nonzero({k: cf * c for k, cf in self.coeffs.items()})
             return NotImplemented
@@ -597,15 +592,19 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.coeffs.keys() != other.coeffs.keys():
-            return False
-        return all(self.coeffs[k] == other.coeffs[k] for k in self.coeffs)
+        return self.coeffs == other.coeffs
 
     __hash__ = None
 
+    def _scaled(self, w: tuple[int, int, int], order: int = 0) -> "Polynomial":
+        """w times the polynomial (order 0) or its derivative (order 1), w a
+        nonzero constant complex rational: one product per coefficient."""
+        p, q, d = w
+        return Polynomial._nonzero({k - order: c._scaled((k * p, k * q, d) if order else w)
+                                    for k, c in self.coeffs.items() if k >= order})
+
     def derivative(self) -> "Polynomial":
-        return Polynomial._nonzero({k - 1: c._scaled((k, 0, 1))
-                                    for k, c in self.coeffs.items() if k > 0})
+        return self._scaled((1, 0, 1), 1)
 
     def antiderivative(self) -> "Polynomial":
         """The antiderivative with zero constant term."""
@@ -650,9 +649,8 @@ def apply_to_polynomial(e: OpExpr, q: Polynomial) -> Polynomial:
     for (a, b), coeff in e.terms.items():
         for k, c in q.coeffs.items():
             if k >= b:
-                term = coeff * c
-                if b:
-                    term = term._scaled(_minus_i_power(math.perm(k, b), b))
+                # c and (-i)^b k!/(k-b)! fold into one weight: one product with coeff
+                term = coeff * (c._scaled(_minus_i_power(math.perm(k, b), b)) if b else c)
                 deg = k - b + a
                 out[deg] = out[deg] + term if deg in out else term
     return Polynomial(out)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 import warnings
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from ccrflow.cli import (
     wavefunction_csv_lines,
 )
 from ccrflow.heisenberg import NonAffineFlow
-from ccrflow.opalg import DomainError, OpExpr, P, ScalarCoeff, X
+from ccrflow.opalg import DomainError, OpExpr, P, Polynomial, ScalarCoeff, X
 from ccrflow.propagator import (
     AffineFlowExact,
     CausticSingularity,
@@ -1155,6 +1156,92 @@ def test_verify_catches_a_commutator_that_drops_a_term(capsys, monkeypatch):
     assert "check 1 derivative-rules: FAIL (failed on a polynomial in X)\n" in out
     assert "result: FAIL (" in out
     _assert_no_child_left()
+
+
+@_NEEDS_FORK
+def test_verify_catches_a_scaled_polynomial_with_a_flipped_sign(capsys, monkeypatch):
+    # Polynomial * constant and check 1's expected sides i q'(X) and
+    # -i q'(P) share Polynomial._scaled; a flipped sign there fails check 1
+    real_scaled = Polynomial._scaled
+
+    def flipped(self, w, order=0):
+        return real_scaled(self, (-w[0], -w[1], w[2]), order)
+
+    monkeypatch.setattr(Polynomial, "_scaled", flipped)
+    assert (Polynomial.monomial(2) * 3).coeffs[2] == ScalarCoeff.rational(-3)
+    forks = _verify_forks(monkeypatch, 2)
+    assert main(["verify"]) == 1
+    assert forks == [1]
+    out = capsys.readouterr().out
+    assert "check 1 derivative-rules: FAIL (failed on a polynomial in X)\n" in out
+    assert "result: FAIL (" in out
+    _assert_no_child_left()
+
+
+@_NEEDS_FORK
+def test_verify_catches_an_action_weight_off_by_one(capsys, monkeypatch):
+    # apply_to_polynomial folds a constant coefficient with (-i)^b k!/(k-b)!
+    # into one weight; k!/(k-b)! + 1 there fails check 2, whose polynomials
+    # have constant coefficients only, and leaves check 1 passing
+    import ccrflow.opalg as opalg_mod
+
+    off_by_one = types.SimpleNamespace(**vars(math))
+    off_by_one.perm = lambda k, b: math.perm(k, b) + 1
+    monkeypatch.setattr(opalg_mod, "math", off_by_one)
+    assert opalg_mod.apply_to_polynomial(P, Polynomial.monomial(1)) == Polynomial.monomial(
+        0, ScalarCoeff.rational(0, -2))
+    forks = _verify_forks(monkeypatch, 2)
+    assert main(["verify"]) == 1
+    assert forks == [1]
+    out = capsys.readouterr().out
+    assert "check 1 derivative-rules: PASS (" in out
+    assert ("check 2 oracle-equivalence: FAIL (letter-by-letter and ordered actions "
+            "differ)\n") in out
+    _assert_no_child_left()
+
+
+def _fraction_rational(rng):
+    num = rng.randint(-9, 9)
+    den = rng.randint(1, 9)
+    return Fraction(num, den)
+
+
+def _fraction_polynomial(rng, max_degree=8):
+    degree = rng.randint(0, max_degree)
+    coeffs = {}
+    for k in range(degree + 1):
+        if rng.random() < 0.3 and k != degree:
+            continue
+        coeffs[k] = ScalarCoeff.rational(_fraction_rational(rng), _fraction_rational(rng))
+    return Polynomial(coeffs)
+
+
+def _fraction_words(rng, max_words=4, max_len=6):
+    return [("".join(rng.choice("XP") for _ in range(rng.randint(0, max_len))),
+             ScalarCoeff.rational(_fraction_rational(rng), _fraction_rational(rng)))
+            for _ in range(rng.randint(1, max_words))]
+
+
+def test_verify_draws_match_the_fraction_built_draws():
+    # checks 1 and 2 build each weight from its four integer draws; the
+    # Fraction-built draws above, which they replace, give the same values,
+    # words and term order, and leave each stream in the same state
+    import ccrflow.verify as verify_mod
+
+    def terms(q):
+        return [(k, list(c.terms.items())) for k, c in q.coeffs.items()]
+
+    ours, theirs = random.Random(1101), random.Random(1101)
+    for _ in range(200):
+        assert terms(verify_mod._random_polynomial(ours)) == terms(_fraction_polynomial(theirs))
+    assert ours.getstate() == theirs.getstate()
+    ours, theirs = random.Random(1102), random.Random(1102)
+    for _ in range(500):
+        got, want = verify_mod._random_words(ours), _fraction_words(theirs)
+        assert [(w, list(c.terms.items())) for w, c in got] == [
+            (w, list(c.terms.items())) for w, c in want]
+        assert terms(verify_mod._random_polynomial(ours)) == terms(_fraction_polynomial(theirs))
+    assert ours.getstate() == theirs.getstate()
 
 
 @_NEEDS_FORK

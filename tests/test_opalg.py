@@ -301,6 +301,40 @@ def test_apply_is_homomorphism():
             a, apply_to_polynomial(b, q))
 
 
+def _poly_order(q):
+    return [(k, list(c.terms.items())) for k, c in q.coeffs.items()]
+
+
+def _apply_by_products(e, q):
+    """apply_to_polynomial with a scalar product and then a weight per term,
+    no constant folded into the weight."""
+    out = {}
+    for (a, b), coeff in e.terms.items():
+        for k, c in q.coeffs.items():
+            if k >= b:
+                term = coeff * c * (ScalarCoeff.rational(0, -1) ** b * math.perm(k, b))
+                out[k - b + a] = out[k - b + a] + term if k - b + a in out else term
+    return Polynomial(out)
+
+
+def test_apply_folds_constants_like_the_letter_fold():
+    # each coefficient of q folds with (-i)^b k!/(k-b)! into one scalar
+    # before its one product with the operator coefficient; constant and
+    # parametric coefficients act like the letters folded one by one and
+    # keep the terms in the order of the unfolded products
+    rng = random.Random(12)
+    m = ScalarCoeff.param("m")
+    for _ in range(150):
+        word = "".join(rng.choice("XP") for _ in range(rng.randint(0, 6)))
+        coeff = rnd_scalar(rng) * rng.choice([1, m, ScalarCoeff.param("omega", -1)])
+        q = Polynomial({k: rnd_scalar(rng) * rng.choice([1, 1, m ** 2])
+                        + rng.choice([0, 0, m * rnd_scalar(rng)]) for k in range(rng.randint(0, 7))})
+        e = letter_fold(word, coeff)
+        got = apply_to_polynomial(e, q)
+        assert got == letter_action([(word, coeff)], q), word
+        assert _poly_order(got) == _poly_order(_apply_by_products(e, q)), word
+
+
 # ---- equality ----
 
 def test_equals_examples():
@@ -347,6 +381,84 @@ def test_scalar_arithmetic_matches_fraction_pairs():
         for g, h in ((k, 0), (0, -k), (-k, 0), (0, k)):  # k (-i)^r, r = 0..3
             assert value(x._scaled((g, h, 1))) == (a * g - b * h, a * h + b * g)
     assert ScalarCoeff.rational(Fraction(6, 4), Fraction(-9, 6)).terms == {(): (3, -3, 2)}
+
+
+def _weights(c):
+    """The terms of c as (monomial, (re, im)) over Fractions, in dict order."""
+    return [(m, (Fraction(p, d), Fraction(q, d))) for m, (p, q, d) in c.terms.items()]
+
+
+def _reference_product(a, b):
+    """a * b over Fraction pairs: term pairs in a-major order, each monomial
+    kept where a pair first reaches it, zero sums dropped at the end."""
+    out = {}
+    for m1, (x, y) in _weights(a):
+        for m2, (u, v) in _weights(b):
+            powers = dict(m1)
+            for name, k in m2:
+                powers[name] = powers.get(name, 0) + k
+            mono = tuple(sorted((name, k) for name, k in powers.items() if k))
+            re, im = out.get(mono, (0, 0))
+            out[mono] = (re + x * u - y * v, im + x * v + y * u)
+    return [(m, w) for m, w in out.items() if w != (0, 0)]
+
+
+def _wide_scalar(rng):
+    """0 to 3 terms over m and omega, mixed signs, weights of 3 to 200 bits."""
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        mono = tuple((name, k) for name, k in (("m", rng.randint(-2, 2)),
+                                                ("omega", rng.randint(-1, 2))) if k)
+        top = 2 ** rng.choice([3, 64, 200])
+        re = Fraction(rng.randint(-top, top), rng.randint(1, top))
+        im = rng.choice([0, Fraction(rng.randint(-top, top), rng.randint(1, top))])
+        terms[mono] = next(iter(ScalarCoeff.rational(re, im).terms.values()), (0, 0, 1))
+    return ScalarCoeff(terms)
+
+
+def _canonical(c):
+    return all(d > 0 and math.gcd(p, q, d) == 1 for p, q, d in c.terms.values())
+
+
+def test_scalar_products_match_the_fraction_reference():
+    # products with a one-term scalar (through _scaled), the general product
+    # and _scaled itself against Fraction arithmetic, term order included,
+    # for constants, parameter monomials, zero and 200-bit weights; _scaled
+    # takes unreduced weights
+    rng = random.Random(16)
+    for _ in range(400):
+        a, b = _wide_scalar(rng), _wide_scalar(rng)
+        for got, want in ((a * b, _reference_product(a, b)),
+                          (b * a, _reference_product(b, a))):
+            assert _weights(got) == want and _canonical(got)
+        w = next(iter(_wide_scalar(rng).terms.values()), (0, 0, 1))
+        k = rng.choice([1, 2, 6])
+        for scaled in (a._scaled(w), a._scaled((k * w[0], k * w[1], k * w[2]))):
+            assert _weights(scaled) == _reference_product(a, ScalarCoeff({(): w}))
+            assert _canonical(scaled)
+        n = rng.randint(-2 ** 70, 2 ** 70)
+        assert _weights(a * n) == _weights(n * a) == _reference_product(a, ScalarCoeff.rational(n))
+    assert (ScalarCoeff.param("m") * 0).is_zero and ScalarCoeff.param("m")._scaled((0, 0, 3)).is_zero
+
+
+def test_polynomial_times_scalar_keeps_the_coefficient_products():
+    # q * s goes through _scaled when s is a constant and through the scalar
+    # product otherwise; both give each coefficient's product, in degree
+    # order; _scaled(w, 1) is w times the derivative
+    rng = random.Random(17)
+    for _ in range(200):
+        q = Polynomial({k: _wide_scalar(rng) for k in range(rng.randint(0, 6))})
+        s = _wide_scalar(rng)
+        if rng.random() < 0.4:
+            s = ScalarCoeff({(): next(iter(s.terms.values()), (0, 0, 1))})  # constant
+        want = [(k, _reference_product(c, s)) for k, c in q.coeffs.items()]
+        assert [(k, _weights(c)) for k, c in (q * s).coeffs.items()] == [
+            (k, w) for k, w in want if w]
+        if len(s.terms) == 1 and () in s.terms:
+            p, r, d = s.terms[()]
+            assert [(k, _weights(c)) for k, c in q._scaled((p, r, d), 1).coeffs.items()] == [
+                (k - 1, _reference_product(c, ScalarCoeff({(): (k * p, k * r, d)})))
+                for k, c in q.coeffs.items() if k]
 
 
 def test_scalar_zero_is_canonical():
