@@ -10,21 +10,21 @@ average of W makes each slice a second-order (Strang-type) step, so chaining
 N slices converges to the exact evolution at O(dt^2) with Richardson ratio 4
 under step doubling.  K is a ChirpStep, amp diag(e^{i dt W/2}) T diag(e^{i dt W/2})
 with T Toeplitz, so a slice is one deterministic FFT convolution: O(n log n)
-time, O(n) memory.
+time, O(n) memory.  Like propagator, it imports numpy where it runs: every
+ccrflow module a numeric launch compiles is compiled before numpy loads.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 from .opalg import Polynomial
 from .propagator import (
+    EDGE_LEAK_WARN,
     AffineFlowExact,
     BoundaryLeak,
+    CausticSingularity,
     ChirpStep,
     UniformGrid,
     WaveFunction,
@@ -33,6 +33,7 @@ from .propagator import (
     evolve_exact,
     finite_on_grid,
     gaussian_kernel,
+    warn_on_leak,
 )
 
 __all__ = [
@@ -43,8 +44,6 @@ __all__ = [
     "convergence_study",
     "EDGE_LEAK_WARN",
 ]
-
-EDGE_LEAK_WARN = 1e-6
 
 
 def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
@@ -58,6 +57,8 @@ def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
     dx * (2 m X_max / dt + (dt/2) max|F|) <= pi/2, the oscillation rule with
     the kinetic quadratic coefficient a = m/(2 dt) plus the W-phase gradient.
     """
+    import numpy as np
+
     if not dt > 0:
         raise ValueError("dt must be positive")
     if not m > 0:
@@ -78,7 +79,8 @@ def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
 
 
 def propagate(kernel: ChirpStep, psi0: WaveFunction, steps: int) -> WaveFunction:
-    """psi_N = K^N psi_0 by N FFT applications of K; warns on edge leakage."""
+    """psi_N = K^N psi_0 by N FFT applications of K; warns on edge leakage
+    (warn_on_leak) once, at the first step that leaks."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if psi0.grid != kernel.grid:
@@ -88,12 +90,7 @@ def propagate(kernel: ChirpStep, psi0: WaveFunction, steps: int) -> WaveFunction
     warned = False
     for _ in range(steps):
         psi = WaveFunction(psi.grid, apply(psi.samples))
-        if not warned and psi.edge_mass_fraction() > EDGE_LEAK_WARN:
-            warnings.warn(
-                f"edge mass fraction {psi.edge_mass_fraction():.2e} exceeds "
-                f"{EDGE_LEAK_WARN:.0e}; results near the boundary are "
-                "unreliable", BoundaryLeak, stacklevel=2)
-            warned = True
+        warned = warned or warn_on_leak(psi)
     return psi
 
 
@@ -123,8 +120,12 @@ def convergence_study(force: Polynomial, m: float, psi0: WaveFunction,
     slices carry that constant action phase, so the errors measure
     discretization alone.  For any other force it is the finest-N run itself
     (then omitted from the report).  Every N must satisfy the slice
-    oscillation rule on psi0's grid.
+    oscillation rule on psi0's grid.  Raises CausticSingularity where
+    sqrt(-kappa) t_total >= pi: past the first caustic the closed form has
+    no phase continuation, so it is no reference.
     """
+    import numpy as np
+
     steps = sorted(set(int(n) for n in n_list))
     if not steps:
         raise ValueError("n_list must not be empty")
@@ -140,6 +141,10 @@ def convergence_study(force: Polynomial, m: float, psi0: WaveFunction,
     # the closed form first: where it fails, no slice chain is wasted
     flow = AffineFlowExact.from_force(force, m, params)
     if flow is not None:
+        if flow.kappa < 0 and (wt := math.sqrt(-flow.kappa) * t_total) >= math.pi:
+            raise CausticSingularity(f"sqrt(-kappa) t = {wt:.4g} is past the first caustic at "
+                                     "pi, where the closed-form reference has no phase "
+                                     "continuation")
         exact = evolve_exact(gaussian_kernel(flow, t_total), psi0)
         reference = WaveFunction(exact.grid, exact.samples * np.exp(1j * flow.phase(t_total)))
     results = {}

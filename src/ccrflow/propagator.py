@@ -15,13 +15,16 @@ and reduces to delta(x_b - x_a) as t -> 0+.  Wavepackets evolve by trapezoid
 quadrature on a uniform grid; a per-cell phase bound keeps the oscillatory
 integrand resolved.  The closed form (flows, kernel coefficients, the
 textbook kernels, the grid's bounds and the checks) is scalar math and
-cmath; the array code imports numpy where it runs.
+cmath; the array code imports numpy where it runs, so that every ccrflow
+module a numeric launch compiles is compiled before numpy loads, and numpy's
+import reuses the heap that compilation freed.
 """
 
 from __future__ import annotations
 
 import math
 import cmath
+import warnings
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import DomainError
@@ -46,14 +49,17 @@ __all__ = [
     "check_phase_step",
     "check_real_force",
     "finite_on_grid",
+    "warn_on_leak",
     "CAUSTIC_EPS",
     "EDGE_SAMPLES",
     "EDGE_MASS_FLAG",
+    "EDGE_LEAK_WARN",
 ]
 
 CAUSTIC_EPS = 1e-12
 EDGE_SAMPLES = 5
 EDGE_MASS_FLAG = 1e-10
+EDGE_LEAK_WARN = 1e-6
 
 
 class CausticSingularity(DomainError):
@@ -205,16 +211,28 @@ class ChirpStep(NamedTuple):
         T_ij = exp{i kin ((i-j) dx)^2}, is embedded in a circulant of length
         grid.fft_size, where the lags -(n-1)..n-1 stay distinct, so U v is one
         zero-padded FFT convolution (Bluestein's chirp-z identity): O(n log n),
-        deterministic."""
+        deterministic.  An application writes its FFT-length intermediates into
+        one buffer the operator owns, so it allocates only its n-sized result
+        (and applications of one operator may not overlap)."""
         import numpy as np
 
         n, size = self.grid.n, self.grid.fft_size
         diag = np.exp(1j * self.phase)
         left = self.amp * diag
         lag = self.grid.dx * np.arange(n)
-        col = np.exp(1j * self.kin * lag * lag)
-        spectrum = np.fft.fft(np.concatenate([col, np.zeros(size - 2 * n + 1), col[:0:-1]]))
-        return lambda v: left * np.fft.ifft(spectrum * np.fft.fft(diag * v, size))[:n]
+        spectrum = np.zeros(size, complex)
+        spectrum[:n] = np.exp(1j * self.kin * lag * lag)
+        spectrum[size - n + 1:] = spectrum[n - 1:0:-1]
+        np.fft.fft(spectrum, out=spectrum)
+        work = np.empty(size, complex)
+
+        def apply(v):
+            work[n:] = 0
+            np.multiply(diag, v, out=work[:n])
+            np.fft.fft(work, out=work)
+            np.multiply(spectrum, work, out=work)
+            return left * np.fft.ifft(work, out=work)[:n]
+        return apply
 
     def rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Rows start..stop of the dense matrix U; bitwise symmetric, and the
@@ -461,12 +479,25 @@ def finite_on_grid(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def warn_on_leak(psi: WaveFunction) -> bool:
+    """The leak rule of every grid evolution: whether psi's edge mass fraction
+    exceeds EDGE_LEAK_WARN, warned as BoundaryLeak (to the caller's caller)."""
+    fraction = psi.edge_mass_fraction()
+    if fraction > EDGE_LEAK_WARN:
+        warnings.warn(f"edge mass fraction {fraction:.2e} exceeds {EDGE_LEAK_WARN:.0e}; "
+                      "results near the boundary are unreliable", BoundaryLeak, stacklevel=3)
+    return fraction > EDGE_LEAK_WARN
+
+
 def evolve_exact(kernel: GaussianKernel, psi: WaveFunction) -> WaveFunction:
     """Apply the kernel by trapezoid quadrature: psi_out(x_b) = sum_a U psi dx,
-    as its ChirpStep on psi's grid: by FFT, with no n x n array; deterministic."""
+    as its ChirpStep on psi's grid: by FFT, with no n x n array; deterministic.
+    Warns on edge leakage of the result (warn_on_leak)."""
     grid = psi.grid
     # |d(phase)/dx| is at most (2|a| + |b|) |x| + |d| on the grid
     check_phase_step(grid.dx * ((2 * abs(kernel.a) + abs(kernel.b)) * grid.abs_max
                                 + abs(kernel.d)),
                      "kernel", "refine dx or shrink the domain")
-    return WaveFunction(grid, kernel.step(grid).operator()(psi.samples * psi.weights()))
+    out = WaveFunction(grid, kernel.step(grid).operator()(psi.samples * psi.weights()))
+    warn_on_leak(out)
+    return out

@@ -389,6 +389,20 @@ def test_kernel_csv_holds_no_n_by_n_array(tmp_path):
     assert peak < 2 ** 22
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="counts glibc malloc's page faults")
+def test_kernel_csv_blocks_keep_their_heap_pages(tmp_path):
+    # once numpy's import reused the heap that compilation freed, malloc kept
+    # its initial trim threshold and handed each block's pages back, to fault
+    # them in again: 33k minor faults a launch at n = 1024, where 4.6k remain
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(ccrflow.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "ccrflow.cli", "kernel",
+                             *_KERNEL_FLAGS["free"], "--t", "1", "--x-min", "-5", "--x-max", "5",
+                             "--n", "1024", "--output", str(tmp_path / "k.csv")], env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0 and usage.ru_minflt < 20000
+
+
 def test_kernel_csv_blocks_in_process_hold_no_n_by_n_array():
     # a library caller streams the n = 1024 kernel as the CLI writes it
     kernel = gaussian_kernel(AffineFlowExact.harmonic(1.5, 0.8), 0.9)
@@ -854,6 +868,17 @@ def test_cli_warning_is_one_line(capsys):
     quiet = capsys.readouterr()
     assert quiet.err == ""
     assert quiet.out == captured.out
+
+
+def test_evolve_warning_is_one_line(capsys):
+    # the README evolve grid at t = 5 put 1.4e-2 of the mass on the edge
+    # samples and exited 0 with nothing on stderr
+    assert main(["evolve", "--model", "free", "--m", "1", "--t", "5", "--x-min", "-6",
+                 "--x-max", "6", "--n", "512", "--x0", "1", "--p0", "0.5", "--sigma", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("ccrflow: warning: edge mass fraction 1.42e-02 exceeds 1e-06; "
+                            "results near the boundary are unreliable\n")
+    assert captured.out.count("\n") == 513
 
 
 def test_config_file_merge_flags_win(tmp_path, capsys):
@@ -1352,7 +1377,13 @@ _NORM_OVERFLOW = ["evolve", "--model", "free", "--m", "1", "--t", "1", "--x-min"
 # an amplitude (pi width^2)^(-1/4) of 0: 512 rows of zeros and exit 0
 _EVOLVE_WIDE = ["evolve", "--model", "free", "--m", "1", "--t", "1", "--x-min", "-6",
                 "--x-max", "6", "--n", "512"]
+# past omega t = pi the closed-form reference lacks the caustic's phase: l2
+# errors of 2.0, ratios of 1.0 and exit 0
+_PATHINT_CAUSTIC = ["pathint", "--force=-1*X", "--m", "1", "--t-total", "4", "--x-min", "-6",
+                    "--x-max", "6", "--n", "512", "--x0", "1", "--sigma", "1",
+                    "--convergence", "5,10,20"]
 _NAMED = {  # argv -> what its one line must name
+    tuple(_PATHINT_CAUSTIC): "sqrt(-kappa) t = 4 is past the first caustic at pi",
     tuple(_NORM_OVERFLOW): "sampled norm of inf",
     (*_EVOLVE_WIDE, "--sigma", "1e200"): "width 1e+200 is too large: pi width^2 overflows",
     (*_EVOLVE_WIDE, "--sigma", "1e154"): "width 1e+154 is too large: pi width^2 overflows",
@@ -1395,6 +1426,7 @@ _NAMED = {  # argv -> what its one line must name
                  3, id="caustic"),
     pytest.param(["evolve", "--model", "free", "--m", "1", "--t", "0.001",
                   "--x-min", "-4", "--x-max", "4", "--n", "64"], 3, id="coarse-grid"),
+    pytest.param(_PATHINT_CAUSTIC, 3, id="pathint-past-a-caustic"),
     # the slice chains ran before the closed form overflowed, and printed a
     # BoundaryLeak warning first
     pytest.param(_OVERFLOW, 3, id="overflow"),
@@ -1723,11 +1755,26 @@ def _fresh_python(script: str, *args: str, **env: str) -> str:
 # The modules a command imports only when it needs them, as newly loaded by
 # each step of commands run in turn in one interpreter (argv[1], as JSON: a
 # step is a list of [argv, exit status] pairs; ["--help"] formats the help and
-# ["import", name] imports a module).  dataclasses alone costs about 10 ms of
-# imports (inspect, ast, dis, tokenize), numpy about 60 ms.
+# ["import", name] imports a module), then numpy and the ccrflow modules in
+# the order their imports started.  sys.modules keeps the order in which
+# their bodies finished, so a finder first on sys.meta_path records the
+# start, which comes before the module's source is compiled.  dataclasses
+# alone costs about 10 ms of imports (inspect, ast, dis, tokenize), numpy
+# about 60 ms.
 _IMPORT_GRAPH = """
 import importlib, json, os, sys
 started = set(sys.modules)
+order = []
+
+
+class StartOrder:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "numpy" or name.startswith("ccrflow."):
+            order.append(name)
+
+
+sys.meta_path.insert(0, StartOrder)
 from ccrflow.cli import build_parser, main
 
 late = {"numpy", "fractions", "dataclasses", "inspect", "ast", "dis", "tokenize", "signal",
@@ -1743,12 +1790,13 @@ for step in json.loads(sys.argv[1]):
         else:
             assert main(argv + ["--output", os.devnull]) == status, argv
     steps.append(sorted(late & set(sys.modules) - started - {m for s in steps for m in s}))
-print(json.dumps([steps, os.environ.get("OPENBLAS_NUM_THREADS")]))
+print(json.dumps([steps, os.environ.get("OPENBLAS_NUM_THREADS"), order]))
 """
 
 
-def _import_steps(*steps) -> tuple[list[list[str]], str | None]:
-    """The modules each step newly loads, and OPENBLAS_NUM_THREADS at the end."""
+def _import_steps(*steps) -> tuple[list[list[str]], str | None, list[str]]:
+    """The modules each step newly loads, OPENBLAS_NUM_THREADS at the end, and
+    the import order of numpy and the ccrflow modules."""
     return tuple(json.loads(_fresh_python(_IMPORT_GRAPH, json.dumps(steps))))
 
 
@@ -1756,10 +1804,10 @@ def test_symbolic_commands_do_not_import_numpy():
     # --help loads no layer; normord and comm load the parser and opalg alone,
     # series adds heisenberg alone; verify's checks import the numeric modules
     # when they run
-    steps, blas = _import_steps([[["--help"], 0]],
-                                [[["normord", "P*X"], 0], [["comm", "X^3", "P"], 0]],
-                                [[["series", "--model", "harmonic", "--order", "3"], 0]],
-                                [[["import", "ccrflow.verify"], 0]])
+    steps, blas, _ = _import_steps([[["--help"], 0]],
+                                   [[["normord", "P*X"], 0], [["comm", "X^3", "P"], 0]],
+                                   [[["series", "--model", "harmonic", "--order", "3"], 0]],
+                                   [[["import", "ccrflow.verify"], 0]])
     assert steps == [[], ["ccrflow.expr", "ccrflow.opalg", "fractions"],
                      ["ccrflow.heisenberg"], ["ccrflow.verify"]]
     assert blas is None
@@ -1774,7 +1822,7 @@ def test_numeric_commands_load_no_exact_layer():
     # dataclass); no command here parses an expression, so none loads the
     # parser, opalg or fractions
     harmonic = ["kernel", "--model", "harmonic", "--m", "1", "--omega", "1", "--coefficients"]
-    steps, blas = _import_steps(
+    steps, blas, _ = _import_steps(
         [[["kernel", "--model", "linear", "--m", "2", "--F0", "3", "--t", "0.5", *_GRID, "4",
            "--coefficients"], 0],
          [[*harmonic, "--t", "3.141592653589793", *_GRID, "4"], 3],
@@ -1785,6 +1833,29 @@ def test_numeric_commands_load_no_exact_layer():
     # numpy itself loads inspect and what it imports
     assert set(steps[1]) - {"inspect", "ast", "dis", "tokenize"} == {"ccrflow.csvtext", "numpy"}
     assert blas == "1"
+
+
+_BOX = ["--x-min", "-6", "--x-max", "6", "--n", "256"]  # no packet here reaches the edge
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--model", "free", "--m", "1", "--t", "1", *_GRID, "4"],
+    ["evolve", "--model", "free", "--m", "1", "--t", "1", *_BOX],
+    ["pathint", "--force=-X", "--m", "1", "--t-total", "1", *_BOX, "--steps", "2"],
+    ["pathint", "--force=-X", "--m", "1", "--t-total", "1", *_BOX, "--convergence", "1,2",
+     "--report-output", os.devnull],
+], ids=["kernel-csv", "evolve", "pathint-steps", "pathint-convergence"])
+def test_numeric_commands_compile_every_ccrflow_module_before_numpy(argv):
+    # csvtext, the last ccrflow module, imports numpy; pathint imported numpy
+    # before it compiled opalg and propagator
+    _steps, _blas, order = _import_steps([[argv, 0]])
+    assert "ccrflow.csvtext" in order and order[-1] == "numpy"
+
+
+def test_kernel_coefficients_load_neither_numpy_nor_csvtext():
+    _steps, _blas, order = _import_steps([[["kernel", "--model", "free", "--m", "1", "--t", "1",
+                                            *_GRID, "4", "--coefficients"], 0]])
+    assert order == ["ccrflow.cli", "ccrflow.propagator"]
 
 
 _EVOLVE = ["evolve", "--model", "free", "--m", "1", "--t", "1", "--x-min", "-4", "--x-max", "4"]

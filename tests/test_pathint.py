@@ -17,6 +17,7 @@ from ccrflow.pathint import (
 )
 from ccrflow.propagator import (
     AffineFlowExact,
+    CausticSingularity,
     GridTooCoarse,
     UniformGrid,
     WaveFunction,
@@ -355,3 +356,19 @@ def test_convergence_study_builds_the_reference_before_the_slices(monkeypatch):
                                        width=0.0002)
     with pytest.raises(OverflowError, match=r"cosh\(1000\)"):
         convergence_study(force, 1.0, psi, 1.0, [1, 2])
+
+
+@pytest.mark.parametrize("t_total", [math.pi, 4.0])
+def test_convergence_study_refuses_a_reference_past_the_first_caustic(t_total, monkeypatch):
+    # past omega t = pi the closed form lacks the caustic's phase: at t = 4 the
+    # report read l2 errors of 2.0 and ratios of 1.0, and the command exited 0
+    import ccrflow.pathint as pathint_mod
+
+    def no_slices(*args):
+        raise AssertionError("a slice chain ran")
+
+    monkeypatch.setattr(pathint_mod, "propagate", no_slices)
+    psi = WaveFunction.gaussian_packet(UniformGrid.from_bounds(-6, 6, 512), center=1.0)
+    with pytest.raises(CausticSingularity, match=f"sqrt\\(-kappa\\) t = {t_total:.4g} is past "
+                                                 "the first caustic"):
+        convergence_study(harmonic_force(1.0, 1.0), 1.0, psi, t_total, [5, 10, 20])

@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from ccrflow.heisenberg import extract_affine, generator, newtonian_velocity, ta
 from ccrflow.opalg import Polynomial, ScalarCoeff, X
 from ccrflow.propagator import (
     AffineFlowExact,
+    BoundaryLeak,
     CausticSingularity,
     GaussianKernel,
     GridTooCoarse,
@@ -377,6 +380,7 @@ def test_delta_limit_small_time():
     assert out.l2_distance(psi) < 1e-3
 
 
+@pytest.mark.filterwarnings("ignore::ccrflow.propagator.BoundaryLeak")  # free: 1.7e-6
 @pytest.mark.parametrize("kernel", [
     gaussian_kernel(AffineFlowExact.free(1.0), 0.8),
     gaussian_kernel(AffineFlowExact.harmonic(1.3, 0.9), 1.1),
@@ -389,6 +393,63 @@ def test_evolve_matches_dense_quadrature(kernel):
     dense = kernel(x[:, None], x[None, :]) @ (psi.samples * psi.weights())
     got = evolve_exact(kernel, psi).samples
     assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_evolve_warns_where_the_packet_reaches_the_edge():
+    # the README evolve grid at t = 5 put 1.4e-2 of the mass on the edge
+    # samples, and exited 0 without a word; at t = 0.5 nothing leaks
+    psi = WaveFunction.gaussian_packet(UniformGrid.from_bounds(-6, 6, 512), center=1.0,
+                                       momentum=0.5)
+    with pytest.warns(BoundaryLeak, match="edge mass fraction 1.42e-02 exceeds 1e-06"):
+        evolve_exact(gaussian_kernel(AffineFlowExact.free(1.0), 5.0), psi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BoundaryLeak)
+        evolve_exact(gaussian_kernel(AffineFlowExact.free(1.0), 0.5), psi)
+
+
+def _step(n: int):
+    """The README harmonic kernel at t = 0.7 on a grid of n points in [-6, 6]."""
+    return gaussian_kernel(AffineFlowExact.harmonic(1.0, 1.0), 0.7).step(
+        UniformGrid.from_bounds(-6, 6, n))
+
+
+def test_chirp_step_application_allocates_only_its_result():
+    # each application allocated three arrays of the FFT length L (16 L bytes
+    # each); the operator now owns them, and only the n-sized result is new
+    step = _step(8192)
+    apply = step.operator()
+    v = WaveFunction.gaussian_packet(step.grid, center=1.0).samples
+    tracemalloc.start()
+    try:
+        apply(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert step.grid.fft_size == 16384 and peak < 16 * step.grid.fft_size
+
+
+@pytest.mark.parametrize("n", [2, 3, 896, 4096, 8192])
+def test_chirp_step_operator_repeats_the_fresh_array_expression(n):
+    # the operator as it was before it owned its buffers; from 256 KiB on
+    # (L = 16384) numpy ran spectrum * fft(...) in place on the temporary as
+    # fft(...) * spectrum, which rounds differently where the product fuses
+    # multiply and add, so there the bytes may change within 1e-15
+    step = _step(n)
+    size = step.grid.fft_size
+    diag = np.exp(1j * step.phase)
+    left = step.amp * diag
+    lag = step.grid.dx * np.arange(n)
+    col = np.exp(1j * step.kin * lag * lag)
+    spectrum = np.fft.fft(np.concatenate([col, np.zeros(size - 2 * n + 1), col[:0:-1]]))
+    apply = step.operator()
+    old = new = WaveFunction.gaussian_packet(step.grid, center=1.0, momentum=0.5).samples
+    for _ in range(8):
+        old = left * np.fft.ifft(spectrum * np.fft.fft(diag * old, size))[:n]
+        new = apply(new)
+        if 16 * size < 1 << 18:
+            assert new.tobytes() == old.tobytes()
+        else:
+            assert np.linalg.norm(new - old) <= 1e-15 * np.linalg.norm(old)
 
 
 @pytest.mark.parametrize("n", [2, 3, 384])
