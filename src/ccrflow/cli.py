@@ -33,10 +33,8 @@ if TYPE_CHECKING:
 # Each command imports the layers it runs when it runs, so --help loads
 # none: normord and comm import the parser (expr) and opalg, series opalg
 # and heisenberg, and kernel and evolve propagator, which loads numpy only
-# where it builds an array (kernel --coefficients never does).  kernel's
-# CSV, evolve and pathint import csvtext, their last ccrflow module, which
-# imports numpy, before their first array: every ccrflow module is compiled
-# before numpy loads, whose import reuses the heap compilation freed.  The
+# where it builds an array (kernel --coefficients never does); kernel's
+# CSV, evolve and pathint load it through _numpy.  The
 # numeric commands make no BLAS call (FFTs, ufuncs and sums only), so main
 # starts numpy with one OpenBLAS thread for them: the pool's idle threads
 # would only spin.  A later BLAS or LAPACK user in the library (such as an
@@ -119,14 +117,23 @@ def _text_lines(blocks: Iterable[bytes]) -> list[str]:
     return [line for block in blocks for line in block.decode().splitlines()]
 
 
+def _numpy():
+    """numpy, after csvtext, the last ccrflow module a numeric command compiles:
+    called where the commands build their first array (_kernel_step, _packet),
+    so numpy's import reuses the heap that compiling every ccrflow module freed."""
+    from . import csvtext  # noqa: F401
+    import numpy
+
+    return numpy
+
+
 def _kernel_step(kernel, grid: UniformGrid):
     """kernel's ChirpStep on grid, or OverflowError where a value is not finite:
     float rounding is monotone, so |kin| ((n - 1) dx)^2 + 2 max|phase| bounds
     every phase sum that step.rows computes."""
-    import numpy as np
-
     from .propagator import finite_on_grid
 
+    np = _numpy()
     with np.errstate(all="ignore"):
         step = kernel.step(grid)
         span = grid.dx * (grid.n - 1)
@@ -380,10 +387,9 @@ def _packet(args: argparse.Namespace, grid: UniformGrid) -> WaveFunction:
     hold its norm on [x_min, x_max]: a packet narrower than a cell falls
     between the points, or spikes on one.  That norm, not 1, is the reference,
     so a packet the grid's span cuts off is still accepted."""
-    import numpy as np
-
     from .propagator import GridTooCoarse, WaveFunction
 
+    np = _numpy()
     psi = WaveFunction.gaussian_packet(grid, center=args.x0, width=args.sigma,
                                        momentum=args.p0)
     lo, hi = ((edge - args.x0) / args.sigma for edge in (grid.x_min, grid.x_max))
@@ -445,15 +451,7 @@ def _cmd_kernel(args) -> int:
         _write_blocks([_block(kernel_coefficient_lines(kernel))], args.output)
     else:
         _check_cap("kernel rows", grid.n * grid.n)
-        from . import csvtext  # noqa: F401  (numpy after every ccrflow module)
-        import numpy as np
-
         step = _kernel_step(kernel, grid)  # raises before the output is opened
-        # glibc's malloc hands the free top of its heap back past a threshold
-        # that rises only when it frees a larger mapped chunk, such as this
-        # untouched MiB: then each block reuses its pages (n = 2048: 120k
-        # minor faults a launch without it, 4.7k with it)
-        np.empty(1 << 20, np.uint8)
         _write_blocks(kernel_csv_blocks(step), args.output)
     return 0
 
@@ -464,7 +462,6 @@ def _cmd_evolve(args) -> int:
     _default(args, x0=0.0, p0=0.0, sigma=1.0)
     grid, flow = _grid_and_flow(args)
     kernel = gaussian_kernel(flow, args.t)  # a caustic or overflow first, then the packet
-    from . import csvtext  # noqa: F401  (numpy after every ccrflow module)
     out = evolve_exact(kernel, _packet(args, grid))
     _write_blocks(wavefunction_csv_blocks(out), args.output)
     return 0
@@ -504,7 +501,6 @@ def _cmd_pathint(args) -> int:
         if not finite:
             raise OverflowError(f"force coefficient {coeff.text()} is beyond the float "
                                 "range at the given parameters")
-    from . import csvtext  # noqa: F401  (numpy after every ccrflow module)
     psi = _packet(args, grid)
     if args.convergence:
         report = convergence_study(force, args.m, psi, args.t_total, args.convergence, params)

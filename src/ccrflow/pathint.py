@@ -10,8 +10,8 @@ average of W makes each slice a second-order (Strang-type) step, so chaining
 N slices converges to the exact evolution at O(dt^2) with Richardson ratio 4
 under step doubling.  K is a ChirpStep, amp diag(e^{i dt W/2}) T diag(e^{i dt W/2})
 with T Toeplitz, so a slice is one deterministic FFT convolution: O(n log n)
-time, O(n) memory.  Like propagator, it imports numpy where it runs: every
-ccrflow module a numeric launch compiles is compiled before numpy loads.
+time, O(n) memory.  Like propagator, it imports numpy where it runs, so that
+every ccrflow module compiles before numpy loads (cli._numpy).
 """
 
 from __future__ import annotations

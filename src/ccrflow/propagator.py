@@ -16,8 +16,7 @@ quadrature on a uniform grid; a per-cell phase bound keeps the oscillatory
 integrand resolved.  The closed form (flows, kernel coefficients, the
 textbook kernels, the grid's bounds and the checks) is scalar math and
 cmath; the array code imports numpy where it runs, so that every ccrflow
-module a numeric launch compiles is compiled before numpy loads, and numpy's
-import reuses the heap that compilation freed.
+module compiles before numpy loads (cli._numpy).
 """
 
 from __future__ import annotations
@@ -211,9 +210,9 @@ class ChirpStep(NamedTuple):
         T_ij = exp{i kin ((i-j) dx)^2}, is embedded in a circulant of length
         grid.fft_size, where the lags -(n-1)..n-1 stay distinct, so U v is one
         zero-padded FFT convolution (Bluestein's chirp-z identity): O(n log n),
-        deterministic.  An application writes its FFT-length intermediates into
-        one buffer the operator owns, so it allocates only its n-sized result
-        (and applications of one operator may not overlap)."""
+        deterministic.  Its FFT-length intermediates live in one buffer the
+        operator owns (FFTs with out=, numpy >= 2.0): an application allocates
+        only its n-sized result, and two may not run at once (one per thread)."""
         import numpy as np
 
         n, size = self.grid.n, self.grid.fft_size

@@ -389,20 +389,6 @@ def test_kernel_csv_holds_no_n_by_n_array(tmp_path):
     assert peak < 2 ** 22
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="counts glibc malloc's page faults")
-def test_kernel_csv_blocks_keep_their_heap_pages(tmp_path):
-    # once numpy's import reused the heap that compilation freed, malloc kept
-    # its initial trim threshold and handed each block's pages back, to fault
-    # them in again: 33k minor faults a launch at n = 1024, where 4.6k remain
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(ccrflow.__file__).parents[1])}
-    proc = subprocess.Popen([sys.executable, "-m", "ccrflow.cli", "kernel",
-                             *_KERNEL_FLAGS["free"], "--t", "1", "--x-min", "-5", "--x-max", "5",
-                             "--n", "1024", "--output", str(tmp_path / "k.csv")], env=env)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0 and usage.ru_minflt < 20000
-
-
 def test_kernel_csv_blocks_in_process_hold_no_n_by_n_array():
     # a library caller streams the n = 1024 kernel as the CLI writes it
     kernel = gaussian_kernel(AffineFlowExact.harmonic(1.5, 0.8), 0.9)
