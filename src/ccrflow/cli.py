@@ -18,13 +18,13 @@ import math
 import os
 import sys
 import warnings
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import nullcontext, suppress
 from typing import TYPE_CHECKING
 
 from . import DomainError, ExpressionError
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterable, Iterator
+    from collections.abc import Iterable, Iterator
 
     from .opalg import OpExpr, Polynomial
     from .pathint import ConvergenceReport
@@ -167,79 +167,6 @@ def kernel_csv_blocks(step) -> Iterator[bytes]:
 def kernel_csv_lines(kernel, grid: UniformGrid) -> list[str]:
     """The lines of kernel_csv_blocks, split a block at a time."""
     return _text_lines(kernel_csv_blocks(_kernel_step(kernel, grid)))
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@contextmanager
-def _forked(produce: Callable[[], Iterable[bytes]]) -> Iterator[Iterator[bytes]]:
-    """Fork a child that calls produce() and sends the bytes objects it
-    yields down a pipe; yields an iterator over the pipe, 64 KiB a read.
-
-    The child keeps the bytes until produce has finished, so it never waits
-    on a parent that is busy elsewhere.  It never touches the parent's file
-    objects and always ends in os._exit, with status 0 only after the last
-    byte is written, so it runs no exit handler and flushes nothing it
-    inherited.  Once the iterator is used up it reaps the child, and a
-    nonzero exit status raises ChildProcessError(status).  Leaving the block
-    any other way closes the pipe, then kills and reaps the child.  Where
-    os.fork fails (at a process limit) the block gets iter(produce()) from
-    this process instead: the fork only buys speed.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns on fork in a multi-threaded process, such
-            # as a caller's with numpy's BLAS pool; no child calls BLAS.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except BaseException as exc:
-        os.close(read_fd)
-        os.close(write_fd)
-        if not isinstance(exc, OSError):
-            raise
-        pid = None
-    if pid is None:
-        yield iter(produce())
-        return
-    if not pid:
-        status = 1
-        try:
-            os.close(read_fd)
-            blocks = list(produce())
-            with open(write_fd, "wb") as pipe:
-                pipe.writelines(blocks)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    reaped = False
-
-    def chunks():
-        nonlocal reaped
-        while chunk := os.read(read_fd, 1 << 16):
-            yield chunk
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        reaped = True  # only now: an interrupted waitpid leaves the child to the finally
-        if status:
-            raise ChildProcessError(status)
-
-    try:
-        yield chunks()
-    finally:
-        os.close(read_fd)
-        if not reaped:
-            import signal  # only here: a run that kills no child never loads it
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def kernel_coefficient_lines(kernel) -> list[str]:
@@ -386,7 +313,8 @@ def _packet(args: argparse.Namespace, grid: UniformGrid) -> WaveFunction:
     """The Gaussian packet of --x0, --p0 and --sigma on grid, if its samples
     hold its norm on [x_min, x_max]: a packet narrower than a cell falls
     between the points, or spikes on one.  That norm, not 1, is the reference,
-    so a packet the grid's span cuts off is still accepted."""
+    so a packet the grid's span cuts off is still accepted, but not one that
+    leaves no more than the tolerance of it on the grid."""
     from .propagator import GridTooCoarse, WaveFunction
 
     np = _numpy()
@@ -394,6 +322,10 @@ def _packet(args: argparse.Namespace, grid: UniformGrid) -> WaveFunction:
                                        momentum=args.p0)
     lo, hi = ((edge - args.x0) / args.sigma for edge in (grid.x_min, grid.x_max))
     expected = math.sqrt((math.erf(hi) - math.erf(lo)) / 2)
+    if expected <= _NORM_TOLERANCE:
+        raise DomainError(f"the packet at --x0 {args.x0:.4g} of width {args.sigma:.4g} has a "
+                          f"norm of {expected:.2g} on the box [{grid.x_min:.4g}, "
+                          f"{grid.x_max:.4g}]; move --x0 into the box or narrow --sigma")
     with np.errstate(over="ignore"):  # a spike on a coarse grid: a norm of inf, reported here
         sampled = psi.norm()
     if not abs(sampled - expected) <= _NORM_TOLERANCE:

@@ -431,6 +431,8 @@ class WaveFunction:
         total = float(np.sum(prob))
         if total == 0.0:
             return 0.0
+        if len(prob) <= 2 * samples:  # every sample is an edge sample, counted once
+            return 1.0
         edge = float(np.sum(prob[:samples]) + np.sum(prob[-samples:]))
         return edge / total
 

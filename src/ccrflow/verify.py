@@ -7,12 +7,12 @@ status.
 
 Checks 1-4 are exact algebra and need no numpy; checks 5-8 import the
 numeric modules when they run, so importing this module loads no numpy.
-Where more than one CPU is usable, a child forked by cli._forked runs checks
-1-4 while this process imports numpy and runs checks 5-8; on one CPU, or
-where the fork fails, every check runs here, in order.  _forked reaps the
-child once its results are read, and kills and reaps it if this process
-stops first; a child that exits nonzero fails each of its checks with its
-status.  The report is the same bytes either way.
+_run_split forks a child that runs checks 1-4 while this process imports
+numpy and runs checks 5-8; where os.fork is missing or fails, every check
+runs here, in order.  The child is reaped once its results are read, and
+killed and reaped if this process stops first; a child that exits nonzero
+fails each of its checks with its status.  The report is the same bytes
+either way.
 
 On a 2-vCPU VM checks 1-4 take 85-110 ms and the numpy import plus checks
 5-8 113-128 ms (medians of 21 fresh processes, two series each), so the
@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import marshal
 import math
+import os
 import random
+import warnings
 
 from .heisenberg import (
     commutator_series,
@@ -329,34 +331,66 @@ def _run_checks(checks) -> list[tuple[bool, str]]:
 
 
 def _run_split(exact, numeric) -> list[tuple[bool, str]]:
-    """A forked child runs the exact checks while this process imports numpy
-    and runs the numeric ones; the results come back in order.  A child that
-    exits nonzero fails each of its checks."""
-    from .cli import _forked
+    """The results of the exact and the numeric checks, in order (see above).
 
-    with _forked(lambda: [marshal.dumps(_run_checks(exact))]) as chunks:
-        tail = _run_checks(numeric)
+    The child sends one marshal blob down a pipe and ends in os._exit, with
+    status 0 only after its last byte is written, so it runs no exit handler
+    and flushes nothing it inherited.  A fork that fails (at a process limit)
+    only costs speed.
+    """
+    if not hasattr(os, "fork"):
+        return _run_checks(exact + numeric)
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on fork in a multi-threaded process, such
+            # as a caller's with numpy's BLAS pool; the child calls no BLAS.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException as exc:
+        os.close(read_fd)
+        os.close(write_fd)
+        if isinstance(exc, OSError):
+            return _run_checks(exact + numeric)
+        raise
+    if not pid:
+        status = 1
         try:
-            return marshal.loads(b"".join(chunks)) + tail
-        except ChildProcessError as exc:
-            return [(False, f"its process exited with status {exc.args[0]} before it "
-                            "reported")] * len(exact) + tail
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(marshal.dumps(_run_checks(exact)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        tail = _run_checks(numeric)
+        # opened only now: a file object held through checks 5-8 cost 0.1 MiB of peak RSS
+        with open(read_fd, "rb", closefd=False) as pipe:
+            blob = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except BaseException:
+        import signal  # only here: a run that kills no child never loads it
+
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    finally:
+        os.close(read_fd)
+    if status:
+        return [(False, f"its process exited with status {status} before it "
+                        "reported")] * len(exact) + tail
+    return marshal.loads(blob) + tail
 
 
 def run_verification() -> tuple[list[str], bool]:
     """Run every check; returns (report lines, all passed).
 
-    The checks run in two processes where more than one CPU is usable, else
-    in this one; the report is the same either way.
+    The checks run in two processes where this one can fork, else in this
+    one; the report is the same either way.
     """
-    from .cli import _usable_cpus
-
     checks = list(_CHECKS)
-    exact, numeric = checks[:_EXACT_CHECKS], checks[_EXACT_CHECKS:]
-    if exact and numeric and _usable_cpus() > 1:
-        results = _run_split(exact, numeric)
-    else:
-        results = _run_checks(checks)
+    results = _run_split(checks[:_EXACT_CHECKS], checks[_EXACT_CHECKS:])
     lines = ["ccrflow verification suite"]
     passed = 0
     for (name, _check), (ok, detail) in zip(checks, results):

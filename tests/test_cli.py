@@ -360,11 +360,10 @@ def test_kernel_writer_bytes_do_not_depend_on_cpus(model, n, tmp_path, capsys):
 
 @pytest.mark.parametrize("n", [886, 887])
 def test_kernel_never_forks(n, tmp_path, capsys, monkeypatch):
-    # one process writes every row, whatever the CPU count: from --n 887 on
-    # the rows were split across forked workers, each holding its whole share
+    # one process writes every row: from --n 887 on the rows were split
+    # across forked workers, each holding its whole share
     argv, expected = _kernel_csv("harmonic", n)
     forks = _count_forks(monkeypatch)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
     assert main(argv) == 0
     assert capsys.readouterr() == (expected, "")
     path = tmp_path / "k.csv"
@@ -957,9 +956,8 @@ def test_traced_benchmark_names_exist():
 _CHILD_CALLS = {"fork", "pipe", "waitpid", "kill"}
 
 
-def test_only_forked_starts_and_ends_a_child():
-    # one function owns a child process from fork to reap; verify uses it
-    # and imports neither os nor signal
+def test_only_run_split_starts_and_ends_a_child():
+    # one function owns verify's child process from fork to reap
     owners = set()
     for path in sorted(pathlib.Path(ccrflow.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -971,12 +969,8 @@ def test_only_forked_starts_and_ends_a_child():
                 if (isinstance(node, ast.ImportFrom) and node.module == "os"
                         and {alias.name for alias in node.names} & _CHILD_CALLS):
                     owners.add(owner)
-    assert owners == {"cli._forked"}
-    verify_source = pathlib.Path(ccrflow.__file__).with_name("verify.py").read_text()
-    imported = {alias.name for node in ast.walk(ast.parse(verify_source))
-                if isinstance(node, ast.Import) for alias in node.names}
-    assert not imported & {"os", "signal"}
-    assert not hasattr(cli, "_fork_worker")
+    assert owners == {"verify._run_split"}
+    assert not any(hasattr(cli, name) for name in ("_fork_worker", "_forked", "_usable_cpus"))
 
 
 def test_outputs_are_byte_identical(tmp_path):
@@ -1002,7 +996,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         return False, "synthetic failure"
 
     checks = verify_mod._CHECKS
-    # check 2 runs in the exact half (a forked child on two CPUs), check 8 here
+    # check 2 runs in the exact half (a forked child), check 8 here
     for index in (1, 7):
         monkeypatch.setattr(verify_mod, "_CHECKS",
                             checks[:index] + [(f"{index + 1} broken", broken)]
@@ -1043,29 +1037,36 @@ def test_verify_catches_a_second_run_that_differs(name, change, capsys, monkeypa
     _assert_no_child_left()
 
 
-def _verify_forks(monkeypatch, cpus: int) -> list:
-    """Let verify see cpus usable CPUs; returns the list of the forks it makes."""
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-    return _count_forks(monkeypatch)
+def _verify_one_process_ways(monkeypatch):
+    """Reach verify's one-process path through a fork that fails (EAGAIN),
+    then through a platform without os.fork; yields the forks counted."""
+    with monkeypatch.context() as patch:
+        yield _count_forks(patch, fail_on=1)
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork")
+        yield None
 
 
 @_NEEDS_FORK
 def test_verify_report_is_the_same_in_one_and_two_processes(capsys, monkeypatch):
+    # the fork and a platform without os.fork give the golden report, and
+    # leave no descriptor open and no child behind (a failed fork: below)
     golden = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text())
     want, = [case["stdout"] for case in golden if case["argv"] == ["verify"]]
+    fds = _open_fds()
     forks = _count_forks(monkeypatch)
-    for cpus in (1, 2):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        del forks[:]
-        assert main(["verify"]) == 0
-        assert capsys.readouterr().out == want
-        assert len(forks) == (cpus > 1)
+    assert main(["verify"]) == 0
+    assert capsys.readouterr() == (want, "") and forks == [1]
+    monkeypatch.delattr(os, "fork")
+    assert main(["verify"]) == 0
+    assert capsys.readouterr() == (want, "")
+    assert _open_fds() == fds
     _assert_no_child_left()
 
 
 @_NEEDS_FORK
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_verify_check_that_raises_fails_alone(capsys, monkeypatch, cpus):
+@pytest.mark.parametrize("processes", [1, 2])
+def test_verify_check_that_raises_fails_alone(capsys, monkeypatch, processes):
     import ccrflow.verify as verify_mod
 
     def raises(exc):
@@ -1077,15 +1078,17 @@ def test_verify_check_that_raises_fails_alone(capsys, monkeypatch, cpus):
     checks[2] = ("3 raises", raises(ZeroDivisionError("in the exact half")))
     checks[5] = ("6 raises", raises(KeyError("numeric")))
     monkeypatch.setattr(verify_mod, "_CHECKS", checks)
-    forks = _verify_forks(monkeypatch, cpus)
-    assert main(["verify"]) == 1
-    assert len(forks) == (cpus > 1)
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert "check 3 raises: FAIL (raised ZeroDivisionError: in the exact half)\n" in out
-    assert "check 6 raises: FAIL (raised KeyError: 'numeric')\n" in out
-    assert out.count(": PASS (") == 6
-    assert out.endswith("result: FAIL (6/8 checks)\n")
+    ways = [_count_forks(monkeypatch)] if processes == 2 else _verify_one_process_ways(
+        monkeypatch)
+    for forks in ways:
+        assert main(["verify"]) == 1
+        assert forks in ([1], None)
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "check 3 raises: FAIL (raised ZeroDivisionError: in the exact half)\n" in out
+        assert "check 6 raises: FAIL (raised KeyError: 'numeric')\n" in out
+        assert out.count(": PASS (") == 6
+        assert out.endswith("result: FAIL (6/8 checks)\n")
     _assert_no_child_left()
 
 
@@ -1096,9 +1099,10 @@ def test_verify_child_that_dies_fails_its_checks(capsys, monkeypatch):
     checks = list(verify_mod._CHECKS)
     checks[1] = ("2 exits", lambda: os._exit(7))
     monkeypatch.setattr(verify_mod, "_CHECKS", checks)
-    forks = _verify_forks(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    fds = _open_fds()
     assert main(["verify"]) == 1
-    assert forks == [1]
+    assert forks == [1] and _open_fds() == fds
     lines = capsys.readouterr().out.splitlines()
     failed = [line for line in lines if line.startswith("check ") and ": FAIL (" in line]
     assert [line.split(":")[0] for line in failed] == [
@@ -1136,7 +1140,7 @@ def test_verify_catches_a_product_that_drops_a_term(capsys, monkeypatch):
         return out - _top_ccr_terms(self, other) if isinstance(other, OpExpr) else out
 
     monkeypatch.setattr(OpExpr, "__mul__", dropping_mul)
-    forks = _verify_forks(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
     assert main(["verify"]) == 1
     assert forks == [1]
     out = capsys.readouterr().out
@@ -1160,7 +1164,7 @@ def test_verify_catches_a_commutator_that_drops_a_term(capsys, monkeypatch):
 
     for mod in (opalg_mod, heisenberg_mod, verify_mod):
         monkeypatch.setattr(mod, "commutator", dropping_commutator)
-    forks = _verify_forks(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
     assert main(["verify"]) == 1
     assert forks == [1]
     out = capsys.readouterr().out
@@ -1180,7 +1184,7 @@ def test_verify_catches_a_scaled_polynomial_with_a_flipped_sign(capsys, monkeypa
 
     monkeypatch.setattr(Polynomial, "_scaled", flipped)
     assert (Polynomial.monomial(2) * 3).coeffs[2] == ScalarCoeff.rational(-3)
-    forks = _verify_forks(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
     assert main(["verify"]) == 1
     assert forks == [1]
     out = capsys.readouterr().out
@@ -1201,7 +1205,7 @@ def test_verify_catches_an_action_weight_off_by_one(capsys, monkeypatch):
     monkeypatch.setattr(opalg_mod, "math", off_by_one)
     assert opalg_mod.apply_to_polynomial(P, Polynomial.monomial(1)) == Polynomial.monomial(
         0, ScalarCoeff.rational(0, -2))
-    forks = _verify_forks(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
     assert main(["verify"]) == 1
     assert forks == [1]
     out = capsys.readouterr().out
@@ -1261,7 +1265,6 @@ def test_verify_failed_fork_runs_every_check_here(capsys, monkeypatch):
     golden = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text())
     want, = [case["stdout"] for case in golden if case["argv"] == ["verify"]]
     forks = _count_forks(monkeypatch, fail_on=1)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     fds = _open_fds()
     assert main(["verify"]) == 0
     assert capsys.readouterr() == (want, "")
@@ -1279,10 +1282,11 @@ def test_verify_interrupted_kills_and_reaps_its_child(monkeypatch):
     checks = list(verify_mod._CHECKS)
     checks[4] = ("5 interrupted", interrupted)  # in this process, while the child runs
     monkeypatch.setattr(verify_mod, "_CHECKS", checks)
-    forks = _verify_forks(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    fds = _open_fds()
     with pytest.raises(KeyboardInterrupt):
         main(["verify"])
-    assert forks == [1]
+    assert forks == [1] and _open_fds() == fds
     _assert_no_child_left()
 
 
@@ -1298,12 +1302,12 @@ def test_verify_interrupted_wait_still_reaps_its_child(monkeypatch):
             raise KeyboardInterrupt
         return real_waitpid(pid, options)
 
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "waitpid", waitpid)
+    fds = _open_fds()
     with pytest.raises(KeyboardInterrupt):
         main(["verify"])
     monkeypatch.undo()
-    assert waited == [waited[0]] * 2
+    assert waited == [waited[0]] * 2 and _open_fds() == fds
     _assert_no_child_left()
 
 
@@ -1368,8 +1372,17 @@ _EVOLVE_WIDE = ["evolve", "--model", "free", "--m", "1", "--t", "1", "--x-min", 
 _PATHINT_CAUSTIC = ["pathint", "--force=-1*X", "--m", "1", "--t-total", "4", "--x-min", "-6",
                     "--x-max", "6", "--n", "512", "--x0", "1", "--sigma", "1",
                     "--convergence", "5,10,20"]
+# a packet with no mass on the box passed its norm check as 0 = 0: l2 errors
+# of 0 and a ratio of nan in the report, 512 rows of zeros, both with exit 0
+_OFF_BOX_PATHINT = ["pathint", "--force=-X", "--m", "1", "--t-total", "3", "--x-min", "-2.55",
+                    "--x-max", "2.55", "--n", "896", "--x0", "100", "--sigma", "0.5",
+                    "--convergence", "5,10"]
 _NAMED = {  # argv -> what its one line must name
     tuple(_PATHINT_CAUSTIC): "sqrt(-kappa) t = 4 is past the first caustic at pi",
+    tuple(_OFF_BOX_PATHINT): (
+        "the packet at --x0 100 of width 0.5 has a norm of 0 on the box [-2.55, 2.55]"),
+    (*_EVOLVE_WIDE, "--x0", "100"): (
+        "the packet at --x0 100 of width 1 has a norm of 0 on the box [-6, 6]"),
     tuple(_NORM_OVERFLOW): "sampled norm of inf",
     (*_EVOLVE_WIDE, "--sigma", "1e200"): "width 1e+200 is too large: pi width^2 overflows",
     (*_EVOLVE_WIDE, "--sigma", "1e154"): "width 1e+154 is too large: pi width^2 overflows",
@@ -1469,6 +1482,8 @@ _NAMED = {  # argv -> what its one line must name
     pytest.param(_SWEEP_FOUND, 3, id="packet-phase-overflows-on-four-points"),
     pytest.param(_IMAGINARY_FORCE, 2, id="imaginary-force"),
     pytest.param(_NORM_OVERFLOW, 3, id="packet-norm-overflows"),
+    pytest.param(_OFF_BOX_PATHINT, 3, id="packet-off-the-box-pathint"),
+    pytest.param([*_EVOLVE_WIDE, "--x0", "100"], 3, id="packet-off-the-box-evolve"),
     pytest.param([*_EVOLVE_WIDE, "--sigma", "1e200"], 2, id="width-squared-overflows"),
     pytest.param([*_EVOLVE_WIDE, "--sigma", "1e154"], 2, id="pi-width-squared-overflows"),
     pytest.param([*_PATHINT, "--convergence", "5,10,0"], 2, id="convergence-zero"),
@@ -1496,6 +1511,14 @@ def test_exit_code_sweep(argv, code, capsys):
             assert f"force coefficient {coeff} is beyond the float range" in err
     if argv[:1] in (["normord"], ["comm"]) and len(argv) > 1 and argv[1] in _BYTE_OFFSETS:
         assert err.endswith(f" (byte {_BYTE_OFFSETS[argv[1]]})\n")
+
+
+def test_packet_the_box_only_cuts_is_accepted(capsys):
+    # --x0 9 on [-6, 6] leaves a norm of 3.3e-3 on the box, above the tolerance
+    assert main([*_EVOLVE_WIDE, "--x0", "9"]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 513
+    assert err.startswith("ccrflow: warning: edge mass fraction ") and err.count("\n") == 1
 
 
 # The seeded sweep's grammar.  Floats are extremes a third of the time and
@@ -1612,7 +1635,6 @@ def _sweep_error(argv: list[str], code: int, out: str, err: str) -> str | None:
 def test_seeded_sweep_ends_every_input_in_one_of_three_ways(capsys, monkeypatch):
     # every input ends in a result, a usage line (2) or a domain line (3);
     # the inputs this sweep found are rows of test_exit_code_sweep
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # no draw forks
     rng = random.Random(20261019)
     commands = [rng.choice(["normord", "comm", "series", "kernel", "evolve", "pathint"])
                 for _ in range(318)]
@@ -1855,7 +1877,7 @@ print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/
 """
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or cli._usable_cpus() < 2,
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs /proc/self/task and two usable CPUs")
 @pytest.mark.parametrize("given, threads", [(None, 1), ("2", 2)])
 def test_numeric_commands_start_one_blas_thread_unless_told(given, threads):

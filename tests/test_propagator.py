@@ -407,6 +407,28 @@ def test_evolve_warns_where_the_packet_reaches_the_edge():
         evolve_exact(gaussian_kernel(AffineFlowExact.free(1.0), 0.5), psi)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_edge_mass_fraction_counts_each_sample_once(n):
+    # the 5 samples at each end overlapped for n <= 9: four equal samples gave
+    # 2.0; where every sample is an edge sample the fraction is exactly 1
+    grid = UniformGrid.from_bounds(-6, 6, n)
+    rng = np.random.default_rng(n)
+    for samples in (np.ones(n), rng.normal(size=n) + 1j * rng.normal(size=n),
+                    WaveFunction.gaussian_packet(grid, width=3.0).samples):
+        fraction = WaveFunction(grid, samples).edge_mass_fraction()
+        prob = np.abs(samples) ** 2
+        assert fraction == (1.0 if n <= 10 else
+                            float(np.sum(prob[:5]) + np.sum(prob[-5:])) / float(np.sum(prob)))
+        assert fraction <= 1.0
+
+
+def test_evolve_on_nine_points_warns_of_a_fraction_of_one():
+    # this warned "edge mass fraction 1.14e+00"
+    psi = WaveFunction.gaussian_packet(UniformGrid.from_bounds(-6, 6, 9), width=3.0)
+    with pytest.warns(BoundaryLeak, match=r"edge mass fraction 1\.00e\+00 exceeds"):
+        evolve_exact(gaussian_kernel(AffineFlowExact.free(1.0), 20.0), psi)
+
+
 def _step(n: int):
     """The README harmonic kernel at t = 0.7 on a grid of n points in [-6, 6]."""
     return gaussian_kernel(AffineFlowExact.harmonic(1.0, 1.0), 0.7).step(
