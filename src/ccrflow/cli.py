@@ -85,7 +85,11 @@ def _force_polynomial(e: OpExpr) -> Polynomial:
 # CSV output
 # ---------------------------------------------------------------------------
 
-_FORMAT_BLOCK = 4096  # floats per csvtext.fields call, so that its temporaries stay small
+# Floats per csvtext.fields call and per kernel CSV block: at 2,048 the table
+# (50 bytes a float), its byte copy and each fields array stay under malloc's
+# 128 KiB mmap and trim threshold, so kernel --n 1024 takes 4.5k minor faults
+# a launch and --n 2048 4.6k, against 33.6k and 121k at 4,096 floats.
+_FORMAT_BLOCK = 2048
 
 
 def format_float(x: float) -> str:
@@ -143,25 +147,31 @@ def _kernel_step(kernel, grid: UniformGrid):
 
 
 def kernel_csv_blocks(step) -> Iterator[bytes]:
-    """The CSV of the kernel step on its grid as byte blocks of about
-    _FORMAT_BLOCK floats, each built in one table: no n x n array is held."""
+    """The CSV of the kernel step on its grid as byte blocks of at most
+    _FORMAT_BLOCK floats, each built in one table: no n x n array is held.  A
+    block holds whole rows where a row fits in it, else a range of one row."""
     import numpy as np
 
     from .csvtext import FIELD, fields, lines
 
     x_fields = fields(step.grid.points())
     n = len(x_fields)
-    per_block = min(n, max(1, _FORMAT_BLOCK // (2 * n)))
-    table = np.tile(x_fields[:, None], (per_block, 1, 4, 1))  # x_b, x_a, re, im; x_a set once
+    width = min(n, _FORMAT_BLOCK // 2)  # entries of a row in a block
+    height = min(n, max(1, _FORMAT_BLOCK // (2 * n)))  # rows in a block
+    # x_b, x_a, re, im; x_a set once where a block holds whole rows
+    table = np.tile(x_fields[:width, None], (height, 1, 4, 1))
     yield b"x_b,x_a,re,im\n"
-    for start in range(0, n, per_block):
-        rows = table[:n - start]
-        rows[:, :, 0] = x_fields[start:start + per_block, None]
-        values = step.rows(start, start + len(rows)).view(np.float64)
-        rows[:, :, 2:] = fields(values).reshape(len(rows), n, 2, FIELD)
-        # the consumer holds a block while the next is built, so malloc keeps
-        # its pages (n = 384: 6k minor faults a launch, 17k if it is freed)
-        yield lines(rows.reshape(-1, 4 * FIELD))
+    for start in range(0, n, height):
+        for first in range(0, n, width):
+            rows = table[:n - start, :n - first]  # contiguous: a split row is alone
+            rows[:, :, 0] = x_fields[start:start + height, None]
+            if width < n:
+                rows[:, :, 1] = x_fields[first:first + width]
+            values = step.rows(start, start + len(rows), slice(first, first + width))
+            rows[:, :, 2:] = fields(values.view(np.float64)).reshape(*rows.shape[:2], 2, FIELD)
+            # a block under 128 KiB refaults nothing, whether the consumer holds it
+            # while the next is built or frees it (n = 384: 4.5k and 4.4k minor faults)
+            yield lines(rows.reshape(-1, 4 * FIELD))
 
 
 def kernel_csv_lines(kernel, grid: UniformGrid) -> list[str]:

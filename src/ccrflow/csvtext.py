@@ -58,12 +58,19 @@ def _power(p: int) -> tuple[float, float]:
     return hi, (num * hi_den - hi_num * den) / (den * hi_den)
 
 
+@lru_cache(maxsize=256)
+def _powers(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """_power(16 - e) for e = first..last as an array of his and one of los."""
+    his, los = zip(*(_power(16 - k) for k in range(first, last + 1)))
+    return np.array(his), np.array(los)
+
+
 def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a 10^(16 - e) as P + L, P = fl(a hi) (see the module docstring)."""
     first = int(e.min())
-    his, los = zip(*(_power(16 - k) for k in range(first, int(e.max()) + 1)))
+    his, los = _powers(first, int(e.max()))
     index = e - first
-    hi = np.take(his, index)
+    hi = his[index]
     p = a * hi
     c = _SPLIT * a
     a_hi = c - (c - a)
@@ -72,7 +79,7 @@ def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h_hi = c - (c - hi)
     h_lo = hi - h_hi
     err = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo
-    return p, err + a * np.take(los, index)
+    return p, err + a * los[index]
 
 
 def fields(values) -> np.ndarray:
@@ -103,8 +110,10 @@ def fields(values) -> np.ndarray:
 
     out = np.empty(len(v), _LAYOUT)
     out["sign"] = np.signbit(v) * np.uint8(ord("-"))
-    high9, low8 = np.divmod(n, 10 ** 8)
-    lead, high8 = np.divmod(high9, 10 ** 8)
+    high9 = n // 10 ** 8  # a floor-divide and a product: np.divmod costs about three
+    low8 = n - high9 * 10 ** 8
+    lead = high9 // 10 ** 8
+    high8 = high9 - lead * 10 ** 8
     del n, high9
     out["lead"] = np.take(_LEADS, lead)
     quads = np.empty((len(v), 4), np.int64)
@@ -114,7 +123,8 @@ def fields(values) -> np.ndarray:
     quads[:, 3] = low8 - quads[:, 2] * 10 ** 4
     out["digits"] = np.take(_QUADS, quads)
     e -= _EXPONENTS.start
-    np.clip(e, 0, len(_EXPONENTS) - 1, out=e)  # rows left to format_float may be anywhere
+    # rows left to format_float may be anywhere (np.clip checks its bounds in Python)
+    np.minimum(np.maximum(e, 0, out=e), len(_EXPONENTS) - 1, out=e)
     out["exponent"] = np.take(_HEADS, e)
     out["tail"] = np.take(_TAILS, e)
 

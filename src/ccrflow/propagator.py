@@ -233,16 +233,18 @@ class ChirpStep(NamedTuple):
             return left * np.fft.ifft(work, out=work)[:n]
         return apply
 
-    def rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Rows start..stop of the dense matrix U; bitwise symmetric, and the
-        same bits whatever rows are asked for: amp * <a large temporary> would
-        run in place as temporary * amp, which numpy may round differently."""
+    def rows(self, start: int = 0, stop: int | None = None,
+             columns: slice = slice(None)) -> np.ndarray:
+        """Rows start..stop of the dense matrix U, in the given columns; bitwise
+        symmetric, and the same bits whatever block is asked for: amp * <a large
+        temporary> would run in place as temporary * amp, which numpy may round
+        differently."""
         import numpy as np
 
         n = self.grid.n
         stop = n if stop is None else stop
-        lag = self.grid.dx * (np.arange(start, stop)[:, None] - np.arange(n))
-        phase = self.kin * lag * lag + (self.phase[start:stop, None] + self.phase)
+        lag = self.grid.dx * (np.arange(start, stop)[:, None] - np.arange(n)[columns])
+        phase = self.kin * lag * lag + (self.phase[start:stop, None] + self.phase[columns])
         return np.multiply(self.amp, np.exp(1j * phase))
 
 

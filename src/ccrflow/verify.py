@@ -26,6 +26,7 @@ import math
 import os
 import random
 import warnings
+from itertools import zip_longest
 
 from .heisenberg import (
     commutator_series,
@@ -295,10 +296,10 @@ def _check_report_determinism() -> tuple[bool, str]:
         gen = generator(force_for_model("harmonic"), newtonian_velocity())
         yield _block(series_lines(taylor_flow(X, gen, 6)))
 
-    first, second = (b"".join(pipeline()) for _ in range(2))
-    if first != second:
+    first = list(pipeline())  # the second run is compared as it streams
+    if any(a != b for a, b in zip_longest(first, pipeline())):
         return False, "repeated pipelines produced different bytes"
-    return True, f"byte-identical output on repeated runs ({len(first)} bytes)"
+    return True, f"byte-identical output on repeated runs ({sum(map(len, first))} bytes)"
 
 
 _CHECKS = [
@@ -330,6 +331,16 @@ def _run_checks(checks) -> list[tuple[bool, str]]:
     return [_run_check(check) for _name, check in checks]
 
 
+def _run_numeric(numeric) -> list[tuple[bool, str]]:
+    """_run_checks(numeric), with numpy loaded after every ccrflow module they
+    compile (see cli._numpy): pathint loads opalg and propagator."""
+    from . import pathint  # noqa: F401
+    from .cli import _numpy
+
+    _numpy()
+    return _run_checks(numeric)
+
+
 def _run_split(exact, numeric) -> list[tuple[bool, str]]:
     """The results of the exact and the numeric checks, in order (see above).
 
@@ -339,7 +350,7 @@ def _run_split(exact, numeric) -> list[tuple[bool, str]]:
     only costs speed.
     """
     if not hasattr(os, "fork"):
-        return _run_checks(exact + numeric)
+        return _run_checks(exact) + _run_numeric(numeric)
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -351,7 +362,7 @@ def _run_split(exact, numeric) -> list[tuple[bool, str]]:
         os.close(read_fd)
         os.close(write_fd)
         if isinstance(exc, OSError):
-            return _run_checks(exact + numeric)
+            return _run_checks(exact) + _run_numeric(numeric)
         raise
     if not pid:
         status = 1
@@ -364,7 +375,7 @@ def _run_split(exact, numeric) -> list[tuple[bool, str]]:
             os._exit(status)
     os.close(write_fd)
     try:
-        tail = _run_checks(numeric)
+        tail = _run_numeric(numeric)
         # opened only now: a file object held through checks 5-8 cost 0.1 MiB of peak RSS
         with open(read_fd, "rb", closefd=False) as pipe:
             blob = pipe.read()

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -269,6 +270,24 @@ def test_kernel_csv_lines_match_per_row_formatting(flow, n):
     assert np.array_equal(printed, printed.T)
 
 
+@pytest.mark.parametrize("floats", [2, 5, 13, 14, 28, 2048])
+def test_kernel_csv_is_the_same_in_blocks_of_any_size(floats, monkeypatch):
+    # a block holds at most _FORMAT_BLOCK floats: a row of n = 7 (14 floats)
+    # splits into column ranges below 14, the last one short where 7 is no
+    # multiple of the range, and whole rows share a block from 14 on
+    kernel = gaussian_kernel(AffineFlowExact.harmonic(1.5, 0.8), 0.9)
+    grid = UniformGrid.from_bounds(-4.0, 3.0, 7)
+    x = grid.points()
+    values = kernel.step(grid).rows()
+    want = _reference_lines((xb, xa, val.real, val.imag)
+                            for xb, row in zip(x, values) for xa, val in zip(x, row))
+    monkeypatch.setattr(cli, "_FORMAT_BLOCK", floats)
+    header, *blocks = cli.kernel_csv_blocks(cli._kernel_step(kernel, grid))
+    assert header == b"x_b,x_a,re,im\n"
+    assert b"".join(blocks).decode().splitlines() == want
+    assert max(2 * block.count(b"\n") for block in blocks) <= floats
+
+
 def test_wavefunction_csv_lines_match_per_row_formatting():
     rng = np.random.default_rng(7)
     extremes = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
@@ -402,9 +421,22 @@ def test_kernel_csv_blocks_in_process_hold_no_n_by_n_array():
     assert peak < 2 ** 22
 
 
+@pytest.mark.parametrize("n", [384, 1024, 2048])
+def test_kernel_csv_blocks_stay_under_100_kib(n):
+    # a block of at most 2,048 floats keeps the table, its byte copy and each
+    # array of csvtext.fields under malloc's 128 KiB mmap and trim threshold;
+    # 4,096-float blocks were 177-189 KiB; a long row splits into column ranges
+    kernel = gaussian_kernel(AffineFlowExact.harmonic(1.5, 0.8), 0.9)
+    step = cli._kernel_step(kernel, UniformGrid.from_bounds(-4.0, 3.0, n))
+    blocks = list(itertools.islice(cli.kernel_csv_blocks(step), 1, 8))  # after the header
+    assert sum(block.count(b"\n") for block in blocks) >= 3 * n  # three rows at least
+    assert max(map(len, blocks)) <= 100 * 1024
+
+
 def test_verify_determinism_check_holds_no_list_of_lines():
-    # check 8 joins the byte blocks the commands write: it peaked at 1.78 MiB
-    # when it joined one str per line from the adapters, 1.22 MiB on the blocks
+    # check 8 keeps the first run's byte blocks and compares the second run's
+    # as they stream: it peaked at 1.78 MiB when it joined one str per line
+    # from the adapters, 1.22 MiB when it joined both runs' blocks
     import ccrflow.verify as verify_mod
 
     verify_mod._check_report_determinism()  # imports and caches outside the count
@@ -415,7 +447,7 @@ def test_verify_determinism_check_holds_no_list_of_lines():
     finally:
         tracemalloc.stop()
     assert (ok, detail) == (True, "byte-identical output on repeated runs (402247 bytes)")
-    assert peak < 1.5 * 2 ** 20
+    assert peak < 2 ** 20
 
 
 def test_library_never_calls_the_line_adapters():
@@ -1025,9 +1057,11 @@ def _second_run_changed(monkeypatch, name: str, change) -> None:
     ("wavefunction_csv_blocks",
      lambda out: [out[0], bytes([out[1][0] ^ 1]) + out[1][1:], *out[2:]]),
     ("kernel_csv_blocks", lambda out: out[:-1]),
-], ids=["one-flipped-byte", "one-block-short"])
+    ("kernel_csv_blocks", lambda out: [*out, out[-1]]),
+], ids=["one-flipped-byte", "one-block-short", "one-block-extra"])
 def test_verify_catches_a_second_run_that_differs(name, change, capsys, monkeypatch):
-    # planted faults in check 8's second run: a flipped byte, a missing block
+    # planted faults in check 8's second run: a flipped byte, a missing block,
+    # a block too many
     _second_run_changed(monkeypatch, name, change)
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
@@ -1852,10 +1886,12 @@ _BOX = ["--x-min", "-6", "--x-max", "6", "--n", "256"]  # no packet here reaches
     ["pathint", "--force=-X", "--m", "1", "--t-total", "1", *_BOX, "--steps", "2"],
     ["pathint", "--force=-X", "--m", "1", "--t-total", "1", *_BOX, "--convergence", "1,2",
      "--report-output", os.devnull],
-], ids=["kernel-csv", "evolve", "pathint-steps", "pathint-convergence"])
+    ["verify"],
+], ids=["kernel-csv", "evolve", "pathint-steps", "pathint-convergence", "verify"])
 def test_numeric_commands_compile_every_ccrflow_module_before_numpy(argv):
     # csvtext, the last ccrflow module, imports numpy; pathint imported numpy
-    # before it compiled opalg and propagator
+    # before it compiled opalg and propagator, and verify's check 5 before
+    # checks 7 and 8 compiled pathint and csvtext
     _steps, _blas, order = _import_steps([[argv, 0]])
     assert "ccrflow.csvtext" in order and order[-1] == "numpy"
 

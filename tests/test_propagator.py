@@ -476,8 +476,9 @@ def test_chirp_step_operator_repeats_the_fresh_array_expression(n):
 
 @pytest.mark.parametrize("n", [2, 3, 384])
 def test_chirp_step_rows_are_one_symmetric_matrix_in_any_blocks(n):
-    # the kernel CSV builds its rows a block at a time in each of its shares,
-    # so every split must give the same bits; U is symmetric to the last bit
+    # the kernel CSV builds its rows a block at a time, and splits a long row
+    # into column ranges, so every split must give the same bits; U is
+    # symmetric to the last bit
     kernel = GaussianKernel(a=0.3, b=-1.1, d=0.4, A=0.5 - 0.2j)
     step = kernel.step(UniformGrid.from_bounds(-4, 3, n))
     dense = step.rows()
@@ -485,6 +486,10 @@ def test_chirp_step_rows_are_one_symmetric_matrix_in_any_blocks(n):
     for size in (1, 7, n // 2 + 1):
         blocks = [step.rows(start, min(start + size, n)) for start in range(0, n, size)]
         assert np.array_equal(np.concatenate(blocks), dense)
+    for size, width in ((1, n // 3 + 1), (7, 5), (n // 2 + 1, 2)):
+        blocks = [[step.rows(start, min(start + size, n), slice(first, first + width))
+                   for first in range(0, n, width)] for start in range(0, n, size)]
+        assert np.array_equal(np.block(blocks), dense)
 
 
 def test_evolution_is_deterministic():
