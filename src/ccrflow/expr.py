@@ -24,10 +24,9 @@ too (the two of a commutator).
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 
 from . import ExpressionError
-from .opalg import ONE, OpExpr, P, ScalarCoeff, X, too_long_to_print
+from .opalg import ONE, OpExpr, P, ScalarCoeff, X, _reduced, too_long_to_print
 
 __all__ = ["parse", "Caps"]
 
@@ -203,7 +202,7 @@ class _Parser:
     def primary(self) -> OpExpr:
         tok = self.peek()
         if tok.kind == "int":
-            return OpExpr.scalar(self.rational())
+            return _constant(self.rational())
         if tok.kind == "name":
             self.advance()
             if tok.value == "X":
@@ -223,7 +222,7 @@ class _Parser:
                     self.advance()
                     im = self.signed_rational()
                     self.expect(")")
-                    return OpExpr.scalar(ScalarCoeff.rational(re, im))
+                    return _constant(re, im)
             except ExpressionError:
                 pass
             self.pos = saved
@@ -234,21 +233,30 @@ class _Parser:
             return inner
         raise ExpressionError("expected a coefficient, X, P, or '('", tok.offset)
 
-    def rational(self) -> Fraction:
+    def rational(self) -> tuple[int, int]:
+        """(numerator, denominator > 0) of an integer or an a/b literal."""
         num = self.expect("int").value
         if self.peek().kind == "/":
             self.advance()
             den = self.expect("int").value
             if den == 0:
                 raise ExpressionError("zero denominator", self.tokens[self.pos - 1].offset)
-            return Fraction(num, den)
-        return Fraction(num)
+            return num, den
+        return num, 1
 
-    def signed_rational(self) -> Fraction:
+    def signed_rational(self) -> tuple[int, int]:
         sign = 1
         if self.peek().kind in ("+", "-"):
             sign = -1 if self.advance().kind == "-" else 1
-        return sign * self.rational()
+        num, den = self.rational()
+        return sign * num, den
+
+
+def _constant(re: tuple[int, int], im: tuple[int, int] = (0, 1)) -> OpExpr:
+    """The scalar re + i im, each a (numerator, denominator > 0) pair, as
+    one reduced complex rational."""
+    (p, d), (q, e) = re, im
+    return OpExpr.scalar(ScalarCoeff({(): _reduced(p * e, q * d, d * e)}))
 
 
 def _as_scalar_monomial(e: OpExpr) -> ScalarCoeff | None:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from . import DomainError
@@ -52,7 +51,17 @@ def word_sort_key(word: tuple[int, int]) -> tuple[int, int]:
 # A complex rational is a tuple (p, q, d) of ints with the value (p + i q)/d,
 # d > 0 and gcd(p, q, d) = 1, so equal values are equal tuples.  Int
 # arithmetic with one gcd per operation is several times faster than
-# Fraction pairs.
+# Fraction pairs, and no ccrflow module imports fractions (nor the decimal
+# module it loads); the public API still takes a caller's Fraction.
+
+def _is_rational(v) -> bool:
+    """Whether v is an int or a Fraction: a Fraction exists only once its
+    module is loaded, so sys.modules is asked, not imported from."""
+    if type(v) is int or isinstance(v, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(v, fractions.Fraction)
+
 
 def _reduced(p: int, q: int, d: int) -> tuple[int, int, int]:
     g = math.gcd(p, q, d)
@@ -71,7 +80,7 @@ def _complex_rational(re, im=0) -> tuple[int, int, int]:
     if type(re) is int and type(im) is int:
         return (re, im, 1)
     for v in (re, im):
-        if not isinstance(v, (int, Fraction)):
+        if not _is_rational(v):
             raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
     (p, d), (q, e) = re.as_integer_ratio(), im.as_integer_ratio()
     return _reduced(p * e, q * d, d * e)
@@ -153,9 +162,9 @@ class ScalarCoeff:
         return _coerce_scalar(other) + (-self)
 
     def __mul__(self, other) -> "ScalarCoeff":
-        # own class first: Fraction is an ABC, and its isinstance test is slow
+        # own class first: the product of two scalars is the common case
         if type(other) is not ScalarCoeff:
-            if isinstance(other, (int, Fraction)):
+            if _is_rational(other):
                 return self._scaled(_complex_rational(other))
             return NotImplemented
         if len(other.terms) == 1:
@@ -188,10 +197,11 @@ class ScalarCoeff:
         return out
 
     def __truediv__(self, other) -> "ScalarCoeff":
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             if other == 0:
                 raise ZeroDivisionError("scalar division by zero")
-            return self._scaled(_complex_rational(1 / Fraction(other)))
+            p, d = other.as_integer_ratio()  # times d/p, the denominator made positive
+            return self._scaled((d, 0, p) if p > 0 else (-d, 0, -p))
         return NotImplemented
 
     def __pow__(self, n: int) -> "ScalarCoeff":
@@ -245,7 +255,7 @@ class ScalarCoeff:
 def _coerce_scalar(v):
     if isinstance(v, ScalarCoeff):
         return v
-    if isinstance(v, (int, Fraction)):
+    if _is_rational(v):
         return ScalarCoeff.rational(v)
     return NotImplemented
 
@@ -259,11 +269,20 @@ def _merge_monomials(m1: tuple, m2: tuple) -> tuple:
     return tuple(sorted((n, k) for n, k in powers.items() if k))
 
 
-def _rational_text(re: Fraction, im: Fraction) -> str:
+def _ratio_text(n: int, d: int) -> str:
+    """n/d, d > 0, in lowest terms as str(Fraction(n, d)) prints it."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _rational_text(p: int, q: int, d: int) -> str:
+    """(p + i q)/d, d > 0: p/d alone, parenthesized unless an integer,
+    where q = 0, else the pair (p/d,q/d)."""
     try:
-        if im == 0:
-            return str(re) if re.denominator == 1 else f"({re})"
-        return f"({re},{im})"
+        if not q:
+            re = _ratio_text(p, d)
+            return f"({re})" if "/" in re else re
+        return f"({_ratio_text(p, d)},{_ratio_text(q, d)})"
     except ValueError:  # Python's cap on the digits of an int printed in decimal
         raise too_long_to_print() from None
 
@@ -298,7 +317,7 @@ def scalar_sign_split(c: ScalarCoeff) -> tuple[str, bool]:
             p, q = -p, -q
         factors = [name if k == 1 else f"{name}^{k}" for name, k in mono]
         if not (p == d and q == 0 and factors):
-            factors.insert(0, _rational_text(Fraction(p, d), Fraction(q, d)))
+            factors.insert(0, _rational_text(p, q, d))
         parts.append((negative, "*".join(factors)))
     if len(parts) == 1:
         negative, body = parts[0]
@@ -397,7 +416,7 @@ class OpExpr:
         X^a P^b X^c P^d = sum_r C(b, r) c!/(c-r)! (-i)^r X^(a+c-r) P^(b+d-r).
         Scalars multiply coefficients in place."""
         if not isinstance(other, OpExpr):
-            if isinstance(other, (ScalarCoeff, int, Fraction)):
+            if isinstance(other, ScalarCoeff) or _is_rational(other):
                 c = _coerce_scalar(other)
                 return OpExpr({w: cf * c for w, cf in self.terms.items()})
             return NotImplemented
@@ -414,7 +433,7 @@ class OpExpr:
         return OpExpr(out)
 
     def __rmul__(self, other) -> "OpExpr":
-        if isinstance(other, (ScalarCoeff, int, Fraction)):
+        if isinstance(other, ScalarCoeff) or _is_rational(other):
             return self * other
         return NotImplemented
 
@@ -460,7 +479,7 @@ class OpExpr:
 def _coerce_op(v):
     if isinstance(v, OpExpr):
         return v
-    if isinstance(v, (ScalarCoeff, int, Fraction)):
+    if isinstance(v, ScalarCoeff) or _is_rational(v):
         return OpExpr.scalar(v)
     return NotImplemented
 
@@ -570,7 +589,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            if isinstance(other, (ScalarCoeff, int, Fraction)):
+            if isinstance(other, ScalarCoeff) or _is_rational(other):
                 c = _coerce_scalar(other)
                 if c.is_zero:
                     return Polynomial()

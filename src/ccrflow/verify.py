@@ -296,10 +296,12 @@ def _check_report_determinism() -> tuple[bool, str]:
         gen = generator(force_for_model("harmonic"), newtonian_velocity())
         yield _block(series_lines(taylor_flow(X, gen, 6)))
 
-    first = list(pipeline())  # the second run is compared as it streams
-    if any(a != b for a, b in zip_longest(first, pipeline())):
-        return False, "repeated pipelines produced different bytes"
-    return True, f"byte-identical output on repeated runs ({sum(map(len, first))} bytes)"
+    size = 0
+    for a, b in zip_longest(pipeline(), pipeline()):  # in lockstep: neither run is held
+        if a != b:
+            return False, "repeated pipelines produced different bytes"
+        size += len(a)
+    return True, f"byte-identical output on repeated runs ({size} bytes)"
 
 
 _CHECKS = [

@@ -77,6 +77,23 @@ def test_parse_rationals_and_params():
     assert e == want
 
 
+@pytest.mark.parametrize("text, printed", [
+    ("6/4*X", "(3/2)*X"),
+    ("(6/4,-9/6)", "(3/2,-3/2)*1"),
+    ("-3/9*P^2", "-(1/3)*P^2"),
+    ("(0,-2/4)*X*P + 10/5", "-(0,1/2)*X*P + 2*1"),
+    ("(-7/3, 0)*m^-1*P*X", "-(7/3)*m^-1*X*P + (0,7/3)*m^-1*1"),
+    ("4/2 - 1/2*P*X + (0,3/9)", "-(1/2)*X*P + (2,5/6)*1"),
+    ("-0/3", "0"),
+])
+def test_parser_literals_print_in_lowest_terms(text, printed, capsys):
+    # a/b and (a/b,c/d) are read as reduced int triples, with no Fraction: the
+    # bytes are those the Fraction-built literals printed
+    assert main(["normord", text]) == 0
+    assert capsys.readouterr() == (printed + "\n", "")
+    assert parse_expression("(6/4,-9/6)*X").terms[(1, 0)].terms == {(): (3, -3, 2)}
+
+
 def test_parse_parenthesized_sum_coefficient():
     e = parse_expression("(m + 2*omega)*X")
     want = X * (ScalarCoeff.param("m") + ScalarCoeff.param("omega") * 2)
@@ -434,9 +451,10 @@ def test_kernel_csv_blocks_stay_under_100_kib(n):
 
 
 def test_verify_determinism_check_holds_no_list_of_lines():
-    # check 8 keeps the first run's byte blocks and compares the second run's
-    # as they stream: it peaked at 1.78 MiB when it joined one str per line
-    # from the adapters, 1.22 MiB when it joined both runs' blocks
+    # check 8 compares the two runs' byte blocks in lockstep and keeps
+    # neither run: 740 KiB traced, against 1.78 MiB when it joined one str
+    # per line from the adapters, 1.22 MiB when it joined both runs' blocks
+    # and 825 KiB when it kept the first run's
     import ccrflow.verify as verify_mod
 
     verify_mod._check_report_determinism()  # imports and caches outside the count
@@ -447,7 +465,7 @@ def test_verify_determinism_check_holds_no_list_of_lines():
     finally:
         tracemalloc.stop()
     assert (ok, detail) == (True, "byte-identical output on repeated runs (402247 bytes)")
-    assert peak < 2 ** 20
+    assert peak < 768 * 1024
 
 
 def test_library_never_calls_the_line_adapters():
@@ -1819,7 +1837,7 @@ class StartOrder:
 sys.meta_path.insert(0, StartOrder)
 from ccrflow.cli import build_parser, main
 
-late = {"numpy", "fractions", "dataclasses", "inspect", "ast", "dis", "tokenize", "signal",
+late = {"numpy", "fractions", "decimal", "_decimal", "dataclasses", "inspect", "ast", "dis", "tokenize", "signal",
         "ccrflow.opalg", "ccrflow.expr", "ccrflow.heisenberg", "ccrflow.propagator",
         "ccrflow.pathint", "ccrflow.verify", "ccrflow.csvtext"}
 steps = []
@@ -1843,14 +1861,15 @@ def _import_steps(*steps) -> tuple[list[list[str]], str | None, list[str]]:
 
 
 def test_symbolic_commands_do_not_import_numpy():
-    # --help loads no layer; normord and comm load the parser and opalg alone,
-    # series adds heisenberg alone; verify's checks import the numeric modules
-    # when they run
+    # --help loads no layer; normord and comm load the parser and opalg alone
+    # (no fractions, decimal or _decimal: the exact layer's rationals are int
+    # triples), series adds heisenberg alone; verify's checks import the
+    # numeric modules when they run
     steps, blas, _ = _import_steps([[["--help"], 0]],
                                    [[["normord", "P*X"], 0], [["comm", "X^3", "P"], 0]],
                                    [[["series", "--model", "harmonic", "--order", "3"], 0]],
                                    [[["import", "ccrflow.verify"], 0]])
-    assert steps == [[], ["ccrflow.expr", "ccrflow.opalg", "fractions"],
+    assert steps == [[], ["ccrflow.expr", "ccrflow.opalg"],
                      ["ccrflow.heisenberg"], ["ccrflow.verify"]]
     assert blas is None
 
@@ -1862,7 +1881,7 @@ def test_numeric_commands_load_no_exact_layer():
     # kernel --coefficients is scalar math on every exit: no numpy, and no
     # dataclasses with its inspect, ast, dis and tokenize (AffineFlowExact was a
     # dataclass); no command here parses an expression, so none loads the
-    # parser, opalg or fractions
+    # parser or opalg
     harmonic = ["kernel", "--model", "harmonic", "--m", "1", "--omega", "1", "--coefficients"]
     steps, blas, _ = _import_steps(
         [[["kernel", "--model", "linear", "--m", "2", "--F0", "3", "--t", "0.5", *_GRID, "4",
@@ -1894,6 +1913,23 @@ def test_numeric_commands_compile_every_ccrflow_module_before_numpy(argv):
     # checks 7 and 8 compiled pathint and csvtext
     _steps, _blas, order = _import_steps([[argv, 0]])
     assert "ccrflow.csvtext" in order and order[-1] == "numpy"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pathint", "--force=-X", "--m", "1", "--t-total", "1", *_BOX, "--convergence", "1,2",
+     "--report-output", os.devnull],
+    ["verify"],
+], ids=["pathint", "verify"])
+def test_numeric_commands_load_no_fractions_or_decimal(argv):
+    # fractions loaded decimal and its 1.7 MB _decimal extension, to read a/b
+    # and print p/d: about 3 ms and 0.3-0.7 MiB of peak RSS a launch.
+    # -X importtime lists verify's forked child's imports too.
+    stderr = _python("-X", "importtime", "-m", "ccrflow.cli", *argv, "--output",
+                     os.devnull).stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"ccrflow.opalg", "numpy"} <= loaded
+    assert not loaded & {"fractions", "decimal", "_decimal"}
 
 
 def test_kernel_coefficients_load_neither_numpy_nor_csvtext():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import ccrflow.opalg as opalg
 from ccrflow.opalg import (
     ONE,
     OpExpr,
@@ -476,6 +477,58 @@ def test_scalar_division_and_inverse():
     assert (ScalarCoeff.param("m") * m_inv) == ScalarCoeff.rational(1)
     with pytest.raises(ValueError):
         (ScalarCoeff.param("m") + ScalarCoeff.rational(1)).inverse()
+
+
+def test_the_api_takes_a_callers_fraction():
+    # no ccrflow module imports fractions, yet a Fraction operand acts as the
+    # int triple of its value; int division and division by zero are as they
+    # were, and a float is still refused
+    assert ScalarCoeff.rational(Fraction(6, 4), Fraction(-2, 6)).terms == {(): (9, -2, 6)}
+    third = ScalarCoeff({(): (-1, 0, 3)})
+    assert X * Fraction(-2, 6) == X * third == Fraction(-2, 6) * X
+    q = Polynomial.from_list([1, 0, ScalarCoeff.param("m")])
+    assert Fraction(1, 2) * q == q * Fraction(1, 2) == q * ScalarCoeff({(): (1, 0, 2)})
+    c = ScalarCoeff.rational(3, 1) * ScalarCoeff.param("m")
+    assert (c / Fraction(-3, 4)).terms == {(("m", 1),): (-12, -4, 3)}
+    assert (c / -6).terms == {(("m", 1),): (-3, -1, 6)}
+    rng = random.Random(19)
+    for _ in range(200):
+        s, k = rnd_scalar(rng), rng.choice([-1, 1]) * rng.randint(1, 2 ** 70)
+        assert s / k == s * ScalarCoeff.rational(Fraction(1, k))
+        assert s / Fraction(k, 7) == s * ScalarCoeff.rational(Fraction(7, k))
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError, match="scalar division by zero"):
+            c / zero
+    with pytest.raises(TypeError, match="expected int or Fraction, got float"):
+        ScalarCoeff.rational(1.5)
+    for refused in (lambda: c / 1.5, lambda: c * 1.5, lambda: X * 0.5, lambda: 0.5 * q):
+        with pytest.raises(TypeError):
+            refused()
+
+
+def _fraction_text(re, im):
+    """The text the exact layer printed for re + i im through str(Fraction)."""
+    if im == 0:
+        return str(re) if re.denominator == 1 else f"({re})"
+    return f"({re},{im})"
+
+
+def test_rational_text_prints_what_fraction_printed():
+    # p/d with math.gcd gives str(Fraction)'s bytes: signs, a zero imaginary
+    # part, integers, and weights past 10^100
+    rng = random.Random(20)
+    for _ in range(3000):
+        top = 10 ** rng.choice([1, 2, 30, 120])
+        p, d = rng.randint(-top, top), rng.randint(1, top)
+        q = rng.choice([0, rng.randint(-top, top)])
+        assert opalg._rational_text(p, q, d) == _fraction_text(Fraction(p, d), Fraction(q, d))
+    # 4,300 digits print; one more is Python's cap on an int printed in decimal
+    assert opalg._rational_text(-10 ** 4299, 0, 3) == _fraction_text(Fraction(-10 ** 4299, 3), 0)
+    for p, q, d in ((10 ** 4300, 0, 1), (1, 0, 10 ** 4300), (1, -10 ** 4300, 3)):
+        with pytest.raises(ValueError):
+            _fraction_text(Fraction(p, d), Fraction(q, d))
+        with pytest.raises(OverflowError, match="more than 4300 digits, too many to print"):
+            opalg._rational_text(p, q, d)
 
 
 def test_scalar_evaluate():
