@@ -193,16 +193,17 @@ def series_lines(series: Iterable[OpExpr]) -> list[str]:
 
 
 def wavefunction_csv_blocks(psi: WaveFunction) -> Iterator[bytes]:
-    """The CSV of psi as byte blocks of _FORMAT_BLOCK floats."""
+    """The CSV of psi as byte blocks of _FORMAT_BLOCK floats, each stacked alone."""
     import numpy as np
 
     from .csvtext import FIELD, fields, lines
 
-    table = np.column_stack((psi.points(), psi.samples.real, psi.samples.imag))
-    rows = _FORMAT_BLOCK // 3
+    x, rows = psi.points(), _FORMAT_BLOCK // 3
     yield b"x,re,im\n"
-    for start in range(0, len(table), rows):
-        yield lines(fields(table[start:start + rows]).reshape(-1, 3 * FIELD))
+    for start in range(0, len(x), rows):
+        z = psi.samples[start:start + rows]
+        yield lines(fields(np.column_stack((x[start:start + rows], z.real, z.imag)))
+                    .reshape(-1, 3 * FIELD))
 
 
 def wavefunction_csv_lines(psi: WaveFunction) -> list[str]:

@@ -86,7 +86,7 @@ def propagate(kernel: ChirpStep, psi0: WaveFunction, steps: int) -> WaveFunction
     if psi0.grid != kernel.grid:
         raise ValueError("wavefunction grid does not match the kernel grid")
     apply = kernel.operator()
-    psi = WaveFunction(psi0.grid, psi0.samples.copy())
+    psi = psi0 if steps else WaveFunction(psi0.grid, psi0.samples.copy())
     warned = False
     for _ in range(steps):
         psi = WaveFunction(psi.grid, apply(psi.samples))

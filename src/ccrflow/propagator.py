@@ -211,26 +211,34 @@ class ChirpStep(NamedTuple):
         grid.fft_size, where the lags -(n-1)..n-1 stay distinct, so U v is one
         zero-padded FFT convolution (Bluestein's chirp-z identity): O(n log n),
         deterministic.  Its FFT-length intermediates live in one buffer the
-        operator owns (FFTs with out=, numpy >= 2.0): an application allocates
-        only its n-sized result, and two may not run at once (one per thread)."""
+        operator owns (FFTs with out=, numpy >= 2.0): it keeps diag, the spectrum
+        and that buffer; an application allocates only its result, amp diag times
+        the FFT output in place, and two may not run at once (one per thread).
+        apply(v, w) writes v * w into the buffer: the bits of apply(v * w)."""
         import numpy as np
 
-        n, size = self.grid.n, self.grid.fft_size
-        diag = np.exp(1j * self.phase)
-        left = self.amp * diag
-        lag = self.grid.dx * np.arange(n)
+        n, size, amp = self.grid.n, self.grid.fft_size, self.amp  # apply holds no phase
+        diag = np.multiply(1j, self.phase)
+        np.exp(diag, out=diag)
         spectrum = np.zeros(size, complex)
-        spectrum[:n] = np.exp(1j * self.kin * lag * lag)
+        lag = self.grid.dx * np.arange(n)
+        column = np.multiply(1j * self.kin, lag, out=spectrum[:n])
+        np.exp(np.multiply(column, lag, out=column), out=column)
+        del lag  # before the buffer: the operator keeps diag, spectrum and work only
         spectrum[size - n + 1:] = spectrum[n - 1:0:-1]
         np.fft.fft(spectrum, out=spectrum)
         work = np.empty(size, complex)
 
-        def apply(v):
+        def apply(v, weights=None):
             work[n:] = 0
-            np.multiply(diag, v, out=work[:n])
+            if weights is None:
+                np.multiply(diag, v, out=work[:n])
+            else:
+                np.multiply(diag, np.multiply(v, weights, out=work[:n]), out=work[:n])
             np.fft.fft(work, out=work)
             np.multiply(spectrum, work, out=work)
-            return left * np.fft.ifft(work, out=work)[:n]
+            out = amp * diag
+            return np.multiply(out, np.fft.ifft(work, out=work)[:n], out=out)
         return apply
 
     def rows(self, start: int = 0, stop: int | None = None,
@@ -266,9 +274,15 @@ class GaussianKernel(NamedTuple):
     def step(self, grid: UniformGrid) -> ChirpStep:
         """This kernel on grid: b x_b x_a = (b/2)(x_b^2 + x_a^2 - (x_b - x_a)^2)
         gives kin = -b/2 and phase = (a + b/2) x^2 + d x."""
+        import numpy as np
+
         x = grid.points()
         half_b = self.b / 2
-        return ChirpStep(grid, self.A, -half_b, (self.a + half_b) * x * x + self.d * x)
+        # (a + b/2) x x + d x, built in one array of the type of every coefficient
+        phase = np.multiply(self.a + half_b, x, dtype=np.result_type(self.a, self.b, self.d, x))
+        phase *= x
+        phase += self.d * x
+        return ChirpStep(grid, self.A, -half_b, phase)
 
 
 def _at_caustic(beta: float, m: float, t: float) -> bool:
@@ -429,7 +443,8 @@ class WaveFunction:
     def edge_mass_fraction(self, samples: int = EDGE_SAMPLES) -> float:
         import numpy as np
 
-        prob = np.abs(self.samples) ** 2
+        prob = np.abs(self.samples)
+        np.square(prob, out=prob)
         total = float(np.sum(prob))
         if total == 0.0:
             return 0.0
@@ -495,12 +510,13 @@ def warn_on_leak(psi: WaveFunction) -> bool:
 def evolve_exact(kernel: GaussianKernel, psi: WaveFunction) -> WaveFunction:
     """Apply the kernel by trapezoid quadrature: psi_out(x_b) = sum_a U psi dx,
     as its ChirpStep on psi's grid: by FFT, with no n x n array; deterministic.
-    Warns on edge leakage of the result (warn_on_leak)."""
+    The step writes psi times the weights into its FFT buffer: no psi w array
+    is built.  Warns on edge leakage of the result (warn_on_leak)."""
     grid = psi.grid
     # |d(phase)/dx| is at most (2|a| + |b|) |x| + |d| on the grid
     check_phase_step(grid.dx * ((2 * abs(kernel.a) + abs(kernel.b)) * grid.abs_max
                                 + abs(kernel.d)),
                      "kernel", "refine dx or shrink the domain")
-    out = WaveFunction(grid, kernel.step(grid).operator()(psi.samples * psi.weights()))
+    out = WaveFunction(grid, kernel.step(grid).operator()(psi.samples, psi.weights()))
     warn_on_leak(out)
     return out

@@ -324,6 +324,27 @@ def test_wavefunction_csv_lines_match_per_row_formatting():
     assert lines[1].split(",")[1] == "-0.0000000000000000e+00"
 
 
+@pytest.mark.parametrize("n, floats", [(682, 2048), (683, 2048), (2047, 2048), (10, 7),
+                                      (11, 3)])
+def test_wavefunction_csv_is_the_same_across_blocks(n, floats, monkeypatch):
+    # each block of _FORMAT_BLOCK // 3 rows is stacked alone: 682 rows fill
+    # one block of 2,048 floats, 683 spill one row into a second, and no
+    # block reaches 100 KiB
+    rng = np.random.default_rng(n)
+    re = rng.normal(size=n) * 10.0 ** rng.uniform(-300, 300, size=n)
+    samples = re + 1j * rng.normal(size=n)
+    psi = WaveFunction(UniformGrid(-3.0, 0.0123, n), samples)
+    monkeypatch.setattr(cli, "_FORMAT_BLOCK", floats)
+    header, *blocks = cli.wavefunction_csv_blocks(psi)
+    rows = floats // 3
+    assert header == b"x,re,im\n"
+    assert [block.count(b"\n") for block in blocks] == [min(rows, n - start)
+                                                        for start in range(0, n, rows)]
+    assert b"".join(blocks).decode().splitlines() == _reference_lines(
+        zip(psi.points(), re, samples.imag))
+    assert max(map(len, blocks)) <= 100 * 1024
+
+
 @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097])
 def test_write_blocks_bytes_across_blocks(count, tmp_path, capsys):
     # blocks of 4096 bytes end inside lines; no lines is one LF

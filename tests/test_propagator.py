@@ -10,6 +10,7 @@ import pytest
 
 from ccrflow.heisenberg import extract_affine, generator, newtonian_velocity, taylor_flow
 from ccrflow.opalg import Polynomial, ScalarCoeff, X
+from ccrflow.pathint import short_time_matrix
 from ccrflow.propagator import (
     AffineFlowExact,
     BoundaryLeak,
@@ -472,6 +473,77 @@ def test_chirp_step_operator_repeats_the_fresh_array_expression(n):
             assert new.tobytes() == old.tobytes()
         else:
             assert np.linalg.norm(new - old) <= 1e-15 * np.linalg.norm(old)
+
+
+def test_chirp_step_operator_keeps_diag_spectrum_and_buffer_only():
+    # the operator kept amp diag beside diag (769 KiB traced at n = 8192) and
+    # peaked at 961 KiB while it built its arrays; now it keeps and peaks at
+    # 16 (n + 2 L) bytes, diag, the spectrum and the FFT buffer
+    step = _step(8192)
+    held = 16 * (step.grid.n + 2 * step.grid.fft_size)
+    tracemalloc.start()
+    try:
+        apply = step.operator()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert callable(apply)
+    assert held <= kept < held + 8192 and peak < held + 8192
+
+
+def test_evolve_exact_holds_one_copy_of_each_array():
+    # evolve_exact built psi w as one more n-sized array and the step held
+    # amp diag beside diag: 1,089 KiB traced at n = 8192, 834 KiB without them
+    kernel = gaussian_kernel(AffineFlowExact.harmonic(1.0, 1.0), 0.7)
+    psi = WaveFunction.gaussian_packet(UniformGrid.from_bounds(-6, 6, 8192), center=1.0)
+    evolve_exact(kernel, psi)  # imports and caches outside the count
+    tracemalloc.start()
+    try:
+        evolve_exact(kernel, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 896 * 1024
+
+
+_STEPS = {
+    "free": lambda grid: gaussian_kernel(AffineFlowExact.free(1.0), 0.8).step(grid),
+    "harmonic": lambda grid: gaussian_kernel(AffineFlowExact.harmonic(1.3, 0.9), 1.1).step(grid),
+    "linear": lambda grid: gaussian_kernel(AffineFlowExact.linear(0.7, -1.2), 0.6).step(grid),
+    # a cubic force, its kinetic phase step 1 rad per cell on every grid
+    "slice": lambda grid: short_time_matrix(
+        Polynomial.from_list([0, Fraction(-1, 16), 0, Fraction(-1, 32)]), 1.0,
+        2 * grid.abs_max * grid.dx, grid),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 896, 4096])
+@pytest.mark.parametrize("name", sorted(_STEPS))
+def test_weighted_application_is_the_application_of_the_weighted_samples(name, n):
+    # evolve_exact hands the step psi and its weights, and the step writes
+    # psi w into its own buffer: the same bits as applying psi * w
+    grid = UniformGrid.from_bounds(-1, 1, n)
+    psi = WaveFunction.gaussian_packet(grid, center=0.1, width=0.3, momentum=0.5)
+    samples, w = psi.samples.copy(), psi.weights()
+    apply = _STEPS[name](grid).operator()
+    weighted = apply(psi.samples, w)
+    assert weighted.tobytes() == apply(psi.samples * w).tobytes()
+    assert psi.samples.tobytes() == samples.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [
+    gaussian_kernel(AffineFlowExact.free(1.0), 0.8),
+    gaussian_kernel(AffineFlowExact.harmonic(1.3, 0.9), 1.1),
+    gaussian_kernel(AffineFlowExact.linear(0.7, -1.2), 0.6),
+    GaussianKernel(a=0.3 + 0.05j, b=-1.1, d=0.4 - 0.2j, A=0.5),
+    GaussianKernel(a=0.3, b=-1.1, d=0.4 - 0.2j, A=0.5),
+], ids=["free", "harmonic", "linear", "complex", "complex-d"])
+def test_gaussian_step_phase_is_the_fresh_array_expression(kernel):
+    # the phase is built in one array, with no x * x temporary
+    grid = UniformGrid.from_bounds(-4, 3, 4096)
+    x = grid.points()
+    want = (kernel.a + kernel.b / 2) * x * x + kernel.d * x
+    assert kernel.step(grid).phase.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 384])
