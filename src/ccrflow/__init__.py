@@ -30,9 +30,8 @@ class ExpressionError(ValueError):
 _LAZY = {  # module loaded on first use -> the names the package exports from it
     "opalg": ("ONE", "InversePower", "OpExpr", "P", "Polynomial", "ScalarCoeff", "X",
               "apply_to_polynomial", "commutator", "inverse_power_rule"),
-    "heisenberg": ("AffineFlow", "NonAffineFlow", "commutator_series", "extract_affine",
-                   "force_for_model", "generator", "newtonian_velocity", "taylor_flow",
-                   "time_derivative"),
+    "heisenberg": ("NonAffineFlow", "commutator_series", "extract_affine", "force_for_model",
+                   "generator", "newtonian_velocity", "taylor_flow", "time_derivative"),
     "pathint": ("ConvergenceReport", "ConvergenceRow", "convergence_study", "propagate",
                 "short_time_matrix"),
     "propagator": ("AffineFlowExact", "BoundaryLeak", "CausticSingularity", "ChirpStep",

@@ -53,6 +53,9 @@ _WORK_CAPS = {
     # n^2: 0.9 s at n = 1024 and 2.7 s at 2048 to a file; at 4096, 7 s and
     # 1.6 GB of CSV to /dev/null
     "kernel rows": 1 << 24,
+    # n <= 2^22: evolve at n = 2^22 to /dev/null takes 4.9 s and a peak RSS of
+    # 770 MiB; at 2^23 (FFT length 2^24), 8.9 s and 1.5 GiB
+    "grid FFT length": 1 << 23,
 }
 
 
@@ -406,6 +409,7 @@ def _cmd_evolve(args) -> int:
     _default(args, x0=0.0, p0=0.0, sigma=1.0)
     grid, flow = _grid_and_flow(args)
     kernel = gaussian_kernel(flow, args.t)  # a caustic or overflow first, then the packet
+    _check_cap("grid FFT length", grid.fft_size)
     out = evolve_exact(kernel, _packet(args, grid))
     _write_blocks(wavefunction_csv_blocks(out), args.output)
     return 0
@@ -427,6 +431,7 @@ def _cmd_pathint(args) -> int:
             raise ValueError("need --steps or --convergence")
         if args.steps < 1:
             raise ValueError("--steps must be at least 1")
+    _check_cap("grid FFT length", grid.fft_size)
     _check_cap("pathint steps x FFT length",
                sum(args.convergence or [args.steps]) * grid.fft_size)
     force = _force_polynomial(parse_expression(args.force))

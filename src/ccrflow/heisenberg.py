@@ -4,26 +4,28 @@ A force F(X) is a Polynomial in X and a velocity V(P) a Polynomial in P.
 The evolution generator is the OpExpr G = int V dP - int F dX, and operators
 move by dO/dt = i[G, O].  Iterating that derivative yields truncated operator Taylor
 series X(t), P(t); when the force is at most linear the flow stays affine in
-(X, P, 1) and can be split into three scalar series alpha, beta, gamma with
-X(t) = alpha(t) X + beta(t) P + gamma(t).
+(X, P, 1), and extract_affine names its closed form, AffineFlowExact.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .opalg import (
     DomainError,
     OpExpr,
     Polynomial,
     ScalarCoeff,
+    X,
     commutator,
     word_sort_key,
 )
 
+if TYPE_CHECKING:
+    from .propagator import AffineFlowExact
+
 __all__ = [
-    "AffineFlow",
     "NonAffineFlow",
     "generator",
     "time_derivative",
@@ -104,41 +106,13 @@ def commutator_series(a: Sequence[OpExpr], b: Sequence[OpExpr]) -> tuple[OpExpr,
 _AFFINE_WORDS = ((1, 0), (0, 1), (0, 0))  # X, P, 1
 
 
-class AffineFlow(NamedTuple):
-    """Scalar series (alpha, beta, gamma) with X(t) = alpha X + beta P + gamma.
-
-    Each component is a tuple of ScalarCoeffs in the same t^k/k! convention
-    as taylor_flow.
-    """
-
-    alpha: tuple
-    beta: tuple
-    gamma: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.alpha) - 1
-
-    def evaluate(self, t: float, params: Mapping[str, float] | None = None
-                 ) -> tuple[float, float, float]:
-        out = []
-        for comp in (self.alpha, self.beta, self.gamma):
-            total = 0j
-            weight = 1.0
-            for k, c in enumerate(comp):
-                if k:
-                    weight *= t / k
-                total += c.evaluate(params) * weight
-            if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
-                raise ValueError("affine flow evaluated to a non-real value")
-            out.append(total.real)
-        return tuple(out)
-
-
-def extract_affine(series: Sequence[OpExpr]) -> AffineFlow:
-    """Split the coefficients of an affine series into (alpha, beta, gamma);
-    reject anything else."""
-    alpha, beta, gamma = [], [], []
+def extract_affine(series: Sequence[OpExpr], m: float,
+                   params: Mapping[str, float] | None = None) -> AffineFlowExact:
+    """The closed-form flow of the series of X under V = P/m, if every
+    coefficient lies in the span of {X, P, 1} (else NonAffineFlow): the
+    paper's Newtonian route reads F = m c_2 off X''(0) = F(X)/m, with the
+    parameter m bound to the given mass.  Raises ValueError for a series that
+    is not of X under V = P/m, or of order below 2."""
     for k, c in enumerate(series):
         bad = [w for w in c.terms if w not in _AFFINE_WORDS]
         if bad:
@@ -147,7 +121,11 @@ def extract_affine(series: Sequence[OpExpr]) -> AffineFlow:
                 f"order-{k} coefficient contains the word {'X' * a + 'P' * b!r}; "
                 "the flow is not affine in (X, P, 1)"
             )
-        alpha.append(c.terms.get((1, 0), ScalarCoeff.zero()))
-        beta.append(c.terms.get((0, 1), ScalarCoeff.zero()))
-        gamma.append(c.terms.get((0, 0), ScalarCoeff.zero()))
-    return AffineFlow(tuple(alpha), tuple(beta), tuple(gamma))
+    if (len(series) < 3 or tuple(series[:2]) != (X, newtonian_velocity().as_opexpr("P"))
+            or (0, 1) in series[2].terms):
+        raise ValueError("extract_affine needs X's series under V = P/m, to order 2 or more")
+    from .propagator import AffineFlowExact
+
+    mass = ScalarCoeff.param("m")
+    force = Polynomial({a: c * mass for (a, _b), c in series[2].terms.items()})
+    return AffineFlowExact.from_force(force, m, {**(params or {}), "m": m})

@@ -560,10 +560,6 @@ class Polynomial:
     def monomial(cls, degree: int, coeff=1) -> "Polynomial":
         return cls({degree: _coerce_scalar(coeff)})
 
-    @classmethod
-    def from_list(cls, ascending: Iterable) -> "Polynomial":
-        return cls({k: _coerce_scalar(c) for k, c in enumerate(ascending)})
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -119,10 +119,10 @@ def convergence_study(force: Polynomial, m: float, psi0: WaveFunction,
     of AffineFlowExact.from_force, times exp{i flow.phase(t)}: the chained
     slices carry that constant action phase, so the errors measure
     discretization alone.  For any other force it is the finest-N run itself
-    (then omitted from the report).  Every N must satisfy the slice
-    oscillation rule on psi0's grid.  Raises CausticSingularity where
-    sqrt(-kappa) t_total >= pi: past the first caustic the closed form has
-    no phase continuation, so it is no reference.
+    (then omitted from the report), so such a force needs two N or more.
+    Every N must satisfy the slice oscillation rule on psi0's grid.  Raises
+    CausticSingularity where sqrt(-kappa) t_total >= pi: past the first
+    caustic the closed form has no phase continuation, so it is no reference.
     """
     import numpy as np
 
@@ -140,6 +140,9 @@ def convergence_study(force: Polynomial, m: float, psi0: WaveFunction,
 
     # the closed form first: where it fails, no slice chain is wasted
     flow = AffineFlowExact.from_force(force, m, params)
+    if flow is None and len(steps) < 2:
+        raise ValueError("a force that is not affine needs two or more step counts: the "
+                         "finest is the reference, and one leaves no row to report")
     if flow is not None:
         if flow.kappa < 0 and (wt := math.sqrt(-flow.kappa) * t_total) >= math.pi:
             raise CausticSingularity(f"sqrt(-kappa) t = {wt:.4g} is past the first caustic at "

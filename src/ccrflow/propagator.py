@@ -51,13 +51,11 @@ __all__ = [
     "warn_on_leak",
     "CAUSTIC_EPS",
     "EDGE_SAMPLES",
-    "EDGE_MASS_FLAG",
     "EDGE_LEAK_WARN",
 ]
 
 CAUSTIC_EPS = 1e-12
 EDGE_SAMPLES = 5
-EDGE_MASS_FLAG = 1e-10
 EDGE_LEAK_WARN = 1e-6
 
 
@@ -354,8 +352,8 @@ def closed_form_kernel(model: str, params: Mapping[str, float], t: float,
 class WaveFunction:
     """Complex samples, one per point of a uniform grid with n >= 2 and dx > 0.
 
-    States whose probability mass in the 5 outermost samples on either side
-    exceeds 1e-10 of the total are flagged; quadrature on such states is unreliable.
+    Past EDGE_LEAK_WARN of its mass in the 5 outermost samples on either side
+    (edge_mass_fraction), quadrature is unreliable and grid evolutions warn.
     """
 
     __slots__ = ("grid", "samples")
@@ -452,10 +450,6 @@ class WaveFunction:
             return 1.0
         edge = float(np.sum(prob[:samples]) + np.sum(prob[-samples:]))
         return edge / total
-
-    @property
-    def boundary_flagged(self) -> bool:
-        return self.edge_mass_fraction() >= EDGE_MASS_FLAG
 
     def l2_distance(self, other: "WaveFunction") -> float:
         if other.grid != self.grid:

@@ -30,7 +30,7 @@ from ccrflow.cli import (
     parse_expression,
     wavefunction_csv_lines,
 )
-from ccrflow.heisenberg import NonAffineFlow
+from ccrflow.heisenberg import NonAffineFlow, force_for_model
 from ccrflow.opalg import DomainError, OpExpr, P, Polynomial, ScalarCoeff, X
 from ccrflow.propagator import (
     AffineFlowExact,
@@ -1387,7 +1387,8 @@ def test_verify_interrupted_wait_still_reaps_its_child(monkeypatch):
 # ---- exit codes, leading '-', and the import graph ----
 
 _SMALL = ["--model", "free", "--m", "1", "--t", "1", "--x-min", "-1", "--x-max", "1"]
-# evolve fails at allocation, allocating nothing; kernel and pathint pass their caps
+# kernel and pathint pass their caps; evolve failed at allocation, allocating
+# nothing, and now passes the grid FFT length cap
 _OVERSIZED = _SMALL + ["--n", "100000000000"]
 # beta = t/m and gamma = F0 t^2/(2m) overflow: these printed nan and exited 0
 _BEYOND_FLOAT = ["--model", "linear", "--m", "1e-300", "--F0", "1e300", "--t", "1e10",
@@ -1445,6 +1446,17 @@ _EVOLVE_WIDE = ["evolve", "--model", "free", "--m", "1", "--t", "1", "--x-min", 
 _PATHINT_CAUSTIC = ["pathint", "--force=-1*X", "--m", "1", "--t-total", "4", "--x-min", "-6",
                     "--x-max", "6", "--n", "512", "--x0", "1", "--sigma", "1",
                     "--convergence", "5,10,20"]
+# one step count for a force that is not affine: its finest run is its reference
+# and left out of the report, which held only its header, and exit 0
+_ONE_COUNT_CUBIC = ["pathint", "--force=-4*X-X^3", "--m", "4", "--t-total", "3", "--x-min",
+                    "-2.55", "--x-max", "2.55", "--n", "896", "--x0", "0.3", "--sigma", "0.5",
+                    "--convergence", "40"]
+# a grid of n = {} points; n = 2^22 + 1 takes FFTs of 2^24 points, past the cap
+_GRID_N = ["--m", "1", "--x-min", "-6", "--x-max", "6", "--n", "{}"]
+_EVOLVE_N = ["evolve", "--model", "free", "--t", "1", *_GRID_N]
+_PATHINT_N = ["pathint", "--force=-X", "--t-total", "1", *_GRID_N, "--steps", "1"]
+_EVOLVE_PAST_CAP, _PATHINT_PAST_CAP = ([arg.format(2 ** 22 + 1) for arg in argv]
+                                       for argv in (_EVOLVE_N, _PATHINT_N))
 # a packet with no mass on the box passed its norm check as 0 = 0: l2 errors
 # of 0 and a ratio of nan in the report, 512 rows of zeros, both with exit 0
 _OFF_BOX_PATHINT = ["pathint", "--force=-X", "--m", "1", "--t-total", "3", "--x-min", "-2.55",
@@ -1467,6 +1479,9 @@ _NAMED = {  # argv -> what its one line must name
     tuple(_PACKET_EXPONENT): "the packet's exponent (x - c)^2/(2 width^2)",
     tuple(_SWEEP_FOUND): "the packet's phase p (x - c)",
     tuple(_IMAGINARY_FORCE): "the force has a coefficient with an imaginary part",
+    tuple(_ONE_COUNT_CUBIC): "a force that is not affine needs two or more step counts",
+    **{tuple(argv): "grid FFT length 16777216 exceeds its cap of 8388608"
+       for argv in (_EVOLVE_PAST_CAP, _PATHINT_PAST_CAP)},
     # these named the library's n_list, or int()
     **{(*_PATHINT, "--convergence", value):
        f"--convergence: expected increasing positive step counts, got {value!r}"
@@ -1515,13 +1530,16 @@ _NAMED = {  # argv -> what its one line must name
     pytest.param(["evolve", *_SMALL, "--n", "64", "--sigma", "1e-160"], 3,
                  id="packet-exponent-overflows"),
     pytest.param([*_PATHINT, "--steps", "2", "--sigma", "0.1"], 3, id="packet-on-too-few-points"),
-    pytest.param(["evolve", *_OVERSIZED], 3, id="oversized-evolve"),
+    pytest.param(["evolve", *_OVERSIZED], 2, id="oversized-evolve"),
     pytest.param(["pathint", "--force=-X", "--m", "1", "--t-total", "1", "--steps", "2",
                   "--x-min", "-1", "--x-max", "1", "--n", "100000000000"],
                  2, id="oversized-pathint"),
     pytest.param(["series", "--model", "free", "--order", "2049"], 2, id="series-order-past-cap"),
     pytest.param(["kernel", *_SMALL, "--n", "4097"], 2, id="kernel-rows-past-cap"),
     pytest.param([*_PATHINT, "--steps", str(2 ** 24 + 1)], 2, id="pathint-steps-past-cap"),
+    pytest.param(_EVOLVE_PAST_CAP, 2, id="evolve-grid-past-cap"),
+    pytest.param(_PATHINT_PAST_CAP, 2, id="pathint-grid-past-cap"),
+    pytest.param(_ONE_COUNT_CUBIC, 2, id="convergence-one-count-not-affine"),
     pytest.param(["kernel", *_BEYOND_FLOAT, "--coefficients"], 3, id="nan-coefficients"),
     pytest.param(["kernel", *_BEYOND_FLOAT], 3, id="nan-kernel-csv"),
     pytest.param(["evolve", *_BEYOND_FLOAT], 3, id="nan-evolve"),
@@ -1652,7 +1670,9 @@ def _sweep_argv(rng: random.Random, command: str) -> list[str]:
                     else (_sweep_float(rng), _sweep_float(rng)))
     flag("--x-min", x_min)
     flag("--x-max", x_max)
-    n = rng.choice([2, 3, 4, 64, 200] + [4097] * (command == "kernel"))  # 4097^2 > 2^24
+    # past the caps: 4097^2 > 2^24 kernel rows, and FFTs of 2^24 > 2^23 points
+    n = rng.choice([2, 3, 4, 64, 200] + [4097] * (command == "kernel")
+                   + [2 ** 22 + 1] * (command in ("evolve", "pathint")))
     flag("--n", str(n))
     if command == "kernel":
         if rng.random() < 0.3:
@@ -1759,6 +1779,20 @@ def test_work_cap_admits_its_limit_and_rejects_one_past(argv, limit, module, wor
     assert out == "" and err.count("\n") == 1
     assert err.startswith(f"ccrflow: error: {name} ")
     assert err.endswith(f" exceeds its cap of {cli._WORK_CAPS[name]}\n")
+
+
+@pytest.mark.parametrize("argv", [_EVOLVE_N, _PATHINT_N], ids=["evolve", "pathint"])
+def test_grid_fft_length_cap_admits_its_limit_and_rejects_one_past(argv, capsys, monkeypatch):
+    # n = 2^22 takes FFTs of 2^23 points, n + 1 of 2^24; pathint's --steps 1 kept
+    # steps x FFT length under its own cap up to n = 2^27
+    monkeypatch.setattr(cli, "_packet", _reached)
+    with pytest.raises(_Reached):
+        main([arg.format(2 ** 22) for arg in argv])
+    assert capsys.readouterr() == ("", "")
+    assert main([arg.format(2 ** 22 + 1) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err == f"ccrflow: error: grid FFT length {2 ** 24} exceeds its cap of {2 ** 23}\n"
 
 
 def test_series_order_cap_is_the_parser_degree_cap():
@@ -2023,9 +2057,8 @@ def test_module_run_loads_cli_once():
 _EXPORTS = {
     "opalg": ["ONE", "InversePower", "OpExpr", "P", "Polynomial", "ScalarCoeff", "X",
               "apply_to_polynomial", "commutator", "inverse_power_rule"],
-    "heisenberg": ["AffineFlow", "NonAffineFlow", "commutator_series", "extract_affine",
-                   "force_for_model", "generator", "newtonian_velocity", "taylor_flow",
-                   "time_derivative"],
+    "heisenberg": ["NonAffineFlow", "commutator_series", "extract_affine", "force_for_model",
+                   "generator", "newtonian_velocity", "taylor_flow", "time_derivative"],
     "pathint": ["ConvergenceReport", "ConvergenceRow", "convergence_study", "propagate",
                 "short_time_matrix"],
     "propagator": ["AffineFlowExact", "BoundaryLeak", "CausticSingularity", "ChirpStep",
@@ -2088,11 +2121,15 @@ def test_bench_files_name_only_benchmark_workloads():
 
 
 def test_readme_quick_example_runs_as_written():
+    # the README's one python block, run as written, so the example and the API
+    # cannot drift apart
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    assert readme.count("```python\n") == 1
     block = readme.split("Quick example:", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     scope = {}
     exec(block, scope)
-    exact = AffineFlowExact.harmonic(2.0, 1.3)
-    want = exact.at(0.5)
-    got = scope["flow"].evaluate(0.5, {"m": 2.0, "omega": 1.3})
-    assert got == pytest.approx(want, rel=0, abs=1e-9)
+    assert scope["flow"] == AffineFlowExact.from_force(force_for_model("harmonic"), 2.0,
+                                                       {"m": 2.0, "omega": 1.3})
+    got = scope["flow"].at(0.5)
+    want = AffineFlowExact.harmonic(2.0, 1.3).at(0.5)  # kappa may differ in its last bit
+    assert got == pytest.approx(want, rel=0, abs=1e-15)

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from ccrflow.heisenberg import (
-    AffineFlow,
     NonAffineFlow,
     commutator_series,
     extract_affine,
@@ -16,6 +15,8 @@ from ccrflow.heisenberg import (
     time_derivative,
 )
 from ccrflow.opalg import OpExpr, P, Polynomial, ScalarCoeff, X
+from ccrflow.propagator import AffineFlowExact
+from helpers import affine_series_at, from_list
 
 I = ScalarCoeff.imag_unit()
 M_INV = ScalarCoeff.param("m", -1)
@@ -197,30 +198,46 @@ def test_series_requires_coefficients():
 
 # ---- affine extraction ----
 
+# force, mass and parameters of the free, harmonic, linear, inverted (kappa > 0)
+# and shifted (F0 != 0 and kappa != 0) flows
+_AFFINE = {
+    "free": (force_for_model("free"), 2.0, {}),
+    "harmonic": (force_for_model("harmonic"), 2.0, {"omega": 1.3}),
+    "linear": (force_for_model("linear"), 2.0, {"F0": 0.7}),
+    "inverted": (from_list([0, Fraction(1, 2)]), 1.0, {}),
+    "shifted": (from_list([1, -4]), 1.3, {}),
+}
+
+
 def test_extract_affine_free():
-    flow = extract_affine(taylor_flow(X, free_gen(), 5))
-    assert flow.alpha[0] == ScalarCoeff.rational(1)
-    assert all(c.is_zero for c in flow.alpha[1:])
-    assert flow.beta[0].is_zero
-    assert flow.beta[1] == M_INV
-    assert all(c.is_zero for c in flow.beta[2:])
-    assert all(c.is_zero for c in flow.gamma)
+    series = taylor_flow(X, free_gen(), 5)
+    assert series[1] == P * M_INV
+    assert all(c.is_zero for c in series[2:])
+    assert extract_affine(series, 2.0) == AffineFlowExact.free(2.0)
 
 
 def test_extract_affine_constant_force():
-    flow = extract_affine(taylor_flow(X, linear_gen(), 4))
-    assert flow.gamma[2] == ScalarCoeff.param("F0") * M_INV
-    assert flow.gamma[0].is_zero and flow.gamma[1].is_zero
+    series = taylor_flow(X, linear_gen(), 4)
+    assert series[2] == OpExpr.scalar(ScalarCoeff.param("F0") * M_INV)
+    assert extract_affine(series, 2.0, {"F0": 0.7}) == AffineFlowExact.linear(2.0, 0.7)
 
 
 def test_extract_affine_reassembles_exactly():
-    for gen in (free_gen(), harmonic_gen(), linear_gen()):
-        series = taylor_flow(X, gen, 6)
-        flow = extract_affine(series)
-        for k, coeff in enumerate(series):
-            rebuilt = (X * flow.alpha[k] + P * flow.beta[k]
-                       + OpExpr.scalar(flow.gamma[k]))
-            assert rebuilt == coeff
+    # the order-2 coefficient names the force: the flow of from_force, bit for bit
+    for force, m, params in _AFFINE.values():
+        series = taylor_flow(X, generator(force, newtonian_velocity()), 24)
+        assert extract_affine(series, m, params) == \
+            AffineFlowExact.from_force(force, m, {**params, "m": m})
+
+
+@pytest.mark.parametrize("name", list(_AFFINE))
+def test_extract_affine_series_sums_to_the_closed_form(name):
+    force, m, params = _AFFINE[name]
+    series = taylor_flow(X, generator(force, newtonian_velocity()), 24)
+    flow = extract_affine(series, m, params)
+    for t in (0.05, 0.3, 0.7, 1.0):
+        want = affine_series_at(series, t, {**params, "m": m})
+        assert max(abs(a - b) for a, b in zip(flow.at(t), want)) < 1e-12
 
 
 def test_extract_affine_rejects_cubic_force():
@@ -228,22 +245,39 @@ def test_extract_affine_rejects_cubic_force():
     gen = generator(cubic, newtonian_velocity())
     series = taylor_flow(X, gen, 2)
     with pytest.raises(NonAffineFlow):
-        extract_affine(series)
+        extract_affine(series, 1.0)
+
+
+@pytest.mark.parametrize("series", [
+    taylor_flow(P, linear_gen(), 4),  # P, F0, 0, ...: affine, but not the series of X
+    taylor_flow(X, harmonic_gen(), 1),  # no order-2 coefficient to read F off
+    # X + 2 t P read as the free flow X + t P/m: F = m c_2 holds for V = P/m only
+    taylor_flow(X, generator(force_for_model("free"), Polynomial.monomial(1, 2)), 4),
+    (X, P * M_INV, P),  # X''(0) = F(X)/m holds no P
+], ids=["series-of-p", "order-1", "other-velocity", "p-at-order-2"])
+def test_extract_affine_needs_the_series_of_x_to_order_2(series):
+    with pytest.raises(ValueError, match=r"X's series under V = P/m, to order 2") as info:
+        extract_affine(series, 2.0, {"omega": 1.3, "F0": 0.7})
+    assert not isinstance(info.value, NonAffineFlow)
 
 
 def test_affine_flow_evaluates_to_closed_forms():
     params = {"m": 2.0, "omega": 1.3, "F0": 0.7}
     order = 16
-    flow = extract_affine(taylor_flow(X, harmonic_gen(), order))
+    series = taylor_flow(X, harmonic_gen(), order)
+    flow = extract_affine(series, 2.0, params)
+    textbook = AffineFlowExact.harmonic(2.0, 1.3)  # kappa = -omega^2, not -(m omega^2)/m
     for t in (0.1, 0.5, 1.0):
-        alpha, beta, gamma = flow.evaluate(t, params)
-        assert math.isclose(alpha, math.cos(1.3 * t), rel_tol=0, abs_tol=1e-12)
-        assert math.isclose(beta, math.sin(1.3 * t) / (2.0 * 1.3), rel_tol=0,
-                            abs_tol=1e-12)
-        assert gamma == 0.0
-    flow = extract_affine(taylor_flow(X, linear_gen(), 6))
-    alpha, beta, gamma = flow.evaluate(0.8, params)
-    assert math.isclose(gamma, 0.7 * 0.8 ** 2 / (2 * 2.0), rel_tol=0, abs_tol=1e-15)
+        for alpha, beta, gamma in (affine_series_at(series, t, params), flow.at(t)):
+            assert math.isclose(alpha, math.cos(1.3 * t), rel_tol=0, abs_tol=1e-12)
+            assert math.isclose(beta, math.sin(1.3 * t) / (2.0 * 1.3), rel_tol=0,
+                                abs_tol=1e-12)
+            assert gamma == 0.0
+        assert max(abs(a - b) for a, b in zip(flow.at(t), textbook.at(t))) < 1e-15
+    series = taylor_flow(X, linear_gen(), 6)
+    for _alpha, _beta, gamma in (affine_series_at(series, 0.8, params),
+                                 extract_affine(series, 2.0, params).at(0.8)):
+        assert math.isclose(gamma, 0.7 * 0.8 ** 2 / (2 * 2.0), rel_tol=0, abs_tol=1e-15)
 
 
 def test_unknown_model_rejected():

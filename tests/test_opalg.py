@@ -17,6 +17,7 @@ from ccrflow.opalg import (
     commutator,
     inverse_power_rule,
 )
+from helpers import from_list
 
 I = ScalarCoeff.imag_unit()
 
@@ -486,7 +487,7 @@ def test_the_api_takes_a_callers_fraction():
     assert ScalarCoeff.rational(Fraction(6, 4), Fraction(-2, 6)).terms == {(): (9, -2, 6)}
     third = ScalarCoeff({(): (-1, 0, 3)})
     assert X * Fraction(-2, 6) == X * third == Fraction(-2, 6) * X
-    q = Polynomial.from_list([1, 0, ScalarCoeff.param("m")])
+    q = from_list([1, 0, ScalarCoeff.param("m")])
     assert Fraction(1, 2) * q == q * Fraction(1, 2) == q * ScalarCoeff({(): (1, 0, 2)})
     c = ScalarCoeff.rational(3, 1) * ScalarCoeff.param("m")
     assert (c / Fraction(-3, 4)).terms == {(("m", 1),): (-12, -4, 3)}
@@ -554,7 +555,7 @@ def test_polynomial_rejects_negative_degree():
 
 
 def test_polynomial_as_opexpr():
-    q = Polynomial.from_list([1, 0, 3])
+    q = from_list([1, 0, 3])
     assert q.as_opexpr("X") == ONE + X * X * 3
     assert q.as_opexpr("P") == ONE + P * P * 3
 

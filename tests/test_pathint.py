@@ -24,6 +24,7 @@ from ccrflow.propagator import (
     evolve_exact,
     gaussian_kernel,
 )
+from helpers import from_list
 
 
 def harmonic_force(m=4.0, omega=1.0):
@@ -50,7 +51,7 @@ def test_antiderivative_harmonic_force():
 def test_antiderivative_zero():
     assert Polynomial.zero().antiderivative() == Polynomial.zero()
     # W' = F exactly, W(0) = 0
-    f = Polynomial.from_list([1, Fraction(-2, 3), 0, 5])
+    f = from_list([1, Fraction(-2, 3), 0, 5])
     w = f.antiderivative()
     assert w.derivative() == f
     assert 0 not in w.coeffs
@@ -196,7 +197,7 @@ def test_boundary_leak_warning():
 def test_propagate_matches_dense_chain(n):
     # cubic force, so the diagonal factors are not a pure chirp; dt puts the
     # kinetic phase step at 1 rad per cell on every grid
-    force = Polynomial.from_list([0, Fraction(-1, 16), 0, Fraction(-1, 32)])
+    force = from_list([0, Fraction(-1, 16), 0, Fraction(-1, 32)])
     m, steps = 1.0, 5
     grid = UniformGrid.from_bounds(-1, 1, n)
     psi = WaveFunction.gaussian_packet(grid, center=0.1, width=0.3, momentum=0.5)
@@ -326,7 +327,7 @@ def test_free_chain_error_is_quadrature_dominated():
 ], ids=["shifted", "inverted", "inverted-shifted"])
 def test_affine_force_convergence_against_closed_form(coeffs, m, box, n, t_total,
                                                       packet, n_list):
-    force = Polynomial.from_list(coeffs)
+    force = from_list(coeffs)
     grid = UniformGrid.from_bounds(-box, box, n)
     center, width, momentum = packet
     psi = WaveFunction.gaussian_packet(grid, center=center, width=width, momentum=momentum)
@@ -359,6 +360,25 @@ def test_convergence_study_validation():
         convergence_study(Polynomial.zero(), 1.0, psi, 1.0, [0, 2])
     with pytest.raises(ValueError):
         convergence_study(Polynomial.zero(), 1.0, psi, -1.0, [2, 4])
+
+
+def test_convergence_study_refuses_one_step_count_for_a_force_that_is_not_affine(monkeypatch):
+    # the finest N is that force's reference and left out of the report: one
+    # step count gave a report of no rows, and the command exited 0
+    import ccrflow.pathint as pathint_mod
+
+    grid = UniformGrid.from_bounds(-2.55, 2.55, 896)
+    psi = WaveFunction.gaussian_packet(grid, center=0.3, width=0.5)
+    affine = convergence_study(harmonic_force(), 4.0, psi, 3.0, [40])
+    assert [row.steps for row in affine.rows] == [40]
+
+    def no_chains(*args):
+        raise AssertionError("a slice chain ran before the step counts were checked")
+
+    monkeypatch.setattr(pathint_mod, "propagate", no_chains)
+    cubic = harmonic_force() - Polynomial.monomial(3, ScalarCoeff.rational(1))
+    with pytest.raises(ValueError, match="not affine needs two or more step counts"):
+        convergence_study(cubic, 4.0, psi, 3.0, [40])
 
 
 def test_convergence_study_builds_the_reference_before_the_slices(monkeypatch):

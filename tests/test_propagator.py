@@ -23,7 +23,9 @@ from ccrflow.propagator import (
     evolve_exact,
     gaussian_kernel,
     closed_form_kernel,
+    warn_on_leak,
 )
+from helpers import affine_series_at, from_list
 
 
 # ---- kernel construction ----
@@ -97,20 +99,21 @@ def test_scale_free_caustic_test():
 ], ids=["shifted", "inverted", "inverted-shifted"])
 def test_affine_flow_matches_taylor_route(coeffs, m):
     # the paper's route: X(t) as an operator Taylor series from dO/dt = i[G, O]
-    force = Polynomial.from_list(coeffs)
-    series = extract_affine(taylor_flow(X, generator(force, newtonian_velocity()), 24))
+    force = from_list(coeffs)
+    series = taylor_flow(X, generator(force, newtonian_velocity()), 24)
     flow = AffineFlowExact.from_force(force, m)
+    assert extract_affine(series, m) == flow
     for t in (0.05, 0.3, 0.7, 1.0):
-        want = series.evaluate(t, {"m": m})
+        want = affine_series_at(series, t, {"m": m})
         got = flow.at(t)
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
 
 
 def test_from_force_rejects_non_affine_forces():
-    assert AffineFlowExact.from_force(Polynomial.from_list([0, 0, 1]), 1.0) is None
+    assert AffineFlowExact.from_force(from_list([0, 0, 1]), 1.0) is None
     with pytest.raises(ValueError, match="imaginary part"):  # this returned None
         AffineFlowExact.from_force(Polynomial.monomial(0, ScalarCoeff.imag_unit()), 1.0)
-    assert AffineFlowExact.from_force(Polynomial.from_list([2, -3]), 1.5) == \
+    assert AffineFlowExact.from_force(from_list([2, -3]), 1.5) == \
         AffineFlowExact(1.5, kappa=-2.0, F0=2.0)
 
 
@@ -238,10 +241,14 @@ def test_gaussian_packet_is_normalized():
 def test_boundary_flagging():
     grid = UniformGrid.from_bounds(-2, 2, 128)
     wide = WaveFunction.gaussian_packet(grid, width=2.0)
-    assert wide.boundary_flagged
+    with pytest.warns(BoundaryLeak):
+        assert warn_on_leak(wide)
     grid = UniformGrid.from_bounds(-10, 10, 256)
     tight = WaveFunction.gaussian_packet(grid, width=1.0)
-    assert not tight.boundary_flagged
+    assert tight.edge_mass_fraction() < 1e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not warn_on_leak(tight)
 
 
 def test_wavefunction_validation():
@@ -376,7 +383,7 @@ def test_delta_limit_small_time():
     rule_dx = math.pi * t / (4 * m * x_edge)
     assert grid.dx <= rule_dx
     psi = WaveFunction.gaussian_packet(grid, width=width)
-    assert not psi.boundary_flagged
+    assert psi.edge_mass_fraction() < 1e-10
     out = evolve_exact(gaussian_kernel(AffineFlowExact.free(m), t), psi)
     assert out.l2_distance(psi) < 1e-3
 
@@ -512,7 +519,7 @@ _STEPS = {
     "linear": lambda grid: gaussian_kernel(AffineFlowExact.linear(0.7, -1.2), 0.6).step(grid),
     # a cubic force, its kinetic phase step 1 rad per cell on every grid
     "slice": lambda grid: short_time_matrix(
-        Polynomial.from_list([0, Fraction(-1, 16), 0, Fraction(-1, 32)]), 1.0,
+        from_list([0, Fraction(-1, 16), 0, Fraction(-1, 32)]), 1.0,
         2 * grid.abs_max * grid.dx, grid),
 }
 
