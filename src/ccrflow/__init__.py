@@ -4,8 +4,8 @@ The exact layer (opalg, heisenberg) works over complex rationals with named
 parameters; the numeric layer (propagator, pathint) evolves wavepackets on
 uniform grids; the cli module exposes everything as subcommands.  The
 package itself loads no module: each name below loads its module on first
-use (PEP 562), so a command imports only the layers it runs.  Its two error
-bases live here, so that catching them loads no layer.
+use (PEP 562), so a command imports only the layers it runs.  Its error
+bases and print helpers live here, so catching or printing loads no layer.
 """
 
 from importlib import import_module
@@ -25,6 +25,16 @@ class ExpressionError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte {offset})")
         self.offset = offset
+
+
+def format_float(x: float) -> str:
+    """17 significant digits, scientific notation: the spec of every CSV float."""
+    return "%.16e" % x
+
+
+def _block(lines) -> bytes:
+    """LF-terminated lines as one block of bytes (no lines: one LF)."""
+    return ("\n".join(lines) + "\n").encode()
 
 
 _LAZY = {  # module loaded on first use -> the names the package exports from it

@@ -21,10 +21,10 @@ import warnings
 from contextlib import nullcontext, suppress
 from typing import TYPE_CHECKING
 
-from . import DomainError, ExpressionError
+from . import DomainError, ExpressionError, _block, format_float
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Iterator
+    from collections.abc import Iterable
 
     from .opalg import OpExpr, Polynomial
     from .pathint import ConvergenceReport
@@ -33,13 +33,13 @@ if TYPE_CHECKING:
 # Each command imports the layers it runs when it runs, so --help loads
 # none: normord and comm import the parser (expr) and opalg, series opalg
 # and heisenberg, and kernel and evolve propagator, which loads numpy only
-# where it builds an array (kernel --coefficients never does); kernel's
-# CSV, evolve and pathint load it through _numpy.  The
-# numeric commands make no BLAS call (FFTs, ufuncs and sums only), so main
-# starts numpy with one OpenBLAS thread for them: the pool's idle threads
-# would only spin.  A later BLAS or LAPACK user in the library (such as an
-# eigh reference) would run on one thread from the CLI too, and must be
-# timed that way.
+# where it builds an array (kernel --coefficients never does).  Importing
+# csvtext loads numpy, so kernel's CSV, evolve and pathint import it after
+# every other ccrflow module they compile.  The numeric commands make no
+# BLAS call (FFTs, ufuncs and sums only), so main starts numpy with one
+# OpenBLAS thread for them: the pool's idle threads would only spin.  A
+# later BLAS or LAPACK user in the library (such as an eigh reference) would
+# run on one thread from the CLI too, and must be timed that way.
 _NUMERIC_COMMANDS = ("kernel", "evolve", "pathint", "verify")
 
 __all__ = ["main", "run", "parse_expression", "ExpressionError", "format_float"]
@@ -88,23 +88,6 @@ def _force_polynomial(e: OpExpr) -> Polynomial:
 # CSV output
 # ---------------------------------------------------------------------------
 
-# Floats per csvtext.fields call and per kernel CSV block: at 2,048 the table
-# (50 bytes a float), its byte copy and each fields array stay under malloc's
-# 128 KiB mmap and trim threshold, so kernel --n 1024 takes 4.5k minor faults
-# a launch and --n 2048 4.6k, against 33.6k and 121k at 4,096 floats.
-_FORMAT_BLOCK = 2048
-
-
-def format_float(x: float) -> str:
-    """17 significant digits, scientific notation: the spec of every CSV float."""
-    return "%.16e" % x
-
-
-def _block(lines: Iterable[str]) -> bytes:
-    """LF-terminated lines as one block of bytes (no lines: one LF)."""
-    return ("\n".join(lines) + "\n").encode()
-
-
 def _write_blocks(blocks: Iterable[bytes], path: str | None) -> None:
     """Write the blocks in turn to a new file at path, or to stdout after the
     text it holds.  A raw stdout (PYTHONUNBUFFERED) may take part of a block
@@ -125,62 +108,11 @@ def _text_lines(blocks: Iterable[bytes]) -> list[str]:
     return [line for block in blocks for line in block.decode().splitlines()]
 
 
-def _numpy():
-    """numpy, after csvtext, the last ccrflow module a numeric command compiles:
-    called where the commands build their first array (_kernel_step, _packet),
-    so numpy's import reuses the heap that compiling every ccrflow module freed."""
-    from . import csvtext  # noqa: F401
-    import numpy
-
-    return numpy
-
-
-def _kernel_step(kernel, grid: UniformGrid):
-    """kernel's ChirpStep on grid, or OverflowError where a value is not finite:
-    float rounding is monotone, so |kin| ((n - 1) dx)^2 + 2 max|phase| bounds
-    every phase sum that step.rows computes."""
-    from .propagator import finite_on_grid
-
-    np = _numpy()
-    with np.errstate(all="ignore"):
-        step = kernel.step(grid)
-        span = grid.dx * (grid.n - 1)
-        finite_on_grid(abs(step.kin) * span * span + 2 * np.max(np.abs(step.phase)),
-                       "the kernel phase")
-    return step
-
-
-def kernel_csv_blocks(step) -> Iterator[bytes]:
-    """The CSV of the kernel step on its grid as byte blocks of at most
-    _FORMAT_BLOCK floats, each built in one table: no n x n array is held.  A
-    block holds whole rows where a row fits in it, else a range of one row."""
-    import numpy as np
-
-    from .csvtext import FIELD, fields, lines
-
-    x_fields = fields(step.grid.points())
-    n = len(x_fields)
-    width = min(n, _FORMAT_BLOCK // 2)  # entries of a row in a block
-    height = min(n, max(1, _FORMAT_BLOCK // (2 * n)))  # rows in a block
-    # x_b, x_a, re, im; x_a set once where a block holds whole rows
-    table = np.tile(x_fields[:width, None], (height, 1, 4, 1))
-    yield b"x_b,x_a,re,im\n"
-    for start in range(0, n, height):
-        for first in range(0, n, width):
-            rows = table[:n - start, :n - first]  # contiguous: a split row is alone
-            rows[:, :, 0] = x_fields[start:start + height, None]
-            if width < n:
-                rows[:, :, 1] = x_fields[first:first + width]
-            values = step.rows(start, start + len(rows), slice(first, first + width))
-            rows[:, :, 2:] = fields(values.view(np.float64)).reshape(*rows.shape[:2], 2, FIELD)
-            # a block under 128 KiB refaults nothing, whether the consumer holds it
-            # while the next is built or frees it (n = 384: 4.5k and 4.4k minor faults)
-            yield lines(rows.reshape(-1, 4 * FIELD))
-
-
 def kernel_csv_lines(kernel, grid: UniformGrid) -> list[str]:
-    """The lines of kernel_csv_blocks, split a block at a time."""
-    return _text_lines(kernel_csv_blocks(_kernel_step(kernel, grid)))
+    """The lines of csvtext.kernel_csv_blocks, split a block at a time."""
+    from . import csvtext
+
+    return _text_lines(csvtext.kernel_csv_blocks(csvtext.kernel_step(kernel, grid)))
 
 
 def kernel_coefficient_lines(kernel) -> list[str]:
@@ -190,26 +122,9 @@ def kernel_coefficient_lines(kernel) -> list[str]:
             ",".join(format_float(part) for z in coefficients for part in (z.real, z.imag))]
 
 
-def series_lines(series: Iterable[OpExpr]) -> list[str]:
-    """One 'k: <c_k>' line per coefficient of an operator series."""
-    return [f"{k}: {c.canonical_text()}" for k, c in enumerate(series)]
-
-
-def wavefunction_csv_blocks(psi: WaveFunction) -> Iterator[bytes]:
-    """The CSV of psi as byte blocks of _FORMAT_BLOCK floats, each stacked alone."""
-    import numpy as np
-
-    from .csvtext import FIELD, fields, lines
-
-    x, rows = psi.points(), _FORMAT_BLOCK // 3
-    yield b"x,re,im\n"
-    for start in range(0, len(x), rows):
-        z = psi.samples[start:start + rows]
-        yield lines(fields(np.column_stack((x[start:start + rows], z.real, z.imag)))
-                    .reshape(-1, 3 * FIELD))
-
-
 def wavefunction_csv_lines(psi: WaveFunction) -> list[str]:
+    from .csvtext import wavefunction_csv_blocks
+
     return _text_lines(wavefunction_csv_blocks(psi))
 
 
@@ -331,8 +246,9 @@ def _packet(args: argparse.Namespace, grid: UniformGrid) -> WaveFunction:
     so a packet the grid's span cuts off is still accepted, but not one that
     leaves no more than the tolerance of it on the grid."""
     from .propagator import GridTooCoarse, WaveFunction
+    from . import csvtext  # noqa: F401  (loads numpy: the last import)
+    import numpy as np
 
-    np = _numpy()
     psi = WaveFunction.gaussian_packet(grid, center=args.x0, width=args.sigma,
                                        momentum=args.p0)
     lo, hi = ((edge - args.x0) / args.sigma for edge in (grid.x_min, grid.x_max))
@@ -374,7 +290,7 @@ def _cmd_comm(args) -> int:
 
 def _cmd_series(args) -> int:
     from .heisenberg import (DEFAULT_ORDER, force_for_model, generator,
-                             newtonian_velocity, taylor_flow)
+                             newtonian_velocity, series_lines, taylor_flow)
     from .opalg import P, X
 
     _require(args, ["model"])
@@ -398,8 +314,10 @@ def _cmd_kernel(args) -> int:
         _write_blocks([_block(kernel_coefficient_lines(kernel))], args.output)
     else:
         _check_cap("kernel rows", grid.n * grid.n)
-        step = _kernel_step(kernel, grid)  # raises before the output is opened
-        _write_blocks(kernel_csv_blocks(step), args.output)
+        from . import csvtext
+
+        step = csvtext.kernel_step(kernel, grid)  # raises before the output is opened
+        _write_blocks(csvtext.kernel_csv_blocks(step), args.output)
     return 0
 
 
@@ -411,6 +329,8 @@ def _cmd_evolve(args) -> int:
     kernel = gaussian_kernel(flow, args.t)  # a caustic or overflow first, then the packet
     _check_cap("grid FFT length", grid.fft_size)
     out = evolve_exact(kernel, _packet(args, grid))
+    from .csvtext import wavefunction_csv_blocks  # loaded by _packet
+
     _write_blocks(wavefunction_csv_blocks(out), args.output)
     return 0
 
@@ -426,6 +346,8 @@ def _cmd_pathint(args) -> int:
     if not args.t_total > 0:
         raise ValueError("t-total must be positive")
     grid = UniformGrid.from_bounds(args.x_min, args.x_max, args.n)
+    if args.convergence and args.steps is not None:
+        raise ValueError("give --steps or --convergence, not both")
     if not args.convergence:
         if args.steps is None:
             raise ValueError("need --steps or --convergence")
@@ -443,8 +365,10 @@ def _cmd_pathint(args) -> int:
     for coeff in force.coeffs.values():
         try:
             finite = math.isfinite(abs(coeff.evaluate(params)))
-        except KeyError as exc:
-            raise ValueError(f"force has {exc.args[0]}; only m, omega, F0 bind") from None
+        except KeyError as exc:  # "unbound parameter 'omega'": name the flag it needs
+            name = exc.args[0].rpartition(" ")[2].strip("'")
+            bind = f"give --{name}" if name in ("omega", "F0") else "only m, omega, F0 bind"
+            raise ValueError(f"force has {exc.args[0]}; {bind}") from None
         except (ZeroDivisionError, OverflowError):  # omega^-1 at --omega 0, F0^-2 at 1e-200
             finite = False
         if not finite:
@@ -458,6 +382,8 @@ def _cmd_pathint(args) -> int:
     else:
         kernel = short_time_matrix(force, args.m, args.t_total / args.steps, grid, params)
         out = propagate(kernel, psi, args.steps)
+    from .csvtext import wavefunction_csv_blocks  # loaded by _packet
+
     _write_blocks(wavefunction_csv_blocks(out), args.output)
     return 0
 
@@ -619,7 +545,4 @@ def run() -> None:
 
 
 if __name__ == "__main__":
-    # Under ``python -m ccrflow.cli``, verify's import of ccrflow.cli would
-    # otherwise compile and run this file a second time.
-    sys.modules.setdefault("ccrflow.cli", sys.modules[__name__])
     run()

@@ -1,25 +1,27 @@
 """The exact bytes of ``format_float`` (``'%.16e' % v``) for float64 arrays,
-formatted by numpy, and CSV lines made of them.
+formatted by numpy, and the kernel and wavefunction CSV blocks made of them.
 
-Only the numeric commands import this module.  A value v with
-|v| = d.ddddddddddddddddd x 10^e prints its 17 digits N = round(|v| 10^(16-e)),
-10^16 <= N < 10^17, rounded half to even from the exact binary value.  The
-scaled value S = |v| 10^(16-e) is computed as P + L: the power 10^(16-e) as a
-double-double hi + lo built from exact integers, P = fl(|v| hi), and
-L = (|v| hi - P) + |v| lo, where |v| hi - P is exact by Dekker's product
-(T. J. Dekker, Numer. Math. 18, 224 (1971)).  Since 10^16 > 2^53, P is an
-integer and N = P + rint(L).  Where the kernel cannot prove N (|v| outside
-[_LOW, _HIGH], NaN, or L within _MARGIN of a rounding boundary) the field
-comes from format_float itself, which stays the spec.
+Only the numeric commands import this module.  Importing it loads numpy, so
+a numeric entry imports it after every other ccrflow module it compiles.  A
+value v with |v| = d.ddddddddddddddddd x 10^e prints its 17 digits
+N = round(|v| 10^(16-e)), 10^16 <= N < 10^17, rounded half to even from the
+exact binary value.  The scaled value S = |v| 10^(16-e) is computed as P + L:
+the power 10^(16-e) as a double-double hi + lo built from exact integers,
+P = fl(|v| hi), and L = (|v| hi - P) + |v| lo, where |v| hi - P is exact by
+Dekker's product (T. J. Dekker, Numer. Math. 18, 224 (1971)).  Since
+10^16 > 2^53, P is an integer and N = P + rint(L).  Where the kernel cannot
+prove N (|v| outside [_LOW, _HIGH], NaN, or L within _MARGIN of a rounding
+boundary) the field comes from format_float itself, which stays the spec.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from .cli import format_float
+from . import format_float
 
 # Where |v| lies in [_LOW, _HIGH], every power 10^(16-e) and every partial
 # product of Dekker's product is a normal double, so the products are exact.
@@ -33,6 +35,12 @@ _LOW, _HIGH = 1e-200, 1e200
 # decision, so it needs no margin.
 _MARGIN = 1e-6
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
+
+# Floats per fields call and per kernel CSV block: at 2,048 the table (50
+# bytes a float), its byte copy and each fields array stay under malloc's
+# 128 KiB mmap and trim threshold, so kernel --n 1024 takes 4.5k minor faults
+# a launch and --n 2048 4.6k, against 33.6k and 121k at 4,096 floats.
+_FORMAT_BLOCK = 2048
 
 FIELD = 25  # bytes per field: up to 24 of text, NUL-padded, then ','
 # '-'|NUL, 'd.', 16 digits, 'e+dd', third exponent digit|NUL, ','
@@ -142,3 +150,51 @@ def lines(table: np.ndarray) -> bytes:
     dropped and each row's last ',' made an LF, in place."""
     table[:, -1] = ord("\n")
     return table.tobytes().replace(b"\0", b"")
+
+
+def kernel_step(kernel, grid):
+    """kernel's ChirpStep on grid, or OverflowError where a value is not finite:
+    float rounding is monotone, so |kin| ((n - 1) dx)^2 + 2 max|phase| bounds
+    every phase sum that step.rows computes."""
+    from .propagator import finite_on_grid
+
+    with np.errstate(all="ignore"):
+        step = kernel.step(grid)
+        span = grid.dx * (grid.n - 1)
+        finite_on_grid(abs(step.kin) * span * span + 2 * np.max(np.abs(step.phase)),
+                       "the kernel phase")
+    return step
+
+
+def kernel_csv_blocks(step) -> Iterator[bytes]:
+    """The CSV of the kernel step on its grid as byte blocks of at most
+    _FORMAT_BLOCK floats, each built in one table: no n x n array is held.  A
+    block holds whole rows where a row fits in it, else a range of one row."""
+    x_fields = fields(step.grid.points())
+    n = len(x_fields)
+    width = min(n, _FORMAT_BLOCK // 2)  # entries of a row in a block
+    height = min(n, max(1, _FORMAT_BLOCK // (2 * n)))  # rows in a block
+    # x_b, x_a, re, im; x_a set once where a block holds whole rows
+    table = np.tile(x_fields[:width, None], (height, 1, 4, 1))
+    yield b"x_b,x_a,re,im\n"
+    for start in range(0, n, height):
+        for first in range(0, n, width):
+            rows = table[:n - start, :n - first]  # contiguous: a split row is alone
+            rows[:, :, 0] = x_fields[start:start + height, None]
+            if width < n:
+                rows[:, :, 1] = x_fields[first:first + width]
+            values = step.rows(start, start + len(rows), slice(first, first + width))
+            rows[:, :, 2:] = fields(values.view(np.float64)).reshape(*rows.shape[:2], 2, FIELD)
+            # a block under 128 KiB refaults nothing, whether the consumer holds it
+            # while the next is built or frees it (n = 384: 4.5k and 4.4k minor faults)
+            yield lines(rows.reshape(-1, 4 * FIELD))
+
+
+def wavefunction_csv_blocks(psi) -> Iterator[bytes]:
+    """The CSV of psi as byte blocks of _FORMAT_BLOCK floats, each stacked alone."""
+    x, rows = psi.points(), _FORMAT_BLOCK // 3
+    yield b"x,re,im\n"
+    for start in range(0, len(x), rows):
+        z = psi.samples[start:start + rows]
+        yield lines(fields(np.column_stack((x[start:start + rows], z.real, z.imag)))
+                    .reshape(-1, 3 * FIELD))

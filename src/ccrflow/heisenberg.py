@@ -103,6 +103,11 @@ def commutator_series(a: Sequence[OpExpr], b: Sequence[OpExpr]) -> tuple[OpExpr,
                  for n in range(min(len(a), len(b))))
 
 
+def series_lines(series: Sequence[OpExpr]) -> list[str]:
+    """One 'k: <c_k>' line per coefficient of an operator series."""
+    return [f"{k}: {c.canonical_text()}" for k, c in enumerate(series)]
+
+
 _AFFINE_WORDS = ((1, 0), (0, 1), (0, 0))  # X, P, 1
 
 

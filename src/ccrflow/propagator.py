@@ -15,8 +15,8 @@ and reduces to delta(x_b - x_a) as t -> 0+.  Wavepackets evolve by trapezoid
 quadrature on a uniform grid; a per-cell phase bound keeps the oscillatory
 integrand resolved.  The closed form (flows, kernel coefficients, the
 textbook kernels, the grid's bounds and the checks) is scalar math and
-cmath; the array code imports numpy where it runs, so that every ccrflow
-module compiles before numpy loads (cli._numpy).
+cmath; the array code imports numpy where it runs: a numeric entry imports
+csvtext, which loads numpy, after every other module it compiles.
 """
 
 from __future__ import annotations

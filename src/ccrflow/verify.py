@@ -28,11 +28,13 @@ import random
 import warnings
 from itertools import zip_longest
 
+from . import _block
 from .heisenberg import (
     commutator_series,
     force_for_model,
     generator,
     newtonian_velocity,
+    series_lines,
     taylor_flow,
     time_derivative,
 )
@@ -281,7 +283,7 @@ def _check_pathint_convergence() -> tuple[bool, str]:
 
 
 def _check_report_determinism() -> tuple[bool, str]:
-    from .cli import _block, _kernel_step, kernel_csv_blocks, series_lines, wavefunction_csv_blocks
+    from .csvtext import kernel_csv_blocks, kernel_step, wavefunction_csv_blocks
     from .propagator import (AffineFlowExact, UniformGrid, WaveFunction, evolve_exact,
                              gaussian_kernel)
 
@@ -289,7 +291,7 @@ def _check_report_determinism() -> tuple[bool, str]:
         """The blocks the kernel, evolve and series commands write for a run."""
         grid = UniformGrid.from_bounds(-2.0, 2.0, 64)
         kernel = gaussian_kernel(AffineFlowExact.free(1.0), 1.0)
-        yield from kernel_csv_blocks(_kernel_step(kernel, grid))
+        yield from kernel_csv_blocks(kernel_step(kernel, grid))
         psi = WaveFunction.gaussian_packet(UniformGrid.from_bounds(-6.0, 6.0, 256))
         out = evolve_exact(gaussian_kernel(AffineFlowExact.free(1.0), 0.5), psi)
         yield from wavefunction_csv_blocks(out)
@@ -335,11 +337,10 @@ def _run_checks(checks) -> list[tuple[bool, str]]:
 
 def _run_numeric(numeric) -> list[tuple[bool, str]]:
     """_run_checks(numeric), with numpy loaded after every ccrflow module they
-    compile (see cli._numpy): pathint loads opalg and propagator."""
+    compile: pathint loads opalg and propagator, and csvtext, last, numpy."""
     from . import pathint  # noqa: F401
-    from .cli import _numpy
+    from . import csvtext  # noqa: F401
 
-    _numpy()
     return _run_checks(numeric)
 
 

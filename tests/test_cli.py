@@ -21,6 +21,7 @@ import pytest
 
 import ccrflow
 import ccrflow.cli as cli
+from ccrflow import csvtext
 from ccrflow.cli import (
     ExpressionError,
     _write_blocks,
@@ -298,8 +299,8 @@ def test_kernel_csv_is_the_same_in_blocks_of_any_size(floats, monkeypatch):
     values = kernel.step(grid).rows()
     want = _reference_lines((xb, xa, val.real, val.imag)
                             for xb, row in zip(x, values) for xa, val in zip(x, row))
-    monkeypatch.setattr(cli, "_FORMAT_BLOCK", floats)
-    header, *blocks = cli.kernel_csv_blocks(cli._kernel_step(kernel, grid))
+    monkeypatch.setattr(csvtext, "_FORMAT_BLOCK", floats)
+    header, *blocks = csvtext.kernel_csv_blocks(csvtext.kernel_step(kernel, grid))
     assert header == b"x_b,x_a,re,im\n"
     assert b"".join(blocks).decode().splitlines() == want
     assert max(2 * block.count(b"\n") for block in blocks) <= floats
@@ -334,8 +335,8 @@ def test_wavefunction_csv_is_the_same_across_blocks(n, floats, monkeypatch):
     re = rng.normal(size=n) * 10.0 ** rng.uniform(-300, 300, size=n)
     samples = re + 1j * rng.normal(size=n)
     psi = WaveFunction(UniformGrid(-3.0, 0.0123, n), samples)
-    monkeypatch.setattr(cli, "_FORMAT_BLOCK", floats)
-    header, *blocks = cli.wavefunction_csv_blocks(psi)
+    monkeypatch.setattr(csvtext, "_FORMAT_BLOCK", floats)
+    header, *blocks = csvtext.wavefunction_csv_blocks(psi)
     rows = floats // 3
     assert header == b"x,re,im\n"
     assert [block.count(b"\n") for block in blocks] == [min(rows, n - start)
@@ -350,7 +351,7 @@ def test_write_blocks_bytes_across_blocks(count, tmp_path, capsys):
     # blocks of 4096 bytes end inside lines; no lines is one LF
     lines = [f"{k},{k * k}" for k in range(count)]
     expected = "\n".join(lines) + "\n"
-    data = cli._block(lines)
+    data = ccrflow._block(lines)
     blocks = [data[start:start + 4096] for start in range(0, len(data), 4096)]
     _write_blocks(blocks, None)
     assert capsys.readouterr().out == expected
@@ -448,10 +449,10 @@ def test_kernel_csv_holds_no_n_by_n_array(tmp_path):
 def test_kernel_csv_blocks_in_process_hold_no_n_by_n_array():
     # a library caller streams the n = 1024 kernel as the CLI writes it
     kernel = gaussian_kernel(AffineFlowExact.harmonic(1.5, 0.8), 0.9)
-    step = cli._kernel_step(kernel, UniformGrid.from_bounds(-4.0, 3.0, 1024))
+    step = csvtext.kernel_step(kernel, UniformGrid.from_bounds(-4.0, 3.0, 1024))
     tracemalloc.start()
     try:
-        size = sum(len(block) for block in cli.kernel_csv_blocks(step))
+        size = sum(len(block) for block in csvtext.kernel_csv_blocks(step))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -465,8 +466,8 @@ def test_kernel_csv_blocks_stay_under_100_kib(n):
     # array of csvtext.fields under malloc's 128 KiB mmap and trim threshold;
     # 4,096-float blocks were 177-189 KiB; a long row splits into column ranges
     kernel = gaussian_kernel(AffineFlowExact.harmonic(1.5, 0.8), 0.9)
-    step = cli._kernel_step(kernel, UniformGrid.from_bounds(-4.0, 3.0, n))
-    blocks = list(itertools.islice(cli.kernel_csv_blocks(step), 1, 8))  # after the header
+    step = csvtext.kernel_step(kernel, UniformGrid.from_bounds(-4.0, 3.0, n))
+    blocks = list(itertools.islice(csvtext.kernel_csv_blocks(step), 1, 8))  # after the header
     assert sum(block.count(b"\n") for block in blocks) >= 3 * n  # three rows at least
     assert max(map(len, blocks)) <= 100 * 1024
 
@@ -851,6 +852,34 @@ def test_unbound_force_parameter_is_usage_error(capsys):
     assert "'k'" in err
 
 
+@pytest.mark.parametrize("force, hint", [("omega*X", "give --omega"), ("F0^2*X", "give --F0"),
+                                         ("k*X", "only m, omega, F0 bind")])
+def test_unbound_force_parameter_names_its_flag(force, hint, capsys):
+    # omega and F0 bind from their flags: the line said only m, omega, F0 bind
+    # to a force that named omega without --omega
+    name = force.split("*")[0].split("^")[0]
+    assert main(["pathint", f"--force={force}", "--m", "1", "--t-total", "1", "--steps", "2",
+                 "--x-min", "-6", "--x-max", "6", "--n", "256"]) == 2
+    assert capsys.readouterr() == (
+        "", f"ccrflow: error: force has unbound parameter {name!r}; {hint}\n")
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--steps", "3", "--convergence", "5,10"], ""),
+    (["--convergence", "5,10"], "steps = 3\n"),
+    (["--steps", "3"], "convergence = 5,10\n"),
+], ids=["flags", "steps-from-config", "convergence-from-config"])
+def test_pathint_steps_with_convergence_is_usage_error(flags, config, tmp_path, capsys,
+                                                       monkeypatch):
+    # --steps was dropped without a word when --convergence was given too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    monkeypatch.setattr(cli, "_packet", _reached)
+    assert main([*_PATHINT, *flags, "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", "ccrflow: error: give --steps or --convergence, "
+                                       "not both\n")
+
+
 def test_caustic_test_is_scale_free(capsys):
     # beta = 1e-13 for a heavy free particle, but beta m / t = 1
     assert main(["kernel", "--model", "free", "--m", "1e13", "--t", "1",
@@ -1080,8 +1109,8 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def _second_run_changed(monkeypatch, name: str, change) -> None:
-    """Patch cli.name so that its second call returns change(its blocks)."""
-    real = getattr(cli, name)
+    """Patch csvtext.name so that its second call returns change(its blocks)."""
+    real = getattr(csvtext, name)
     calls = []
 
     def blocks(*args):
@@ -1089,7 +1118,7 @@ def _second_run_changed(monkeypatch, name: str, change) -> None:
         out = list(real(*args))
         return change(out) if len(calls) == 2 else out
 
-    monkeypatch.setattr(cli, name, blocks)
+    monkeypatch.setattr(csvtext, name, blocks)
 
 
 @pytest.mark.parametrize("name, change", [
@@ -1486,6 +1515,8 @@ _NAMED = {  # argv -> what its one line must name
     **{(*_PATHINT, "--convergence", value):
        f"--convergence: expected increasing positive step counts, got {value!r}"
        for value in ("5,10,0", "10,5", "5,x")},
+    (*_PATHINT, "--steps", "3", "--convergence", "5,10"):
+        "give --steps or --convergence, not both",
 }
 
 
@@ -1580,6 +1611,8 @@ _NAMED = {  # argv -> what its one line must name
     pytest.param([*_PATHINT, "--convergence", "5,10,0"], 2, id="convergence-zero"),
     pytest.param([*_PATHINT, "--convergence", "10,5"], 2, id="convergence-decreasing"),
     pytest.param([*_PATHINT, "--convergence", "5,x"], 2, id="convergence-not-int"),
+    pytest.param([*_PATHINT, "--steps", "3", "--convergence", "5,10"], 2,
+                 id="steps-and-convergence"),
     pytest.param(["normord", "-P"], 0, id="leading-minus-normord"),
     pytest.param(["comm", "-X", "-2*P"], 0, id="leading-minus-comm"),
     pytest.param(["normord", "a0*ω*X"], 0, id="decimal-and-letter-in-names"),
@@ -1760,7 +1793,7 @@ def _reached(*args, **kwargs):
 
 @pytest.mark.parametrize("argv, limit, module, work", [
     (["series", "--model", "harmonic", "--order", "{}"], 2048, "heisenberg", "taylor_flow"),
-    (["kernel", *_SMALL, "--n", "{}"], 4096, "cli", "kernel_csv_blocks"),  # n^2 = 2^24
+    (["kernel", *_SMALL, "--n", "{}"], 4096, "csvtext", "kernel_csv_blocks"),  # n^2 = 2^24
     # 1024 points: FFTs of 2048 = 2^11 points, so 2^17 steps in all
     ([*_PATHINT[:-1], "1024", "--steps", "{}"], 2 ** 17, "pathint", "short_time_matrix"),
     ([*_PATHINT[:-1], "1024", "--convergence", "1,{}"], 2 ** 17 - 1, "pathint",
@@ -1985,6 +2018,24 @@ def test_numeric_commands_load_no_fractions_or_decimal(argv):
               if line.startswith("import time:")}
     assert {"ccrflow.opalg", "numpy"} <= loaded
     assert not loaded & {"fractions", "decimal", "_decimal"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--model", "free", "--m", "1", "--t", "1", *_GRID, "4"],
+    ["evolve", "--model", "free", "--m", "1", "--t", "1", *_BOX],
+    ["pathint", "--force=-X", "--m", "1", "--t-total", "1", *_BOX, "--steps", "2"],
+    ["verify"],
+], ids=["kernel", "evolve", "pathint", "verify"])
+def test_numeric_commands_never_import_the_cli_module(argv):
+    # python -m ccrflow.cli runs the file as __main__; verify's import of
+    # ccrflow.cli would compile and run it a second time, so cli registered
+    # itself under that name until no library module imported it
+    stderr = _python("-X", "importtime", "-m", "ccrflow.cli", *argv, "--output",
+                     os.devnull).stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"ccrflow.csvtext", "numpy"} <= loaded
+    assert "ccrflow.cli" not in loaded
 
 
 def test_kernel_coefficients_load_neither_numpy_nor_csvtext():

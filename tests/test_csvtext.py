@@ -113,6 +113,17 @@ def test_readme_kernel_values_take_the_fast_path(monkeypatch):
     assert csv[1].startswith("-5.0000000000000000e+00,-5.0000000000000000e+00,")
 
 
+def test_kernel_step_rejects_a_phase_beyond_the_float_range():
+    # finite coefficients, but b x^2 overflows on the grid: every row would be nan
+    kernel = gaussian_kernel(AffineFlowExact.free(1e290), 1e-10)
+    grid = UniformGrid.from_bounds(-1e10, 1e10, 200)
+    with pytest.raises(OverflowError, match="the kernel phase"):
+        csvtext.kernel_step(kernel, grid)
+    step = csvtext.kernel_step(gaussian_kernel(AffineFlowExact.free(1.0), 1.0),
+                               UniformGrid.from_bounds(-1.0, 1.0, 4))
+    assert step.grid.n == 4
+
+
 def test_lines_join_fields_and_end_each_row_with_lf():
     values = np.array([[1.0, -2.5e-300], [np.nan, 1e100]])
     table = fields(values).reshape(2, -1)
