@@ -326,7 +326,7 @@ def _cmd_evolve(args) -> int:
 
     _default(args, x0=0.0, p0=0.0, sigma=1.0)
     grid, flow = _grid_and_flow(args)
-    kernel = gaussian_kernel(flow, args.t)  # a caustic or overflow first, then the packet
+    kernel = gaussian_kernel(flow, args.t)  # a singular kernel or overflow, then the packet
     _check_cap("grid FFT length", grid.fft_size)
     out = evolve_exact(kernel, _packet(args, grid))
     from .csvtext import wavefunction_csv_blocks  # loaded by _packet

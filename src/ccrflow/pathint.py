@@ -21,10 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .opalg import Polynomial
 from .propagator import (
-    EDGE_LEAK_WARN,
     AffineFlowExact,
-    BoundaryLeak,
-    CausticSingularity,
     ChirpStep,
     UniformGrid,
     WaveFunction,
@@ -42,7 +39,6 @@ __all__ = [
     "short_time_matrix",
     "propagate",
     "convergence_study",
-    "EDGE_LEAK_WARN",
 ]
 
 
@@ -120,9 +116,7 @@ def convergence_study(force: Polynomial, m: float, psi0: WaveFunction,
     slices carry that constant action phase, so the errors measure
     discretization alone.  For any other force it is the finest-N run itself
     (then omitted from the report), so such a force needs two N or more.
-    Every N must satisfy the slice oscillation rule on psi0's grid.  Raises
-    CausticSingularity where sqrt(-kappa) t_total >= pi: past the first
-    caustic the closed form has no phase continuation, so it is no reference.
+    Every N must satisfy the slice oscillation rule on psi0's grid.
     """
     import numpy as np
 
@@ -144,10 +138,6 @@ def convergence_study(force: Polynomial, m: float, psi0: WaveFunction,
         raise ValueError("a force that is not affine needs two or more step counts: the "
                          "finest is the reference, and one leaves no row to report")
     if flow is not None:
-        if flow.kappa < 0 and (wt := math.sqrt(-flow.kappa) * t_total) >= math.pi:
-            raise CausticSingularity(f"sqrt(-kappa) t = {wt:.4g} is past the first caustic at "
-                                     "pi, where the closed-form reference has no phase "
-                                     "continuation")
         exact = evolve_exact(gaussian_kernel(flow, t_total), psi0)
         reference = WaveFunction(exact.grid, exact.samples * np.exp(1j * flow.phase(t_total)))
     results = {}

@@ -4,9 +4,8 @@ For a flow X(t) = alpha X + beta P + gamma the position-space kernel is
 
     U(x_b, x_a) = A exp{ i (a (x_b^2 + x_a^2) + b x_b x_a + d (x_b + x_a)) }
 
-with a = alpha/(2 beta), b = -1/beta, d = gamma/beta and
-A = (2 pi i beta)^(-1/2) on the principal branch.  The kernel solves the
-first-order relations
+with a = alpha/(2 beta), b = -1/beta, d = gamma/beta and A = (2 pi i beta)^(-1/2)
+times a Maslov sign past a caustic.  The kernel solves the first-order relations
 
     i dU/dx_a = ((x_b - alpha x_a - gamma)/beta) U
     i dU/dx_b = ((x_a - alpha x_b - gamma)/beta) U
@@ -287,13 +286,19 @@ def _at_caustic(beta: float, m: float, t: float) -> bool:
     return abs(beta) * m <= CAUSTIC_EPS * abs(t)
 
 
+def _caustics_passed(flow: AffineFlowExact, t: float) -> int:
+    """n = floor(w |t| / pi) for kappa = -w^2 < 0, else 0: w |t| is the argument of
+    flow.at(t)'s sine, so (-1)^n is the sign of beta t outside the CAUSTIC_EPS band."""
+    return math.floor(math.sqrt(-flow.kappa) * abs(t) / math.pi) if flow.kappa < 0 else 0
+
+
 def gaussian_kernel(flow: AffineFlowExact, t: float) -> GaussianKernel:
     """Kernel coefficients from the affine flow at time t.
 
     Raises CausticSingularity where |beta| m <= CAUSTIC_EPS |t| (beta m/t is 1
     for the free flow): t = 0 and omega t = n pi; OverflowError where beta,
-    gamma or a coefficient is not a finite float.  A is on the principal branch,
-    with no phase continuation past a caustic; flow.phase(t) is not included.
+    gamma or a coefficient is not a finite float.  A carries the Maslov sign past
+    a caustic (the group law holds at every t); flow.phase(t) is not included.
     """
     alpha, beta, gamma = flow.at(t)
     if _at_caustic(beta, flow.m, t):
@@ -303,7 +308,8 @@ def gaussian_kernel(flow: AffineFlowExact, t: float) -> GaussianKernel:
     a = alpha / (2 * beta)
     b = -1.0 / beta
     d = gamma / beta
-    amp = 1.0 / cmath.sqrt(2j * math.pi * beta)
+    # the principal branch times the Maslov sign (-1)^floor((n+1)/2) past n caustics
+    amp = (-1) ** ((_caustics_passed(flow, t) + 1) // 2) / cmath.sqrt(2j * math.pi * beta)
     if not all(map(cmath.isfinite, (beta, gamma, a, b, d, amp))):
         raise OverflowError(f"the kernel at t = {t} is beyond the float range")
     return GaussianKernel(a=a, b=b, d=d, A=amp)
@@ -314,7 +320,8 @@ def closed_form_kernel(model: str, params: Mapping[str, float], t: float,
     """Direct evaluation of the textbook closed-form propagators.
 
     free:     (m/(2 pi i t))^(1/2) exp{ i m (x_b - x_a)^2 / (2t) }
-    harmonic: (m w/(2 pi i sin wt))^(1/2)
+    harmonic: (m w/(2 pi i sin wt))^(1/2), past n = floor(wt/pi) >= 1 caustics
+              (m w/(2 pi i |sin wt|))^(1/2) e^{-i pi n/2}, times
               exp{ i m w ((x_b^2 + x_a^2) cos wt - 2 x_b x_a) / (2 sin wt) }
     linear:   (m/(2 pi i t))^(1/2)
               exp{ (i m/(2t)) ((x_b - x_a)^2 + F0 t^2 (x_b + x_a)/m) }
@@ -335,7 +342,8 @@ def closed_form_kernel(model: str, params: Mapping[str, float], t: float,
         s = math.sin(omega * t)
         if _at_caustic(s / (m * omega), m, t):
             raise CausticSingularity("harmonic kernel is singular at omega t = n pi")
-        amp = cmath.sqrt(m * omega / (2j * math.pi * s))
+        n = max(0, math.floor(omega * t / math.pi))  # caustics passed; e^{-i pi n/2} = (-i)^n
+        amp = cmath.sqrt(m * omega / (2j * math.pi * (abs(s) if n else s))) * (-1j) ** n
         phase = m * omega * ((x_b * x_b + x_a * x_a) * math.cos(omega * t)
                              - 2 * x_b * x_a) / (2 * s)
         return amp * cmath.exp(1j * phase)
@@ -438,7 +446,7 @@ class WaveFunction:
         den = np.sum(np.abs(self.samples) ** 2 * w)
         return float(num.real / den)
 
-    def edge_mass_fraction(self, samples: int = EDGE_SAMPLES) -> float:
+    def edge_mass_fraction(self) -> float:
         import numpy as np
 
         prob = np.abs(self.samples)
@@ -446,9 +454,9 @@ class WaveFunction:
         total = float(np.sum(prob))
         if total == 0.0:
             return 0.0
-        if len(prob) <= 2 * samples:  # every sample is an edge sample, counted once
+        if len(prob) <= 2 * EDGE_SAMPLES:  # every sample is an edge sample, counted once
             return 1.0
-        edge = float(np.sum(prob[:samples]) + np.sum(prob[-samples:]))
+        edge = float(np.sum(prob[:EDGE_SAMPLES]) + np.sum(prob[-EDGE_SAMPLES:]))
         return edge / total
 
     def l2_distance(self, other: "WaveFunction") -> float:

@@ -754,9 +754,11 @@ def test_normord_long_word(capsys):
 def test_symbolic_outputs_match_golden_bytes(capsys):
     # stdout captured before the algebra was keyed by exponent pairs: the
     # README normord/comm/series examples, verify, and a set of benchmark
-    # symbolic jobs ((aX+bP)^k, comm of powers, c*P^k*X^k, long series); and
-    # the README linear kernel --coefficients, whose bytes come from Python
-    # float arithmetic and cmath.sqrt alone (no numpy loop, no libm cos/sin)
+    # symbolic jobs ((aX+bP)^k, comm of powers, c*P^k*X^k, long series); the
+    # README linear kernel --coefficients, whose bytes come from Python float
+    # arithmetic and cmath.sqrt alone (no numpy loop, no libm cos/sin); and the
+    # harmonic kernel --coefficients past one and two caustics (omega t = 4, 7),
+    # which pins the continued amplitude, from Python floats and cmath only
     golden = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text())
     for case in golden:
         assert main(case["argv"]) == 0
@@ -813,6 +815,30 @@ def test_evolve_command(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "x,re,im"
     assert len(lines) == 257
+
+
+def _sinc_dvr_state(x, psi0, m, omega, t):
+    """exp(-i H t) psi0 for H = P^2/(2m) + m omega^2 X^2/2 in the sinc DVR of the
+    grid x (Colbert and Miller, J. Chem. Phys. 96, 1982 (1992)), by eigh."""
+    dx = x[1] - x[0]
+    lag = np.subtract.outer(np.arange(len(x)), np.arange(len(x)))
+    off = np.where(lag == 0, 1, lag)
+    kinetic = np.where(lag == 0, math.pi ** 2 / 3, 2.0 * (-1.0) ** off / off ** 2)
+    energy, modes = np.linalg.eigh(kinetic / (2 * m * dx * dx)
+                                   + np.diag(m * omega ** 2 * x * x / 2))
+    return modes @ (np.exp(-1j * energy * t) * (modes.T @ psi0))
+
+
+def test_evolve_past_a_caustic_matches_the_sinc_dvr_state(tmp_path):
+    # the principal-branch amplitude, without the Maslov sign, gave -psi: a
+    # state 2.0 from this reference, with exit 0
+    out = tmp_path / "psi.csv"
+    assert main(["evolve", "--model", "harmonic", "--m", "1", "--omega", "1", "--t", "4.0",
+                 "--x-min", "-6", "--x-max", "6", "--n", "512", "--x0", "1", "--sigma", "1",
+                 "--output", str(out)]) == 0
+    x, re, im = np.loadtxt(out, delimiter=",", skiprows=1).T
+    want = _sinc_dvr_state(x, math.pi ** -0.25 * np.exp(-(x - 1) ** 2 / 2), 1.0, 1.0, 4.0)
+    assert np.linalg.norm(re + 1j * im - want) < 2e-6 * np.linalg.norm(want)
 
 
 def test_pathint_command_with_convergence(tmp_path):
@@ -1470,11 +1496,13 @@ _NORM_OVERFLOW = ["evolve", "--model", "free", "--m", "1", "--t", "1", "--x-min"
 # an amplitude (pi width^2)^(-1/4) of 0: 512 rows of zeros and exit 0
 _EVOLVE_WIDE = ["evolve", "--model", "free", "--m", "1", "--t", "1", "--x-min", "-6",
                 "--x-max", "6", "--n", "512"]
-# past omega t = pi the closed-form reference lacks the caustic's phase: l2
-# errors of 2.0, ratios of 1.0 and exit 0
+# past omega t = pi the closed-form reference lacked the caustic's Maslov sign:
+# l2 errors of 2.0, ratios of 1.0 and exit 0, then a refusal (exit 3); at
+# omega t = pi itself the reference is singular
 _PATHINT_CAUSTIC = ["pathint", "--force=-1*X", "--m", "1", "--t-total", "4", "--x-min", "-6",
                     "--x-max", "6", "--n", "512", "--x0", "1", "--sigma", "1",
                     "--convergence", "5,10,20"]
+_PATHINT_AT_CAUSTIC = [str(math.pi) if arg == "4" else arg for arg in _PATHINT_CAUSTIC]
 # one step count for a force that is not affine: its finest run is its reference
 # and left out of the report, which held only its header, and exit 0
 _ONE_COUNT_CUBIC = ["pathint", "--force=-4*X-X^3", "--m", "4", "--t-total", "3", "--x-min",
@@ -1492,7 +1520,7 @@ _OFF_BOX_PATHINT = ["pathint", "--force=-X", "--m", "1", "--t-total", "3", "--x-
                     "--x-max", "2.55", "--n", "896", "--x0", "100", "--sigma", "0.5",
                     "--convergence", "5,10"]
 _NAMED = {  # argv -> what its one line must name
-    tuple(_PATHINT_CAUSTIC): "sqrt(-kappa) t = 4 is past the first caustic at pi",
+    tuple(_PATHINT_AT_CAUSTIC): "beta(3.141592653589793) = 1.225e-16; the kernel is singular",
     tuple(_OFF_BOX_PATHINT): (
         "the packet at --x0 100 of width 0.5 has a norm of 0 on the box [-2.55, 2.55]"),
     (*_EVOLVE_WIDE, "--x0", "100"): (
@@ -1544,7 +1572,8 @@ _NAMED = {  # argv -> what its one line must name
                  3, id="caustic"),
     pytest.param(["evolve", "--model", "free", "--m", "1", "--t", "0.001",
                   "--x-min", "-4", "--x-max", "4", "--n", "64"], 3, id="coarse-grid"),
-    pytest.param(_PATHINT_CAUSTIC, 3, id="pathint-past-a-caustic"),
+    pytest.param(_PATHINT_CAUSTIC, 0, id="pathint-past-a-caustic"),
+    pytest.param(_PATHINT_AT_CAUSTIC, 3, id="pathint-at-a-caustic"),
     # the slice chains ran before the closed form overflowed, and printed a
     # BoundaryLeak warning first
     pytest.param(_OVERFLOW, 3, id="overflow"),
@@ -1630,6 +1659,9 @@ def test_exit_code_sweep(argv, code, capsys):
         assert err.count("\n") == 1
         assert err.startswith("ccrflow: domain error: " if code == 3 else "ccrflow: error: ")
     assert _NAMED.get(tuple(argv), "") in err
+    if argv == _PATHINT_CAUSTIC:  # the report's ratios, then the finest state
+        assert [3.2 <= float(line.split(",")[3]) <= 4.8
+                for line in out.splitlines()[2:4]] == [True, True]
     for force, coeff in _UNBINDABLE.items():
         if force in argv:
             assert f"force coefficient {coeff} is beyond the float range" in err

@@ -9,7 +9,6 @@ import pytest
 
 from ccrflow.opalg import Polynomial, ScalarCoeff
 from ccrflow.pathint import (
-    BoundaryLeak,
     ConvergenceReport,
     convergence_study,
     propagate,
@@ -17,6 +16,7 @@ from ccrflow.pathint import (
 )
 from ccrflow.propagator import (
     AffineFlowExact,
+    BoundaryLeak,
     CausticSingularity,
     GridTooCoarse,
     UniformGrid,
@@ -397,10 +397,8 @@ def test_convergence_study_builds_the_reference_before_the_slices(monkeypatch):
         convergence_study(force, 1.0, psi, 1.0, [1, 2])
 
 
-@pytest.mark.parametrize("t_total", [math.pi, 4.0])
-def test_convergence_study_refuses_a_reference_past_the_first_caustic(t_total, monkeypatch):
-    # past omega t = pi the closed form lacks the caustic's phase: at t = 4 the
-    # report read l2 errors of 2.0 and ratios of 1.0, and the command exited 0
+def test_convergence_study_at_a_caustic_raises_before_the_slices(monkeypatch):
+    # at omega t = pi the closed-form reference is singular
     import ccrflow.pathint as pathint_mod
 
     def no_slices(*args):
@@ -408,6 +406,14 @@ def test_convergence_study_refuses_a_reference_past_the_first_caustic(t_total, m
 
     monkeypatch.setattr(pathint_mod, "propagate", no_slices)
     psi = WaveFunction.gaussian_packet(UniformGrid.from_bounds(-6, 6, 512), center=1.0)
-    with pytest.raises(CausticSingularity, match=f"sqrt\\(-kappa\\) t = {t_total:.4g} is past "
-                                                 "the first caustic"):
-        convergence_study(harmonic_force(1.0, 1.0), 1.0, psi, t_total, [5, 10, 20])
+    with pytest.raises(CausticSingularity, match=r"beta\(3.14159\d*\) = "):
+        convergence_study(harmonic_force(1.0, 1.0), 1.0, psi, math.pi, [5, 10, 20])
+
+
+def test_convergence_study_past_a_caustic_converges_at_second_order():
+    # past omega t = pi the closed-form reference lacked the Maslov sign: the
+    # report read l2 errors of 2.0 and ratios of 1.0, then it was refused
+    psi = WaveFunction.gaussian_packet(UniformGrid.from_bounds(-6, 6, 512), center=1.0)
+    report = convergence_study(harmonic_force(1.0, 1.0), 1.0, psi, 4.0, [5, 10, 20])
+    assert report.rows[0].l2_error < 0.2
+    assert [3.2 <= row.ratio <= 4.8 for row in report.rows[1:]] == [True, True]

@@ -12,6 +12,7 @@ from ccrflow.heisenberg import extract_affine, generator, newtonian_velocity, ta
 from ccrflow.opalg import Polynomial, ScalarCoeff, X
 from ccrflow.pathint import short_time_matrix
 from ccrflow.propagator import (
+    CAUSTIC_EPS,
     AffineFlowExact,
     BoundaryLeak,
     CausticSingularity,
@@ -24,6 +25,8 @@ from ccrflow.propagator import (
     gaussian_kernel,
     closed_form_kernel,
     warn_on_leak,
+    _at_caustic,
+    _caustics_passed,
 )
 from helpers import affine_series_at, from_list
 
@@ -142,6 +145,36 @@ def test_group_law_with_phase(kappa):
             assert abs(_composed(flow, t1, t2, xb, xa) - want) < 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("t1, t2", [(2.0, 1.5), (3.0, 2.9), (3.0, 4.5), (4.0, 4.5),
+                                    (-1.0, 9.0)])
+def test_group_law_with_phase_past_caustics(t1, t2):
+    # w (t1 + t2) = 4.0, 6.7, 8.6, 9.7 and 9.1 for w = 1.14: past one to three
+    # caustics; the principal branch alone composed to -U(t1 + t2) but at (4, 4.5)
+    flow = AffineFlowExact(1.7, kappa=-1.3, F0=0.9)
+    for xb, xa in ((0.3, -1.2), (-1.5, 0.8), (0.0, 2.0)):
+        want = _with_phase(flow, t1 + t2, xb, xa)
+        assert abs(_composed(flow, t1, t2, xb, xa) - want) < 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_caustic_count_agrees_with_the_sign_of_beta_at_the_band_edges(side):
+    # one float step inside and one outside the CAUSTIC_EPS band, below pi
+    # (side -1) and above it (side 1), n = floor(w |t| / pi) gives the sign of
+    # beta t as (-1)^n, for t and for -t
+    flow = AffineFlowExact.harmonic(1.0, 1.0)
+    t = math.pi * (1 + side * 0.999 * CAUSTIC_EPS)
+    while _at_caustic(flow.at(t)[1], flow.m, t):
+        t = math.nextafter(t, side * math.inf)
+    inside, outside = math.nextafter(t, math.pi), t
+    assert _at_caustic(flow.at(inside)[1], flow.m, inside)
+    for time in (inside, outside, -inside, -outside):
+        beta = flow.at(time)[1]
+        assert math.copysign(1, beta * time) == (-1) ** _caustics_passed(flow, time)
+    with pytest.raises(CausticSingularity):
+        gaussian_kernel(flow, inside)
+    assert gaussian_kernel(flow, outside).A == gaussian_kernel(flow, -outside).A.conjugate()
+
+
 def test_affine_flow_continuous_at_kappa_zero_and_phase_series_switch():
     m, F0, t = 1.3, 0.7, 1.0
 
@@ -191,6 +224,20 @@ def test_closed_form_kernel_matches_gaussian_kernel():
             built = gaussian_kernel(flow, t)(xb, xa)
             printed = closed_form_kernel(model, params, t, xb, xa)
             assert abs(built - printed) <= 1e-12 * abs(printed)
+
+
+@pytest.mark.parametrize("caustics", [1, 2, 3, 4])
+def test_closed_form_kernel_matches_gaussian_kernel_past_caustics(caustics):
+    # the two continuations: a Maslov sign on the principal branch, and the
+    # textbook |sin wt| amplitude times e^{-i pi n/2}
+    flow, params = AffineFlowExact.harmonic(1.3, 0.9), {"m": 1.3, "omega": 0.9}
+    rng = random.Random(caustics)
+    for _ in range(100):
+        t = (caustics + rng.uniform(0.05, 0.95)) * math.pi / params["omega"]
+        xb, xa = rng.uniform(-3, 3), rng.uniform(-3, 3)
+        built = gaussian_kernel(flow, t)(xb, xa)
+        printed = closed_form_kernel("harmonic", params, t, xb, xa)
+        assert abs(built - printed) <= 1e-12 * abs(printed)
 
 
 def test_harmonic_kernel_free_limit():
