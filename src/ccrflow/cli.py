@@ -357,23 +357,15 @@ def _cmd_pathint(args) -> int:
     _check_cap("pathint steps x FFT length",
                sum(args.convergence or [args.steps]) * grid.fft_size)
     force = _force_polynomial(parse_expression(args.force))
-    params = {}
-    for name in ("m", "omega", "F0"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
-    for coeff in force.coeffs.values():
-        try:
-            finite = math.isfinite(abs(coeff.evaluate(params)))
-        except KeyError as exc:  # "unbound parameter 'omega'": name the flag it needs
-            name = exc.args[0].rpartition(" ")[2].strip("'")
-            bind = f"give --{name}" if name in ("omega", "F0") else "only m, omega, F0 bind"
-            raise ValueError(f"force has {exc.args[0]}; {bind}") from None
-        except (ZeroDivisionError, OverflowError):  # omega^-1 at --omega 0, F0^-2 at 1e-200
-            finite = False
-        if not finite:
-            raise OverflowError(f"force coefficient {coeff.text()} is beyond the float "
-                                "range at the given parameters")
+    params = {k: v for k, v in vars(args).items() if k in ("m", "omega", "F0") and v is not None}
+    try:  # every force error before the packet, which loads numpy
+        force.bind(params)
+    except ValueError as exc:  # "force has unbound parameter 'omega'": name the flag it needs
+        name = str(exc).partition("unbound parameter ")[2].strip("'")
+        if not name:
+            raise
+        bind = f"give --{name}" if name in ("omega", "F0") else "only m, omega, F0 bind"
+        raise ValueError(f"{exc}; {bind}") from None
     psi = _packet(args, grid)
     if args.convergence:
         report = convergence_study(force, args.m, psi, args.t_total, args.convergence, params)

@@ -636,11 +636,29 @@ class Polynomial:
         return OpExpr({(k, 0) if generator == "X" else (0, k): c
                        for k, c in self.coeffs.items()})
 
-    def evaluate(self, x, params: Mapping[str, float] | None = None) -> complex:
-        total = 0j
+    def bind(self, params: Mapping[str, float] | None = None) -> dict[int, float]:
+        """The coefficients as real floats, by degree: the one place a force's
+        exact coefficients become numbers.  Raises ValueError for a name params
+        leaves unbound, OverflowError for a coefficient that is not a finite
+        float at params (omega^-1 at omega = 0), then ValueError for a weight with
+        an imaginary part: parameters are real, so a force with none is real."""
+        values = {}
         for k, c in self.coeffs.items():
-            total += c.evaluate(params) * x ** k
-        return total
+            try:
+                value = c.evaluate(params)
+                finite = math.isfinite(abs(value))
+            except KeyError as exc:  # "unbound parameter 'omega'"
+                raise ValueError(f"force has {exc.args[0]}") from None
+            except (ZeroDivisionError, OverflowError):
+                finite = False
+            if not finite:
+                raise OverflowError(f"force coefficient {c.text()} is beyond the float "
+                                    "range at the given parameters")
+            values[k] = value.real
+        if any(q for c in self.coeffs.values() for _p, q, _d in c.terms.values()):
+            raise ValueError("the force has a coefficient with an imaginary part; "
+                             "a force must be real")
+        return values
 
     def text(self, var: str = "x") -> str:
         if not self.coeffs:

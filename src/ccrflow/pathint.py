@@ -5,13 +5,14 @@ One slice of duration dt uses the kernel
     K(x_i, x_j) = (m/(2 pi i dt))^(1/2)
                   exp{ (i m/(2 dt)) ((x_i - x_j)^2 + (dt^2/m)(W(x_i) + W(x_j))) } dx
 
-where W(x) = int F dx with zero constant term.  The symmetric endpoint
-average of W makes each slice a second-order (Strang-type) step, so chaining
-N slices converges to the exact evolution at O(dt^2) with Richardson ratio 4
-under step doubling.  K is a ChirpStep, amp diag(e^{i dt W/2}) T diag(e^{i dt W/2})
-with T Toeplitz, so a slice is one deterministic FFT convolution: O(n log n)
-time, O(n) memory.  Like propagator, it imports numpy where it runs: a numeric
-entry imports csvtext, which loads numpy, after every other module it compiles.
+where W(x) = int F dx with zero constant term; F and W are summed on the grid
+from the floats of Polynomial.bind.  The symmetric endpoint average of W makes
+each slice a second-order (Strang-type) step, so chaining N slices converges
+to the exact evolution at O(dt^2) with Richardson ratio 4 under step doubling.
+K is a ChirpStep, amp diag(e^{i dt W/2}) T diag(e^{i dt W/2}) with T Toeplitz,
+so a slice is one deterministic FFT convolution: O(n log n) time, O(n) memory.
+Like propagator, it imports numpy where it runs: a numeric entry imports
+csvtext, which loads numpy, after every other module it compiles.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .propagator import (
     UniformGrid,
     WaveFunction,
     check_phase_step,
-    check_real_force,
     evolve_exact,
     finite_on_grid,
     gaussian_kernel,
@@ -47,9 +47,10 @@ def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
     """The slice kernel for force F on the given grid: amp = (m/(2 pi i dt))^(1/2) dx,
     kin = m/(2 dt) and phase = (dt/2) W(x).
 
-    Raises ValueError for a force that is not real (check_real_force),
-    OverflowError where F or W is not finite on the grid, and
-    GridTooCoarse unless the per-cell phase bound holds:
+    Raises as Polynomial.bind does (a parameter params leaves unbound, a force
+    that is not real, a coefficient beyond the float range), OverflowError
+    where F or W is not finite on the grid, and GridTooCoarse unless the
+    per-cell phase bound holds:
     dx * (2 m X_max / dt + (dt/2) max|F|) <= pi/2, the oscillation rule with
     the kinetic quadratic coefficient a = m/(2 dt) plus the W-phase gradient.
     """
@@ -59,14 +60,12 @@ def short_time_matrix(force: Polynomial, m: float, dt: float, grid: UniformGrid,
         raise ValueError("dt must be positive")
     if not m > 0:
         raise ValueError("mass must be positive")
-    check_real_force(force)
     x = grid.points()
     with np.errstate(all="ignore"):  # finite_on_grid, not a warning, reports overflow
-        # a constant polynomial evaluates to a scalar
-        f_vals = finite_on_grid(np.broadcast_to(force.evaluate(x, params), x.shape),
-                                "the force").real
-        w_vals = finite_on_grid(np.broadcast_to(force.antiderivative().evaluate(x, params),
-                                                x.shape), "the force's antiderivative").real
+        f_vals, w_vals = (finite_on_grid(np.broadcast_to(  # a constant sums to a scalar
+            sum((c * x ** k for k, c in p.bind(params).items()), 0.0), x.shape), what)
+            for p, what in ((force, "the force"),
+                            (force.antiderivative(), "the force's antiderivative")))
     check_phase_step(grid.dx * (2 * m * grid.abs_max / dt
                                 + (dt / 2) * float(np.max(np.abs(f_vals)))),
                      "slice kernel", "refine dx, shrink the domain, or enlarge dt")

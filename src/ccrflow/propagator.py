@@ -45,7 +45,6 @@ __all__ = [
     "closed_form_kernel",
     "evolve_exact",
     "check_phase_step",
-    "check_real_force",
     "finite_on_grid",
     "warn_on_leak",
     "CAUSTIC_EPS",
@@ -151,13 +150,12 @@ class AffineFlowExact(_AffineFlowFields):
     @classmethod
     def from_force(cls, force: Polynomial, m: float,
                    params: Mapping[str, float] | None = None) -> "AffineFlowExact | None":
-        """The flow of F = c0 + c1 X; None for a higher degree.  Raises
-        ValueError for a force that is not real (check_real_force)."""
-        check_real_force(force)
-        if max(force.coeffs, default=0) > 1:
+        """The flow of F = c0 + c1 X; None for a higher degree.  Raises as
+        force.bind(params) does, which gives the coefficients."""
+        coeffs = force.bind(params)
+        if max(coeffs, default=0) > 1:
             return None
-        numeric = {k: c.evaluate(params).real for k, c in force.coeffs.items()}
-        return cls(m, kappa=numeric.get(1, 0.0) / m, F0=numeric.get(0, 0.0))
+        return cls(m, kappa=coeffs.get(1, 0.0) / m, F0=coeffs.get(0, 0.0))
 
     def at(self, t: float) -> tuple[float, float, float]:
         """(alpha, beta, gamma) at time t.  Raises OverflowError where cosh
@@ -320,16 +318,16 @@ def closed_form_kernel(model: str, params: Mapping[str, float], t: float,
     """Direct evaluation of the textbook closed-form propagators.
 
     free:     (m/(2 pi i t))^(1/2) exp{ i m (x_b - x_a)^2 / (2t) }
-    harmonic: (m w/(2 pi i sin wt))^(1/2), past n = floor(wt/pi) >= 1 caustics
-              (m w/(2 pi i |sin wt|))^(1/2) e^{-i pi n/2}, times
+    harmonic: (m w/(2 pi i sgn(t) |sin wt|))^(1/2) e^{-i pi sgn(t) n/2} past
+              n = floor(|w t|/pi) caustics (principal for n = 0; even in w), times
               exp{ i m w ((x_b^2 + x_a^2) cos wt - 2 x_b x_a) / (2 sin wt) }
     linear:   (m/(2 pi i t))^(1/2)
               exp{ (i m/(2t)) ((x_b - x_a)^2 + F0 t^2 (x_b + x_a)/m) }
 
-    The harmonic form is the Mehler kernel; its exponent sign is pinned by
-    the omega -> 0 free-particle limit.  These must agree with
-    gaussian_kernel built from the matching affine flow; the cross-check is
-    part of the verification suite.
+    The harmonic form is the Mehler kernel; its exponent sign is pinned by the
+    omega -> 0 free-particle limit, and K(-t)(x_b, x_a) = conj K(t)(x_a, x_b)
+    continues it to t < 0.  These must agree with gaussian_kernel built from the
+    matching affine flow; the cross-check is part of the verification suite.
     """
     m = params["m"]
     if model == "free":
@@ -342,8 +340,9 @@ def closed_form_kernel(model: str, params: Mapping[str, float], t: float,
         s = math.sin(omega * t)
         if _at_caustic(s / (m * omega), m, t):
             raise CausticSingularity("harmonic kernel is singular at omega t = n pi")
-        n = max(0, math.floor(omega * t / math.pi))  # caustics passed; e^{-i pi n/2} = (-i)^n
-        amp = cmath.sqrt(m * omega / (2j * math.pi * (abs(s) if n else s))) * (-1j) ** n
+        n = math.floor(abs(omega * t) / math.pi)  # caustics passed; e^{-i pi n/2} = (-i)^n
+        amp = (cmath.sqrt(m * omega / (2j * math.pi * math.copysign(s, omega * t)))
+               * (-1j if t > 0 else 1j) ** n)
         phase = m * omega * ((x_b * x_b + x_a * x_a) * math.cos(omega * t)
                              - 2 * x_b * x_a) / (2 * s)
         return amp * cmath.exp(1j * phase)
@@ -478,15 +477,6 @@ def check_phase_step(step: float, kernel: str, remedy: str) -> None:
     if not step <= math.pi / 2:
         raise GridTooCoarse(f"{kernel} phase advances {step:.4g} rad per cell "
                             f"(limit pi/2 = {math.pi / 2:.3f}); {remedy}")
-
-
-def check_real_force(force: Polynomial) -> None:
-    """The one realness rule of a force: no weight of any coefficient may have
-    an imaginary part.  Parameters bind to real floats, so such a force is
-    real at every binding; any other raises ValueError."""
-    if any(q for coeff in force.coeffs.values() for _p, q, _d in coeff.terms.values()):
-        raise ValueError("the force has a coefficient with an imaginary part; "
-                         "a force must be real")
 
 
 def finite_on_grid(values: np.ndarray, what: str) -> np.ndarray:

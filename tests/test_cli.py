@@ -2070,6 +2070,18 @@ def test_numeric_commands_never_import_the_cli_module(argv):
     assert "ccrflow.cli" not in loaded
 
 
+@pytest.mark.parametrize("argv, status", [
+    (["pathint", "--force=-k*X", "--m", "1", "--t-total", "1", *_BOX, "--steps", "2"], 2),
+    ([*_PATHINT_WIDE, "--force=omega^-1*X", "--omega", "0", "--steps", "2"], 3),
+    (_IMAGINARY_FORCE, 2),
+], ids=["unbound", "beyond-the-float-range", "imaginary"])
+def test_a_force_error_ends_pathint_before_numpy_loads(argv, status):
+    # Polynomial.bind decides all three before the packet; the imaginary force
+    # passed until the closed form or the slices, after the packet loaded numpy
+    _steps, _blas, order = _import_steps([[argv, status]])
+    assert "ccrflow.pathint" in order and "numpy" not in order
+
+
 def test_kernel_coefficients_load_neither_numpy_nor_csvtext():
     _steps, _blas, order = _import_steps([[["kernel", "--model", "free", "--m", "1", "--t", "1",
                                             *_GRID, "4", "--coefficients"], 0]])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -537,6 +538,40 @@ def test_scalar_evaluate():
     assert c.evaluate({"m": 2.0}) == complex(0.125, -0.0625)
     with pytest.raises(KeyError):
         c.evaluate({})
+
+
+def test_bind_gives_real_floats_in_degree_order():
+    stiffness = ScalarCoeff.param("m") * ScalarCoeff.param("omega", 2)
+    force = from_list([2, Fraction(-3, 4) * stiffness])
+    assert list(force.bind({"m": 2.0, "omega": 3.0}).items()) == [(0, 2.0), (1, -13.5)]
+    assert Polynomial.zero().bind() == {}
+
+
+def test_bind_names_an_unbound_parameter_before_an_imaginary_weight():
+    force = Polynomial.monomial(1, ScalarCoeff.param("omega") * (1 + I))
+    with pytest.raises(ValueError, match="^force has unbound parameter 'omega'$"):
+        force.bind({"m": 1.0})
+
+
+def test_bind_rejects_an_imaginary_weight_however_small():
+    # 3e-12 is below any relative tolerance a grid of F values would use
+    force = Polynomial.monomial(1, ScalarCoeff.rational(-4, Fraction(3, 10 ** 12)))
+    with pytest.raises(ValueError, match="^the force has a coefficient with an imaginary part; "
+                                         "a force must be real$"):
+        force.bind()
+
+
+@pytest.mark.parametrize("coeff, params, text", [
+    (ScalarCoeff.param("omega", -1), {"omega": 0.0}, "omega^-1"),  # ZeroDivisionError
+    (ScalarCoeff.param("F0", -2), {"F0": 1e-200}, "F0^-2"),  # OverflowError of a power
+    (ScalarCoeff.rational(10 ** 400), {}, "1" + "0" * 400),  # of an int quotient
+    (ScalarCoeff.param("F0") * ScalarCoeff.param("omega"), {"F0": 1e200, "omega": 1e200},
+     "F0*omega"),  # inf
+], ids=["divides-by-zero", "power-overflows", "quotient-overflows", "product-is-inf"])
+def test_bind_rejects_a_coefficient_beyond_the_float_range(coeff, params, text):
+    with pytest.raises(OverflowError, match=f"^force coefficient {re.escape(text)} is beyond "
+                                            "the float range at the given parameters$"):
+        Polynomial.monomial(1, coeff).bind(params)
 
 
 # ---- polynomials ----

@@ -7,7 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ccrflow.opalg import Polynomial, ScalarCoeff
+from ccrflow.heisenberg import (
+    extract_affine,
+    force_for_model,
+    generator,
+    newtonian_velocity,
+    taylor_flow,
+)
+from ccrflow.opalg import Polynomial, ScalarCoeff, X
 from ccrflow.pathint import (
     ConvergenceReport,
     convergence_study,
@@ -121,10 +128,24 @@ def test_slice_force_beyond_the_float_range(force, what):
 def test_symbolic_force_needs_parameters():
     grid = UniformGrid.from_bounds(-1, 1, 64)
     force = Polynomial.monomial(0, ScalarCoeff.param("F0"))
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^force has unbound parameter 'F0'$"):
         short_time_matrix(force, 1.0, 0.5, grid)
     kernel = short_time_matrix(force, 1.0, 0.5, grid, {"F0": 0.3})
     assert kernel.rows().shape == (64, 64)
+
+
+@pytest.mark.parametrize("build", [
+    lambda force: AffineFlowExact.from_force(force, 1.0, {"m": 1.0}),
+    lambda force: convergence_study(force, 1.0, WaveFunction.gaussian_packet(
+        UniformGrid.from_bounds(-6, 6, 256)), 1.0, [5, 10], {"m": 1.0}),
+    lambda force: short_time_matrix(force, 1.0, 0.5, UniformGrid.from_bounds(-1, 1, 64),
+                                    {"m": 1.0}),
+    lambda force: extract_affine(taylor_flow(X, generator(force, newtonian_velocity()), 3), 1.0),
+], ids=["from_force", "convergence_study", "short_time_matrix", "extract_affine"])
+def test_library_names_an_unbound_force_parameter(build):
+    # each raised a bare KeyError('unbound parameter ...') from ScalarCoeff.evaluate
+    with pytest.raises(ValueError, match="^force has unbound parameter 'omega'$"):
+        build(force_for_model("harmonic"))
 
 
 @pytest.mark.parametrize("imag", [Fraction(3, 10 ** 12), Fraction(1, 10 ** 30), 1])

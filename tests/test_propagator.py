@@ -240,6 +240,20 @@ def test_closed_form_kernel_matches_gaussian_kernel_past_caustics(caustics):
         assert abs(built - printed) <= 1e-12 * abs(printed)
 
 
+@pytest.mark.parametrize("t", [-2.0, -4.0, -7.0, -10.0])
+def test_closed_form_kernel_continues_to_negative_times(t):
+    # n came from omega t, not omega |t|: at t = -4 and -7 the closed form
+    # stayed on the principal branch and returned -K
+    flow, params = AffineFlowExact.harmonic(1.0, 1.0), {"m": 1.0, "omega": 1.0}
+    printed = closed_form_kernel("harmonic", params, t, 0.3, -0.2)
+    assert abs(printed - gaussian_kernel(flow, t)(0.3, -0.2)) <= 1e-12 * abs(printed)
+    reversed_ = closed_form_kernel("harmonic", params, -t, -0.2, 0.3).conjugate()
+    assert abs(printed - reversed_) <= 1e-12 * abs(printed)
+    for time in (t, -t):  # the kernel is even in omega
+        assert closed_form_kernel("harmonic", {"m": 1.0, "omega": -1.0}, time, 0.3, -0.2) == \
+            closed_form_kernel("harmonic", params, time, 0.3, -0.2)
+
+
 def test_harmonic_kernel_free_limit():
     m, t = 1.0, 1.0
     omega = 1e-4 / t
